@@ -8,18 +8,11 @@ to per-round translations and global positive scalings of the losses.
 
 from .aggregator import Aggregator, RoundDiagnostics
 from .core import (
-    CenteredLosses,
     ConfigError,
     InvariantViolation,
-    LearningRate,
     OutOfClassError,
     ProtocolError,
-    RoundStats,
-    center_losses,
-    eta_ratio,
     gamma_from_budget,
-    learning_rate,
-    round_stats,
 )
 from .harness import (
     ExperimentConfig,
@@ -56,36 +49,29 @@ __version__ = "0.1.0"
 __all__ = [
     "Aggregator",
     "BoundReport",
-    "CenteredLosses",
     "ClassParams",
     "ConfigError",
     "ExperimentConfig",
     "InvariantViolation",
-    "LearningRate",
     "OutOfClassError",
     "ProtocolError",
     "RegretReport",
     "RoundDiagnostics",
-    "RoundStats",
     "StrategyPath",
     "TransitionKernel",
     "best_competitor",
     "best_prefix_losses",
     "bound_report",
-    "center_losses",
     "class_budget",
     "cyclic_kernel",
     "emit_csv",
     "emit_probs_csv",
-    "eta_ratio",
     "ewa_reference",
     "exhaustive_best",
     "fixed_kernel",
     "gamma_from_budget",
-    "learning_rate",
     "loss_generator",
     "make_kernel",
-    "round_stats",
     "run_experiment",
     "run_sweep",
     "run_verification",

@@ -40,6 +40,19 @@ _SIMPLEX_TOL = 1e-12
 _RATE_TOL = 1e-12
 
 
+def _segment_logsumexp(values: np.ndarray, starts: np.ndarray, seg: np.ndarray) -> np.ndarray:
+    """Log-sum-exp of each contiguous segment; -inf where a segment is all -inf.
+
+    Works in place on ``values``; its only input-sized temporary is the
+    gathered segment maxima, which keeps large mixing steps off the allocator.
+    """
+    with np.errstate(invalid="ignore"):
+        seg_max = np.maximum.reduceat(values, starts)
+        values -= seg_max[seg]
+        sums = np.add.reduceat(np.exp(values, out=values), starts)
+        return np.where(np.isneginf(seg_max), -np.inf, seg_max + np.log(sums))
+
+
 @dataclass(frozen=True)
 class RoundDiagnostics:
     """Telemetry for the most recent observed round.
@@ -96,8 +109,9 @@ class Aggregator:
         self.gamma = float(gamma)
         self.num_experts = kernel.num_experts
         self._constant_eta = None if constant_eta is None else float(constant_eta)
+        self._tables = kernel.tables
         with np.errstate(divide="ignore"):
-            self._log_w = np.log(kernel.initial_weights())
+            self._log_w = np.log(self._tables.init_weights)
         self._t = 0
         self._stats = RoundStats()
         self._prev_eta: LearningRate | None = None
@@ -133,15 +147,10 @@ class Aggregator:
         return self._cached_p.copy()
 
     def _compute_probabilities(self) -> np.ndarray:
-        tb = self.kernel.tables(self._t + 1)
-        lw = self._log_w
-        with np.errstate(invalid="ignore"):
-            seg_max = np.maximum.reduceat(lw, tb.expert_starts)
-            inner = np.exp(lw - seg_max[tb.class_seg])
-            sums = np.add.reduceat(inner, tb.expert_starts)
-            seg_log = np.where(np.isneginf(seg_max), -np.inf, seg_max + np.log(sums))
+        tb = self._tables
         log_wm = np.full(self.num_experts, -np.inf)
-        log_wm[tb.present_experts] = seg_log
+        lw = self._log_w.copy()
+        log_wm[tb.present_experts] = _segment_logsumexp(lw, tb.expert_starts, tb.class_seg)
         top = log_wm.max()
         if not math.isfinite(top):
             raise InvariantViolation("total class weight vanished")
@@ -171,9 +180,8 @@ class Aggregator:
         values = as_loss_array(losses, self.num_experts)
         p = self._cached_p
 
-        centered = center_losses(values, p)
-        phi = centered.values
-        stats = round_stats(centered, p, self._stats)
+        phi = center_losses(values, p).values
+        stats = round_stats(phi, p, self._stats)
 
         if self._constant_eta is not None:
             eta_t = LearningRate(eta=self._constant_eta, gamma=self.gamma)
@@ -203,17 +211,11 @@ class Aggregator:
                 f"round {stats.t}: -eta*phi reached {max_neg_eta_phi!r} > 1"
             )
 
-        tb = self.kernel.tables(self._t + 1)
+        tb = self._tables
         log_z = self._log_w - exponent * phi[tb.expert_of]
-        with np.errstate(invalid="ignore"):
-            contrib = ratio * log_z[tb.mix_src] + tb.mix_logw
-            seg_max = np.maximum.reduceat(contrib, tb.mix_starts)
-            inner = np.exp(contrib - seg_max[tb.mix_seg])
-            sums = np.add.reduceat(inner, tb.mix_starts)
-            seg_lse = np.where(np.isneginf(seg_max), -np.inf, seg_max + np.log(sums))
-        tb_next = self.kernel.tables(self._t + 2)
-        new_lw = np.full(tb_next.num_classes, -np.inf)
-        new_lw[tb.mix_dst_ids] = seg_lse
+        contrib = ratio * log_z[tb.mix_src] + tb.mix_logw
+        new_lw = np.full(tb.num_classes, -np.inf)
+        new_lw[tb.mix_dst_ids] = _segment_logsumexp(contrib, tb.mix_starts, tb.mix_seg)
         top = new_lw.max()
         if not math.isfinite(top):
             raise InvariantViolation(f"round {stats.t}: class weights collapsed")

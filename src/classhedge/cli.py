@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import ConfigError, InvariantViolation, ProtocolError
-from . import harness, oracle
+from . import core, harness, oracle
 
 
 def _parse_value(text: str):
@@ -160,6 +160,29 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if harness.run_verification(seed=args.seed) else 1
 
 
+def _check_columns(path, columns: dict, names) -> None:
+    missing = [name for name in names if name not in columns]
+    if missing:
+        raise ConfigError(f"{path} has no column(s) {', '.join(missing)}")
+
+
+def _read_telemetry(path) -> tuple[np.ndarray, np.ndarray]:
+    """Probabilities and losses of a --debug-probs CSV, validated row by row."""
+    telemetry = harness.read_csv_columns(path)
+    experts = max(1, sum(1 for name in telemetry if name.startswith("p_")))
+    names = [f"{kind}_{m}" for kind in "pl" for m in range(experts)]
+    _check_columns(path, telemetry, names)
+    table = np.column_stack([telemetry[name] for name in names])
+    probs, losses = table[:, :experts], table[:, experts:]
+    for t, (p_row, l_row) in enumerate(zip(probs, losses), start=1):
+        try:
+            core.as_simplex(p_row)
+            core.as_loss_array(l_row)
+        except ValueError as exc:
+            raise ValueError(f"{path} round {t}: {exc}") from exc
+    return probs, losses
+
+
 def _cmd_bounds(args: argparse.Namespace) -> int:
     if args.w_budget is not None:
         w_budget = float(args.w_budget)
@@ -172,11 +195,9 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         raise ConfigError("provide --w-budget, or --kernel with --experts and --rounds")
 
     columns = harness.read_csv_columns(args.csv)
+    _check_columns(args.csv, columns, ("D", "V", "bound_var", "bound_range", "exp_regret"))
     if args.probs:
-        telemetry = harness.read_csv_columns(args.probs)
-        experts = sum(1 for name in telemetry if name.startswith("p_"))
-        probs = np.column_stack([telemetry[f"p_{m}"] for m in range(experts)])
-        losses = np.column_stack([telemetry[f"l_{m}"] for m in range(experts)])
+        probs, losses = _read_telemetry(args.probs)
         report = oracle.bound_report(w_budget, probs, losses)
         print(
             f"W={report.w_budget:.12g} D={report.D:.12g} V*={report.v_star:.12g} "
@@ -190,10 +211,9 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     else:
         d_top = float(columns["D"][-1])
         v_star = float(columns["V"][-1])
-        bound_var = w_budget * d_top + 2.4 * math.sqrt(w_budget * v_star)
         print(f"W={w_budget:.12g} D={d_top:.12g} V*={v_star:.12g}")
         print(
-            f"bound_var={bound_var:.12g} (recomputed)  "
+            f"bound_var={core.bound_var(w_budget, d_top, v_star):.12g} (recomputed)  "
             f"bound_range={float(columns['bound_range'][-1]):.12g} (stored)"
         )
     regret = float(columns["exp_regret"][-1])

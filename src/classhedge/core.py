@@ -2,7 +2,9 @@
 
 Centering of raw losses into performance scores, the range/variance
 round statistics, the adaptive learning rate eta = gamma / sqrt(V + gamma^2 D^2),
-and the closed-form gamma for a given competition-class budget.
+the closed-form gamma for a given competition-class budget, and the two
+second-order regret bounds.  The helpers trust their inputs: inputs are
+validated once, at ``Aggregator.observe`` and in the CLI.
 
 Everything here is a pure function over value types; no shared mutable state.
 """
@@ -114,8 +116,8 @@ def center_losses(losses, probs, *, baseline: float | None = None) -> CenteredLo
     at least one centered entry is >= 0.  The explicit-baseline form exists
     only for reference tests (e.g. the zero baseline).
     """
-    l = as_loss_array(losses)
-    p = as_simplex(probs, num_experts=l.size)
+    l = np.asarray(losses, dtype=float)
+    p = np.asarray(probs, dtype=float)
     mu = float(p @ l) if baseline is None else float(baseline)
     if not math.isfinite(mu):
         raise ValueError("baseline must be finite")
@@ -128,8 +130,8 @@ def round_stats(phi, probs, prev: RoundStats) -> RoundStats:
     d = max(phi) - min(phi);  v = E_p[phi^2];  D = max(D_prev, d);
     V = V_prev + v, accumulated with compensated summation.
     """
-    values = phi.values if isinstance(phi, CenteredLosses) else np.asarray(phi, dtype=float)
-    p = as_simplex(probs, num_experts=values.size)
+    values = np.asarray(phi, dtype=float)
+    p = np.asarray(probs, dtype=float)
     d = float(values.max() - values.min())
     v = float(p @ (values * values))
     # Kahan step: V + v with carried low-order bits.
@@ -140,10 +142,17 @@ def round_stats(phi, probs, prev: RoundStats) -> RoundStats:
 
 
 def learning_rate(stats: RoundStats, gamma: float) -> LearningRate:
-    """eta_t = gamma / sqrt(V_t + gamma^2 * D_t^2); degenerate when the radicand is 0."""
+    """eta_t = gamma / sqrt(V_t + gamma^2 * D_t^2); degenerate when the radicand is 0.
+
+    A radicand that overflows (losses beyond ~1e154) raises InvariantViolation.
+    """
     if not (isinstance(gamma, (int, float)) and math.isfinite(gamma) and gamma > 0):
         raise ConfigError(f"gamma must be a positive finite real, got {gamma!r}")
     radicand = stats.V + gamma * gamma * stats.D * stats.D
+    if not math.isfinite(radicand):
+        raise InvariantViolation(
+            f"round {stats.t}: rate radicand is {radicand!r}; the loss scale overflows"
+        )
     if radicand <= 0.0:
         return LearningRate(eta=DEGENERATE_ETA, gamma=float(gamma))
     return LearningRate(eta=float(gamma) / math.sqrt(radicand), gamma=float(gamma))
@@ -154,6 +163,16 @@ def eta_ratio(current: LearningRate, previous: LearningRate) -> float:
     if previous.degenerate or current.degenerate:
         return 1.0
     return current.eta / previous.eta
+
+
+def bound_var(w_budget, d_max, v_star):
+    """Variance bound W*D + 2.4*sqrt(W*V*); arrays or scalars, elementwise."""
+    return w_budget * d_max + 2.4 * np.sqrt(w_budget * v_star)
+
+
+def bound_range(w_budget, d_max, sum_d_sq):
+    """Range bound W*D + 1.2*sqrt(W*sum d^2); arrays or scalars, elementwise."""
+    return w_budget * d_max + 1.2 * np.sqrt(w_budget * sum_d_sq)
 
 
 def gamma_from_budget(w_budget: float) -> float:

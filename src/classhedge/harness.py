@@ -13,6 +13,7 @@ pairing, so they are guarantees only when gamma is set to "auto".
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -22,7 +23,7 @@ from typing import Iterator
 import numpy as np
 
 from .aggregator import Aggregator
-from .core import ConfigError, InvariantViolation, gamma_from_budget
+from .core import ConfigError, InvariantViolation, bound_range, bound_var, gamma_from_budget
 from .kernels import (
     ClassParams,
     TransitionKernel,
@@ -49,14 +50,6 @@ CSV_COLUMNS = (
 )
 
 KERNELS = ("fixed", "cyclic", "switching")
-GENERATORS = (
-    "constant",
-    "iid-uniform",
-    "gaussian-drift",
-    "adversarial-cyclic",
-    "adversarial-switching",
-)
-
 _GEN_PARAMS = {
     "constant": {"value": 0.0},
     "iid-uniform": {"offset": 0.0, "scale": 1.0},
@@ -64,6 +57,7 @@ _GEN_PARAMS = {
     "adversarial-cyclic": {"sigma": 1, "delta": 0.3, "start": 0},
     "adversarial-switching": {"delta": 0.3, "period": 50},
 }
+GENERATORS = tuple(_GEN_PARAMS)
 
 
 def make_kernel(name: str, num_experts: int, params: dict | None = None) -> TransitionKernel:
@@ -156,6 +150,10 @@ class ExperimentConfig:
     debug_probs: bool = False
 
     def validate(self) -> None:
+        for name in ("experts", "rounds", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.experts < 1:
             raise ConfigError(f"experts must be >= 1, got {self.experts}")
         if self.rounds < 1:
@@ -269,12 +267,7 @@ def run_experiment(config: ExperimentConfig) -> RegretReport:
     cum_expected = np.cumsum(expected)
     cum_realized = np.cumsum(realized)
     sum_d_sq = np.cumsum(small_d * small_d)
-    if w_budget is None:
-        bound_var = np.full(rounds, np.nan)
-        bound_range = np.full(rounds, np.nan)
-    else:
-        bound_var = w_budget * big_d + 2.4 * np.sqrt(w_budget * big_v)
-        bound_range = w_budget * big_d + 1.2 * np.sqrt(w_budget * sum_d_sq)
+    w = math.nan if w_budget is None else w_budget  # no budget: NaN bound columns
 
     report = RegretReport(
         config=config,
@@ -285,8 +278,8 @@ def run_experiment(config: ExperimentConfig) -> RegretReport:
         best_cumloss=best_cum,
         exp_regret=cum_expected - best_cum,
         real_regret=cum_realized - best_cum,
-        bound_var=bound_var,
-        bound_range=bound_range,
+        bound_var=bound_var(w, big_d, big_v),
+        bound_range=bound_range(w, big_d, sum_d_sq),
         eta=eta,
         D=big_d,
         V=big_v,
@@ -316,24 +309,13 @@ def emit_csv(report: RegretReport, path) -> None:
     byte stream is a pure function of the report.
     """
     path = Path(path)
+    # every column after "t" is the report array of the same name
+    columns = [getattr(report, name) for name in CSV_COLUMNS[1:]]
     try:
         with open(path, "w", newline="") as fh:
             fh.write(",".join(CSV_COLUMNS) + "\n")
             for t in range(report.rounds):
-                row = (
-                    str(t + 1),
-                    _fmt(report.expected_loss[t]),
-                    _fmt(report.realized_loss[t]),
-                    _fmt(report.best_cumloss[t]),
-                    _fmt(report.exp_regret[t]),
-                    _fmt(report.real_regret[t]),
-                    _fmt(report.bound_var[t]),
-                    _fmt(report.bound_range[t]),
-                    _fmt(report.eta[t]),
-                    _fmt(report.D[t]),
-                    _fmt(report.V[t]),
-                )
-                fh.write(",".join(row) + "\n")
+                fh.write(",".join([str(t + 1)] + [_fmt(c[t]) for c in columns]) + "\n")
     except OSError as exc:
         raise OSError(f"cannot write report to {path}: {exc}") from exc
 
@@ -347,11 +329,7 @@ def emit_probs_csv(report: RegretReport, path) -> None:
     """Debug telemetry: played probabilities and raw losses per round."""
     path = Path(path)
     experts = report.probs.shape[1]
-    header = (
-        ["t"]
-        + [f"p_{m}" for m in range(experts)]
-        + [f"l_{m}" for m in range(experts)]
-    )
+    header = ["t"] + [f"{kind}_{m}" for kind in "pl" for m in range(experts)]
     try:
         with open(path, "w", newline="") as fh:
             fh.write(",".join(header) + "\n")

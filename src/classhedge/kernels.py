@@ -27,17 +27,16 @@ _ROW_TOL = 1e-12
 
 @dataclass(frozen=True)
 class KernelTables:
-    """Precomputed index structures for one round of a kernel.
+    """Precomputed index structures of a kernel.
 
     Classes are sorted lexicographically, which groups them by expert since
     the expert index is the first coordinate.  Edge arrays come in two
-    orders: sorted by destination (for the engine's mixing step) and sorted
-    by source (for the competitor DP and path enumeration).
+    orders: sorted by destination (for the engine's mixing step and the
+    prefix DP) and sorted by source (for the path DP and successor lists).
     """
 
     classes: tuple[ClassParams, ...]
     index: dict[ClassParams, int] = field(repr=False)
-    num_experts: int = field(repr=False)
     expert_of: np.ndarray = field(repr=False)
     present_experts: np.ndarray = field(repr=False)
     expert_starts: np.ndarray = field(repr=False)
@@ -48,12 +47,11 @@ class KernelTables:
     mix_starts: np.ndarray = field(repr=False)
     mix_dst_ids: np.ndarray = field(repr=False)
     mix_seg: np.ndarray = field(repr=False)
-    # edges sorted by (src, dst)
+    # edges sorted by (src, dst), with the raw transition weights
+    adj_src: np.ndarray = field(repr=False)
     adj_dst: np.ndarray = field(repr=False)
-    adj_logw: np.ndarray = field(repr=False)
+    adj_w: np.ndarray = field(repr=False)
     adj_starts: np.ndarray = field(repr=False)
-    adj_seg: np.ndarray = field(repr=False)
-    successors: dict[ClassParams, tuple[tuple[ClassParams, float], ...]] = field(repr=False)
     init_weights: np.ndarray = field(repr=False)
 
     @property
@@ -92,8 +90,8 @@ class TransitionKernel:
         None and supply gamma explicitly.
 
     Kernels are immutable after construction and safe to share across
-    threads.  The round-indexed accessors exist so subclasses can implement
-    time-varying class spaces; built-ins are time-homogeneous.
+    threads.  ``tables`` holds the index structures the engine and the DPs
+    read.
     """
 
     def __init__(
@@ -110,7 +108,7 @@ class TransitionKernel:
         self.name = str(name)
         self.num_experts = int(num_experts)
         self._budget = budget
-        self._tables = self._build_tables(classes, successors, init_weights)
+        self.tables = self._build_tables(classes, successors, init_weights)
 
     def _build_tables(self, classes, successors, init_weights) -> KernelTables:
         class_list = sorted({_as_class(c) for c in classes})
@@ -135,7 +133,6 @@ class TransitionKernel:
             np.arange(len(present_experts)), np.diff(np.append(expert_starts, k))
         )
 
-        succ_table: dict[ClassParams, tuple[tuple[ClassParams, float], ...]] = {}
         src_idx: list[int] = []
         dst_idx: list[int] = []
         weights: list[float] = []
@@ -155,7 +152,6 @@ class TransitionKernel:
             if abs(total - 1.0) > _ROW_TOL:
                 raise ConfigError(f"row for {cls} sums to {total!r}, not 1")
             row.sort(key=lambda item: item[0])
-            succ_table[cls] = tuple(row)
             for dst, w in row:
                 src_idx.append(index[cls])
                 dst_idx.append(index[dst])
@@ -163,7 +159,8 @@ class TransitionKernel:
 
         src = np.array(src_idx, dtype=np.intp)
         dst = np.array(dst_idx, dtype=np.intp)
-        logw = np.log(np.array(weights, dtype=float))
+        raw_w = np.array(weights, dtype=float)
+        logw = np.log(raw_w)
 
         order = np.lexsort((src, dst))
         mix_src, mix_dst, mix_logw = src[order], dst[order], logw[order]
@@ -172,11 +169,9 @@ class TransitionKernel:
             np.arange(len(mix_dst_ids)), np.diff(np.append(mix_starts, len(mix_dst)))
         )
 
-        order = np.lexsort((dst, src))
-        adj_src, adj_dst, adj_logw = src[order], dst[order], logw[order]
-        # every class has a nonempty row, so source segments cover 0..k-1
-        adj_starts = np.searchsorted(adj_src, np.arange(k))
-        adj_seg = adj_src
+        # rows were visited in class order and sorted, so edges are in (src, dst)
+        # order; every row is nonempty, so source segments cover 0..k-1
+        adj_starts = np.searchsorted(src, np.arange(k))
 
         if init_weights is None:
             init = np.full(k, 1.0 / k)
@@ -193,7 +188,6 @@ class TransitionKernel:
         return KernelTables(
             classes=tuple(class_list),
             index=index,
-            num_experts=self.num_experts,
             expert_of=expert_of,
             present_experts=present_experts,
             expert_starts=expert_starts,
@@ -203,11 +197,10 @@ class TransitionKernel:
             mix_starts=mix_starts,
             mix_dst_ids=mix_dst_ids,
             mix_seg=mix_seg,
-            adj_dst=adj_dst,
-            adj_logw=adj_logw,
+            adj_src=src,
+            adj_dst=dst,
+            adj_w=raw_w,
             adj_starts=adj_starts,
-            adj_seg=adj_seg,
-            successors=succ_table,
             init_weights=init,
         )
 
@@ -236,25 +229,21 @@ class TransitionKernel:
         }
         return cls(name, num_experts, class_list, successors, init_weights, budget)
 
-    # --- round-indexed accessors (hooks for time-varying subclasses) ---
+    def class_list(self) -> tuple[ClassParams, ...]:
+        return self.tables.classes
 
-    def tables(self, t: int = 1) -> KernelTables:
-        """Index structures for round t.  Built-ins are time-homogeneous."""
-        return self._tables
-
-    def class_list(self, t: int = 1) -> tuple[ClassParams, ...]:
-        return self.tables(t).classes
-
-    def successor_items(self, coords, t: int = 1) -> tuple[tuple[ClassParams, float], ...]:
+    def successor_items(self, coords) -> tuple[tuple[ClassParams, float], ...]:
         """Sparse successor list of one class: ((next_class, weight), ...)."""
-        tb = self.tables(t)
+        tb = self.tables
         cls = _as_class(coords)
-        if cls not in tb.successors:
+        if cls not in tb.index:
             raise KeyError(f"{cls} is not a class of kernel '{self.name}'")
-        return tb.successors[cls]
+        lo, hi = np.searchsorted(tb.adj_src, [tb.index[cls], tb.index[cls] + 1])
+        dsts, weights = tb.adj_dst[lo:hi].tolist(), tb.adj_w[lo:hi].tolist()
+        return tuple((tb.classes[d], w) for d, w in zip(dsts, weights))
 
     def initial_weights(self) -> np.ndarray:
-        return self.tables(1).init_weights.copy()
+        return self.tables.init_weights.copy()
 
     def budget_bound(self, rounds: int) -> float | None:
         """Declared budget bound W_T for a game of the given length, if any."""
@@ -267,7 +256,7 @@ class TransitionKernel:
     def __repr__(self) -> str:
         return (
             f"TransitionKernel(name={self.name!r}, experts={self.num_experts}, "
-            f"classes={self._tables.num_classes})"
+            f"classes={self.tables.num_classes})"
         )
 
 
@@ -344,7 +333,7 @@ def class_budget(kernel: TransitionKernel, competitor: Sequence[ClassParams]) ->
     path = [_as_class(c) for c in competitor]
     if not path:
         raise ValueError("competitor path is empty")
-    tb = kernel.tables(1)
+    tb = kernel.tables
     first = path[0]
     if first not in tb.index:
         raise OutOfClassError(f"{first} is not a class of kernel '{kernel.name}'")
@@ -352,14 +341,11 @@ def class_budget(kernel: TransitionKernel, competitor: Sequence[ClassParams]) ->
         raise OutOfClassError(f"{first} has zero initial weight")
     log_tau = 0.0
     for t, (a, b) in enumerate(zip(path, path[1:]), start=1):
-        row = dict(kernel.successor_items(a, t))
+        row = dict(kernel.successor_items(a))
         if b not in row:
             raise OutOfClassError(f"transition {a} -> {b} at step {t} has zero weight")
         log_tau += math.log(row[b])
-    if len(path) == 1:
-        max_omega = 1  # only the virtual root precedes round 1
-    else:
-        max_omega = max(kernel.tables(t).num_classes for t in range(1, len(path)))
+    max_omega = tb.num_classes if len(path) > 1 else 1  # only the virtual root precedes round 1
     return 1.0 + math.log(max_omega) - log_tau
 
 
@@ -387,7 +373,7 @@ def best_competitor(
     """
     table = validate_loss_table(kernel, losses)
     rounds = table.shape[0]
-    tb = kernel.tables(1)
+    tb = kernel.tables
     k = tb.num_classes
     nnz = len(tb.adj_dst)
     edge_pos = np.arange(nnz)
@@ -398,7 +384,7 @@ def best_competitor(
         cand = suffix[tb.adj_dst]
         seg_min = np.minimum.reduceat(cand, tb.adj_starts)
         # first minimal edge in each segment = lex-smallest successor
-        marked = np.where(cand == seg_min[tb.adj_seg], edge_pos, nnz)
+        marked = np.where(cand == seg_min[tb.adj_src], edge_pos, nnz)
         first_edge = np.minimum.reduceat(marked, tb.adj_starts)
         back[t] = tb.adj_dst[first_edge]
         suffix = table[t][tb.expert_of] + seg_min
@@ -421,7 +407,7 @@ def best_prefix_losses(kernel: TransitionKernel, losses) -> np.ndarray:
     """
     table = validate_loss_table(kernel, losses)
     rounds = table.shape[0]
-    tb = kernel.tables(1)
+    tb = kernel.tables
     k = tb.num_classes
 
     dp = np.where(tb.init_weights > 0.0, table[0][tb.expert_of], np.inf)

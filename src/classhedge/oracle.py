@@ -3,8 +3,8 @@
 Each oracle recomputes a quantity the engine or the DP produces, along a
 deliberately different code path: a straight exponential-weights loop, a
 per-trajectory weight recursion for permutation kernels, and exhaustive path
-enumeration.  They share only the scalar centering and learning-rate
-formulas with the core module, never the engine's grouped log-sum-exp
+enumeration.  They share only the scalar centering, learning-rate and
+bound formulas with the core module, never the engine's grouped log-sum-exp
 machinery.  ``bound_report`` evaluates the second-order regret bounds from
 run telemetry.
 """
@@ -21,6 +21,8 @@ from .core import (
     InvariantViolation,
     LearningRate,
     RoundStats,
+    bound_range,
+    bound_var,
     center_losses,
     eta_ratio,
     learning_rate,
@@ -41,8 +43,8 @@ class StrategyPath:
 class BoundReport:
     """Second-order bound ingredients and the two bound values.
 
-    bound_var   = W * D + 2.4 * sqrt(W * V_star)
-    bound_range = W * D + 1.2 * sqrt(W * sum_d_sq)
+    ``bound_var`` and ``bound_range`` are the formulas of the same names in
+    ``classhedge.core``, evaluated at (W, D, V_star) and (W, D, sum_d_sq).
 
     V_star is the summed per-round variance of the losses under the played
     probabilities; sum_d_sq the summed squared loss ranges.  Since a variance
@@ -95,11 +97,11 @@ def trajectory_reference(kernel: TransitionKernel, losses, gamma: float) -> np.n
     order; row r is the state used for round r+1.
     """
     table = validate_loss_table(kernel, losses)
-    tb = kernel.tables(1)
+    tb = kernel.tables
     k = tb.num_classes
     succ = np.empty(k, dtype=np.intp)
     for i, cls in enumerate(tb.classes):
-        items = tb.successors[cls]
+        items = kernel.successor_items(cls)
         if len(items) != 1:
             raise ValueError(
                 f"kernel '{kernel.name}' is not deterministic: {cls} has {len(items)} successors"
@@ -148,12 +150,12 @@ def trajectory_reference(kernel: TransitionKernel, losses, gamma: float) -> np.n
     return out
 
 
-def _count_paths(kernel: TransitionKernel, rounds: int) -> int:
-    tb = kernel.tables(1)
+def _count_paths(kernel: TransitionKernel, rounds: int, successors: dict) -> int:
+    tb = kernel.tables
     counts = {cls: 1 for cls in tb.classes}
     for _ in range(rounds - 1):
         counts = {
-            cls: sum(counts[dst] for dst, _ in tb.successors[cls]) for cls in tb.classes
+            cls: sum(counts[dst] for dst, _ in successors[cls]) for cls in tb.classes
         }
     return sum(
         counts[cls]
@@ -173,11 +175,12 @@ def exhaustive_best(
     """
     table = validate_loss_table(kernel, losses)
     rounds = table.shape[0]
-    total = _count_paths(kernel, rounds)
+    tb = kernel.tables
+    successors = {cls: kernel.successor_items(cls) for cls in tb.classes}
+    total = _count_paths(kernel, rounds, successors)
     if total > limit:
         raise ValueError(f"{total} in-class paths exceed the enumeration limit {limit}")
 
-    tb = kernel.tables(1)
     best_cost = math.inf
     best: list[ClassParams] | None = None
     path: list[ClassParams] = []
@@ -193,7 +196,7 @@ def exhaustive_best(
                 best_cost = cost
                 best = list(path)
         else:
-            for dst, _ in tb.successors[cls]:
+            for dst, _ in successors[cls]:
                 walk(dst, t + 1)
         path.pop()
 
@@ -240,6 +243,6 @@ def bound_report(w_budget: float, probs, losses) -> BoundReport:
         D=d_top,
         v_star=v_star,
         sum_d_sq=sum_d_sq,
-        bound_var=w * d_top + 2.4 * math.sqrt(w * v_star),
-        bound_range=w * d_top + 1.2 * math.sqrt(w * sum_d_sq),
+        bound_var=float(bound_var(w, d_top, v_star)),
+        bound_range=float(bound_range(w, d_top, sum_d_sq)),
     )

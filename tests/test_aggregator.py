@@ -1,14 +1,16 @@
 """Tests for the class-weight engine: protocol, updates, and invariances."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from classhedge import core
 from classhedge.aggregator import Aggregator
-from classhedge.core import ConfigError, ProtocolError
+from classhedge.core import ConfigError, InvariantViolation, ProtocolError
 from classhedge.kernels import cyclic_kernel, fixed_kernel, switching_kernel
 from classhedge.oracle import trajectory_reference
 
@@ -100,6 +102,31 @@ class TestProtocol:
         with pytest.raises(ProtocolError):
             agg.observe([0.0, 1.0])
 
+    def test_losses_validated_once_per_round(self, monkeypatch):
+        calls = {"as_loss_array": 0, "as_simplex": 0}
+
+        def counting(name):
+            original = getattr(core, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return original, wrapper
+
+        # replace every alias, whichever module the engine looks it up in
+        for name in calls:
+            original, wrapper = counting(name)
+            for mod_name, module in list(sys.modules.items()):
+                if mod_name == "classhedge" or mod_name.startswith("classhedge."):
+                    for attr, value in list(vars(module).items()):
+                        if value is original:
+                            monkeypatch.setattr(module, attr, wrapper)
+        agg = Aggregator(switching_kernel(4, 0.1), 1.0)
+        table = np.random.default_rng(0).random((10, 4))
+        drive(agg, table)
+        assert calls == {"as_loss_array": 10, "as_simplex": 0}
+
     def test_nonfinite_loss_rejected(self):
         agg = Aggregator(fixed_kernel(2), 1.0)
         agg.probabilities()
@@ -108,6 +135,13 @@ class TestProtocol:
 
 
 class TestObserve:
+    def test_overflowing_loss_scale_is_a_typed_error(self):
+        # phi^2 overflows double precision beyond a loss scale of ~1e154
+        agg = Aggregator(switching_kernel(6, 0.1), 1.0)
+        table = 1e160 * np.random.default_rng(3).random((5, 6))
+        with pytest.raises(InvariantViolation, match="overflows"):
+            drive(agg, table)
+
     def test_constant_losses_keep_initial_distribution(self):
         for kernel in (fixed_kernel(3), cyclic_kernel(2)):
             agg = Aggregator(kernel, 1.0)

@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line surface."""
 
+import math
+
 import pytest
 
 from classhedge.cli import load_config_file, main
@@ -108,8 +110,64 @@ def test_bounds_subcommand(tmp_path, capsys):
     code = main(["bounds", "--csv", str(out), "--w-budget", "3.5"])
     assert code == 0
 
+    # with the run's own budget the recomputed bound is the stored one
+    capsys.readouterr()
+    w_budget = 1.0 + 2.0 * math.log(4)
+    assert main(["bounds", "--csv", str(out), "--w-budget", repr(w_budget)]) == 0
+    printed = capsys.readouterr().out.split("bound_var=", 1)[1].split()[0]
+    stored = read_csv_columns(out)["bound_var"][-1]
+    assert printed == format(stored, ".12g")
+
 
 def test_verify_subcommand(capsys):
     assert main(["verify", "--seed", "1"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 5 and "FAIL" not in out
+
+
+def test_overflowing_loss_scale_exits_nonzero(capsys):
+    assert main([
+        "run", "--experts", "3", "--rounds", "20", "--kernel", "switching",
+        "--loss-param", "scale=1e160",
+    ]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["experts = abc", "rounds = 2.5"])
+def test_non_integer_config_value_exits_nonzero(tmp_path, capsys, line):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("experts = 3\nrounds = 20\n" + line + "\n")
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert "must be an integer" in capsys.readouterr().err
+
+
+def _run_with_probs(tmp_path):
+    out = tmp_path / "run.csv"
+    assert main([
+        "run", "--experts", "3", "--rounds", "10", "--seed", "2",
+        "--out", str(out), "--debug-probs",
+    ]) == 0
+    return out, probs_csv_path(out)
+
+
+def test_bounds_rejects_csv_without_its_columns(tmp_path, capsys):
+    out, probs = _run_with_probs(tmp_path)
+    capsys.readouterr()
+    assert main(["bounds", "--csv", str(probs), "--w-budget", "5"]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert main(["bounds", "--csv", str(out), "--probs", str(out), "--w-budget", "5"]) == 1
+    assert "no column(s) p_0, l_0" in capsys.readouterr().err
+
+
+def test_bounds_rejects_invalid_telemetry_rows(tmp_path, capsys):
+    out, probs = _run_with_probs(tmp_path)
+    lines = probs.read_text().splitlines()
+    capsys.readouterr()
+    # columns t, p_0..p_2, l_0..l_2; line 3 holds round 3
+    for column, value, message in ((1, "0.9", "sum to"), (4, "nan", "NaN or infinite")):
+        cells = lines[3].split(",")
+        cells[column] = value
+        probs.write_text("\n".join(lines[:3] + [",".join(cells)] + lines[4:]) + "\n")
+        assert main(["bounds", "--csv", str(out), "--probs", str(probs), "--w-budget", "5"]) == 1
+        err = capsys.readouterr().err
+        assert "round 3" in err and message in err

@@ -29,7 +29,7 @@ BUILTINS = st.one_of(
 
 
 def random_in_class_path(kernel, rounds, rng):
-    tb = kernel.tables(1)
+    tb = kernel.tables
     starts = [c for i, c in enumerate(tb.classes) if tb.init_weights[i] > 0]
     cls = starts[rng.integers(len(starts))]
     path = [cls]
@@ -83,7 +83,7 @@ class TestCyclicKernel:
     @given(st.integers(1, 6))
     def test_successor_map_is_a_permutation(self, experts):
         kernel = cyclic_kernel(experts)
-        tb = kernel.tables(1)
+        tb = kernel.tables
         images = {kernel.successor_items(cls)[0][0] for cls in tb.classes}
         assert images == set(tb.classes)
 
