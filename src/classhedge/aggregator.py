@@ -23,11 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    ConfigError,
     InvariantViolation,
     LearningRate,
     ProtocolError,
     RoundStats,
+    as_gamma,
     as_loss_array,
     center_losses,
     eta_ratio,
@@ -86,29 +86,12 @@ class Aggregator:
     kernel : TransitionKernel
     gamma : float
         Positive scale parameter of the adaptive learning rate.
-    constant_eta : float, optional
-        Test-only hook: freeze the learning rate at this value instead of
-        adapting.  The rate-monotonicity and boundedness runtime checks are
-        skipped in this mode, since only the adaptive formula guarantees them.
     """
 
-    def __init__(
-        self,
-        kernel: TransitionKernel,
-        gamma: float,
-        *,
-        constant_eta: float | None = None,
-    ):
-        if not (isinstance(gamma, (int, float)) and math.isfinite(gamma) and gamma > 0):
-            raise ConfigError(f"gamma must be a positive finite real, got {gamma!r}")
-        if constant_eta is not None and not (
-            math.isfinite(constant_eta) and constant_eta > 0
-        ):
-            raise ConfigError(f"constant_eta must be positive and finite, got {constant_eta!r}")
+    def __init__(self, kernel: TransitionKernel, gamma: float):
         self.kernel = kernel
-        self.gamma = float(gamma)
+        self.gamma = as_gamma(gamma)
         self.num_experts = kernel.num_experts
-        self._constant_eta = None if constant_eta is None else float(constant_eta)
         self._tables = kernel.tables
         with np.errstate(divide="ignore"):
             self._log_w = np.log(self._tables.init_weights)
@@ -180,16 +163,12 @@ class Aggregator:
         values = as_loss_array(losses, self.num_experts)
         p = self._cached_p
 
-        phi = center_losses(values, p).values
+        phi = center_losses(values, p)
         stats = round_stats(phi, p, self._stats)
-
-        if self._constant_eta is not None:
-            eta_t = LearningRate(eta=self._constant_eta, gamma=self.gamma)
-        else:
-            eta_t = learning_rate(stats, self.gamma)
+        eta_t = learning_rate(stats, self.gamma)
 
         prev = self._prev_eta if self._prev_eta is not None else eta_t
-        if self._constant_eta is None and not prev.degenerate and not eta_t.degenerate:
+        if not prev.degenerate and not eta_t.degenerate:
             if eta_t.eta > prev.eta * (1.0 + _RATE_TOL):
                 raise InvariantViolation(
                     f"round {stats.t}: learning rate increased "
@@ -206,7 +185,7 @@ class Aggregator:
         ratio = eta_ratio(eta_t, prev_eff)
 
         max_neg_eta_phi = 0.0 if eta_t.degenerate else float((-eta_t.eta * phi).max())
-        if self._constant_eta is None and max_neg_eta_phi > 1.0 + _RATE_TOL:
+        if max_neg_eta_phi > 1.0 + _RATE_TOL:
             raise InvariantViolation(
                 f"round {stats.t}: -eta*phi reached {max_neg_eta_phi!r} > 1"
             )

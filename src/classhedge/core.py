@@ -73,14 +73,6 @@ def as_simplex(values, num_experts: int | None = None, tol: float = 1e-9) -> np.
 
 
 @dataclass(frozen=True)
-class CenteredLosses:
-    """Losses shifted by a per-round baseline: values[m] = loss[m] - baseline."""
-
-    values: np.ndarray
-    baseline: float
-
-
-@dataclass(frozen=True)
 class RoundStats:
     """Range/variance statistics accumulated over rounds.
 
@@ -109,30 +101,30 @@ class LearningRate:
         return math.isinf(self.eta)
 
 
-def center_losses(losses, probs, *, baseline: float | None = None) -> CenteredLosses:
-    """Shift losses by the probability-weighted mean (or an explicit baseline).
+def center_losses(losses, probs) -> np.ndarray:
+    """Shift losses by their probability-weighted mean.
 
-    With the default baseline the p-weighted mean of the output is zero, so
-    at least one centered entry is >= 0.  The explicit-baseline form exists
-    only for reference tests (e.g. the zero baseline).
+    The computed mean is kept inside [min l, max l], where the exact mean
+    lies, so max(phi) >= 0 >= min(phi) holds exactly and a loss vector that
+    is constant across experts centers to exact zeros (a degenerate round).
     """
     l = np.asarray(losses, dtype=float)
-    p = np.asarray(probs, dtype=float)
-    mu = float(p @ l) if baseline is None else float(baseline)
-    if not math.isfinite(mu):
-        raise ValueError("baseline must be finite")
-    return CenteredLosses(values=l - mu, baseline=mu)
+    mu = float(np.asarray(probs, dtype=float) @ l)
+    return l - min(max(mu, float(l.min())), float(l.max()))
 
 
 def round_stats(phi, probs, prev: RoundStats) -> RoundStats:
     """Fold one round of centered scores into the running statistics.
 
     d = max(phi) - min(phi);  v = E_p[phi^2];  D = max(D_prev, d);
-    V = V_prev + v, accumulated with compensated summation.
+    V = V_prev + v, accumulated with compensated summation.  Raises
+    InvariantViolation if d^2 overflows; centered |phi_m| <= d, so phi^2 cannot.
     """
     values = np.asarray(phi, dtype=float)
     p = np.asarray(probs, dtype=float)
     d = float(values.max() - values.min())
+    if not math.isfinite(d * d):
+        raise InvariantViolation(f"round {prev.t + 1}: score range {d!r} overflows when squared")
     v = float(p @ (values * values))
     # Kahan step: V + v with carried low-order bits.
     y = v - prev.v_carry
@@ -141,13 +133,18 @@ def round_stats(phi, probs, prev: RoundStats) -> RoundStats:
     return RoundStats(d=d, v=v, D=max(prev.D, d), V=total, t=prev.t + 1, v_carry=carry)
 
 
+def as_gamma(gamma) -> float:
+    """Validate the rate scale gamma: a positive finite real."""
+    if not (isinstance(gamma, (int, float)) and math.isfinite(gamma) and gamma > 0):
+        raise ConfigError(f"gamma must be a positive finite real, got {gamma!r}")
+    return float(gamma)
+
+
 def learning_rate(stats: RoundStats, gamma: float) -> LearningRate:
     """eta_t = gamma / sqrt(V_t + gamma^2 * D_t^2); degenerate when the radicand is 0.
 
-    A radicand that overflows (losses beyond ~1e154) raises InvariantViolation.
+    A radicand that overflows raises InvariantViolation; gamma is checked by ``as_gamma``.
     """
-    if not (isinstance(gamma, (int, float)) and math.isfinite(gamma) and gamma > 0):
-        raise ConfigError(f"gamma must be a positive finite real, got {gamma!r}")
     radicand = stats.V + gamma * gamma * stats.D * stats.D
     if not math.isfinite(radicand):
         raise InvariantViolation(

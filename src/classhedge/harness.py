@@ -83,36 +83,46 @@ def loss_generator(
     adversarial-cyclic plants a moving-rate trajectory whose expected
     per-round loss sits ``delta`` below every other expert, so the matching
     cyclic-class competitor is identifiably best; adversarial-switching does
-    the same with a planted expert redrawn every ``period`` rounds.
+    the same with a planted expert redrawn every ``period`` rounds.  The name
+    and parameters are checked when called, before any loss is drawn.
     """
     if name not in _GEN_PARAMS:
         raise ConfigError(f"unknown loss generator {name!r}; choose from {GENERATORS}")
-    defaults = dict(_GEN_PARAMS[name])
+    defaults = _GEN_PARAMS[name]
     unknown = set(params or {}) - set(defaults)
     if unknown:
         raise ConfigError(f"generator {name!r} does not take parameters {sorted(unknown)}")
-    defaults.update(params or {})
-    for key, value in defaults.items():
-        if not math.isfinite(float(value)):
+    values = {**defaults, **(params or {})}
+    for key, value in values.items():
+        if isinstance(defaults[key], int):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"generator parameter {key}={value!r} must be an integer")
+        elif not math.isfinite(float(value)):
             raise ConfigError(f"generator parameter {key}={value!r} must be finite")
+    if name == "adversarial-switching" and values["period"] < 1:
+        raise ConfigError(f"period must be >= 1, got {values['period']}")
+    return _loss_stream(name, num_experts, values, rng)
 
+
+def _loss_stream(
+    name: str, num_experts: int, params: dict, rng: np.random.Generator
+) -> Iterator[np.ndarray]:
     if name == "constant":
-        value = float(defaults["value"])
+        value = float(params["value"])
         while True:
             yield np.full(num_experts, value)
     elif name == "iid-uniform":
-        offset, scale = float(defaults["offset"]), float(defaults["scale"])
+        offset, scale = float(params["offset"]), float(params["scale"])
         while True:
             yield offset + scale * rng.random(num_experts)
     elif name == "gaussian-drift":
-        drift, noise = float(defaults["drift"]), float(defaults["noise"])
-        means = float(defaults["spread"]) * rng.standard_normal(num_experts)
+        drift, noise = float(params["drift"]), float(params["noise"])
+        means = float(params["spread"]) * rng.standard_normal(num_experts)
         while True:
             yield means + noise * rng.standard_normal(num_experts)
             means = means + drift * rng.standard_normal(num_experts)
     elif name == "adversarial-cyclic":
-        sigma, start = int(defaults["sigma"]), int(defaults["start"])
-        delta = float(defaults["delta"])
+        sigma, start, delta = params["sigma"], params["start"], float(params["delta"])
         t = 0
         while True:
             losses = rng.random(num_experts)
@@ -120,9 +130,7 @@ def loss_generator(
             yield losses
             t += 1
     else:  # adversarial-switching
-        delta, period = float(defaults["delta"]), int(defaults["period"])
-        if period < 1:
-            raise ConfigError(f"period must be >= 1, got {period}")
+        delta, period = float(params["delta"]), params["period"]
         t = 0
         planted = int(rng.integers(num_experts))
         while True:
@@ -426,15 +434,18 @@ def run_verification(seed: int = 0, emit=print) -> bool:
         experts = int(rng.integers(2, 6))
         rounds = int(rng.integers(1, 51))
         table = rng.random((rounds, experts))
-        eta = float(rng.uniform(0.05, 0.9))
-        reference = oracle.ewa_reference(table, eta)
-        agg = Aggregator(fixed_kernel(experts), 1.0, constant_eta=eta)
+        gamma = float(rng.uniform(0.3, 3.0))
+        reference = oracle.ewa_reference(table, gamma)
+        agg = Aggregator(fixed_kernel(experts), gamma)
         for t in range(rounds):
             p = agg.probabilities()
             worst = max(worst, float(np.abs(p - reference[t]).max()))
             agg.observe(table[t])
         worst = max(worst, float(np.abs(agg.probabilities() - reference[rounds]).max()))
-    check(f"fixed kernel + constant rate matches direct weighting (max dev {worst:.2e})", worst <= 1e-9)
+    check(
+        f"fixed kernel + adaptive rate matches closed-form weighting (max dev {worst:.2e})",
+        worst <= 1e-9,
+    )
 
     worst = 0.0
     for _ in range(20):

@@ -1,12 +1,12 @@
 """Independent references used to validate the engine at desk scale.
 
 Each oracle recomputes a quantity the engine or the DP produces, along a
-deliberately different code path: a straight exponential-weights loop, a
-per-trajectory weight recursion for permutation kernels, and exhaustive path
-enumeration.  They share only the scalar centering, learning-rate and
-bound formulas with the core module, never the engine's grouped log-sum-exp
-machinery.  ``bound_report`` evaluates the second-order regret bounds from
-run telemetry.
+deliberately different code path: the closed form of adaptive exponential
+weights over fixed experts, a per-trajectory weight recursion for
+permutation kernels, and exhaustive path enumeration.  They share only the
+scalar centering, learning-rate and bound formulas with the core module,
+never the engine's grouped log-sum-exp machinery.  ``bound_report``
+evaluates the second-order regret bounds from run telemetry.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .core import (
     InvariantViolation,
     LearningRate,
     RoundStats,
+    as_gamma,
     bound_range,
     bound_var,
     center_losses,
@@ -60,28 +61,36 @@ class BoundReport:
     bound_range: float
 
 
-def ewa_reference(losses, eta: float) -> np.ndarray:
-    """Exponentially weighted averaging at a fixed rate, as a direct loop.
+def ewa_reference(losses, gamma: float) -> np.ndarray:
+    """Adaptive exponential weights over fixed experts, in closed form.
 
     Centers each round's losses by the current expected loss (as the engine
-    does) and sets p proportional to exp(-eta * cumulative centered loss).
+    does), keeps its own running range D_t and variance sum V_t, and sets
+    p_{t+1} proportional to exp(-eta_t * (L_t - min L_t)), where L_t is the
+    cumulative centered loss and eta_t = gamma / sqrt(V_t + gamma^2 D_t^2).
+    p stays uniform while every round so far was constant across experts.
     Returns a (T+1, M) array: row r is the probability vector of round r+1,
     so the last row is the distribution after the final update.
     """
-    if not (isinstance(eta, (int, float)) and math.isfinite(eta) and eta > 0):
-        raise ConfigError(f"eta must be a positive finite real, got {eta!r}")
+    gamma = as_gamma(gamma)
     table = np.asarray(losses, dtype=float)
     if table.ndim != 2 or not np.all(np.isfinite(table)):
         raise ValueError("loss table must be 2-D and finite")
     rounds, num_experts = table.shape
     out = np.empty((rounds + 1, num_experts))
     cum = np.zeros(num_experts)
+    d_max = v_sum = 0.0
     p = np.full(num_experts, 1.0 / num_experts)
     out[0] = p
     for t in range(rounds):
-        cum += table[t] - float(p @ table[t])
-        w = np.exp(-eta * (cum - cum.min()))
-        p = w / w.sum()
+        phi = center_losses(table[t], p)
+        cum += phi
+        d_max = max(d_max, float(phi.max() - phi.min()))
+        v_sum += float(p @ (phi * phi))
+        eta_t = learning_rate(RoundStats(D=d_max, V=v_sum, t=t + 1), gamma)
+        if not eta_t.degenerate:
+            w = np.exp(-eta_t.eta * (cum - cum.min()))
+            p = w / w.sum()
         out[t + 1] = p
     return out
 
@@ -96,6 +105,7 @@ def trajectory_reference(kernel: TransitionKernel, losses, gamma: float) -> np.n
     (T+1, K) array of max-normalized log class weights in kernel class
     order; row r is the state used for round r+1.
     """
+    gamma = as_gamma(gamma)
     table = validate_loss_table(kernel, losses)
     tb = kernel.tables
     k = tb.num_classes
@@ -131,7 +141,7 @@ def trajectory_reference(kernel: TransitionKernel, losses, gamma: float) -> np.n
         np.add.at(by_expert, tb.expert_of[cur], shifted)
         p = by_expert / by_expert.sum()
 
-        phi = center_losses(table[t], p).values
+        phi = center_losses(table[t], p)
         d = float(phi.max() - phi.min())
         v = float(p @ (phi * phi))
         d_max = max(d_max, d)

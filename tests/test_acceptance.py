@@ -101,21 +101,21 @@ def test_criterion_1_translation_and_scale_invariance():
 
 
 def test_criterion_2_ewa_reduction():
-    """Fixed kernel with the constant-rate hook equals the direct
-    exponential-weighting reference to 1e-9 on 100 random tables."""
+    """Fixed kernel with the adaptive rate equals the closed-form
+    adaptive-weighting reference to 1e-9 on 100 random tables."""
     rng = np.random.default_rng(2)
     for _ in range(100):
         experts = int(rng.integers(1, 6))
         rounds = int(rng.integers(1, 51))
         table = rng.uniform(-2, 2, size=(rounds, experts))
-        eta = float(rng.uniform(0.05, 0.45))
-        reference = ewa_reference(table, eta)
-        agg = Aggregator(fixed_kernel(experts), 1.0, constant_eta=eta)
+        gamma = float(rng.uniform(0.3, 3.0))
+        reference = ewa_reference(table, gamma)
+        agg = Aggregator(fixed_kernel(experts), gamma)
         for t in range(rounds):
             assert np.abs(agg.probabilities() - reference[t]).max() <= 1e-9
             agg.observe(table[t])
         assert np.abs(agg.probabilities() - reference[rounds]).max() <= 1e-9
-    print("\nPASS criterion 2: constant-rate engine matches the weighting reference")
+    print("\nPASS criterion 2: adaptive engine matches the closed-form weighting reference")
 
 
 def test_criterion_3_trajectory_equivalence():

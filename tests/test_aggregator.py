@@ -152,6 +152,20 @@ class TestObserve:
                 agg.observe([4.2] * kernel.num_experts)
             assert agg.current_eta.degenerate
 
+    @pytest.mark.parametrize("value", [0.1, 1.1, 1000.1, -0.3])
+    def test_constant_across_experts_is_degenerate_at_any_gamma(self, value):
+        # with gamma > 1, a nonzero centered constant would give -eta*phi = gamma
+        kernels = [make(m) for m in range(1, 9) for make in (fixed_kernel, cyclic_kernel)]
+        kernels += [switching_kernel(m, 0.1) for m in range(2, 9)]
+        for kernel in kernels:
+            agg = Aggregator(kernel, 2.5)
+            for _ in range(20):
+                np.testing.assert_allclose(
+                    agg.probabilities(), 1 / kernel.num_experts, rtol=1e-12
+                )
+                agg.observe([value] * kernel.num_experts)
+            assert agg.current_eta.degenerate
+
     def test_degenerate_rounds_then_signal(self):
         # constant rounds leave no trace; the first informative round behaves
         # like a fresh start (eta_0 := eta_1)
@@ -165,24 +179,35 @@ class TestObserve:
             agg.observe([0.0, 1.0])
         np.testing.assert_allclose(warm.probabilities(), fresh.probabilities(), rtol=1e-12)
 
-    def test_constant_eta_reduces_to_exponential_weights(self):
+    def test_fixed_kernel_reduces_to_adaptive_exponential_weights(self):
+        # p_{t+1} is proportional to exp(-eta_t * L_t), L_t the cumulative
+        # centered loss: the rate-ratio exponent rescales the past each round
         rng = np.random.default_rng(11)
         table = rng.random((30, 4))
-        eta = 0.35
-        agg = Aggregator(fixed_kernel(4), 1.0, constant_eta=eta)
+        gamma = 1.3
+        agg = Aggregator(fixed_kernel(4), gamma)
         cum = np.zeros(4)
+        d_max = v_sum = 0.0
         for t in range(30):
             p = agg.probabilities()
-            expected = np.exp(-eta * (cum - cum.min()))
-            np.testing.assert_allclose(p, expected / expected.sum(), rtol=1e-10)
+            if t == 0:
+                np.testing.assert_array_equal(p, 0.25)
+            else:
+                eta = gamma / math.sqrt(v_sum + gamma**2 * d_max**2)
+                expected = np.exp(-eta * (cum - cum.min()))
+                np.testing.assert_allclose(p, expected / expected.sum(), rtol=1e-10)
             agg.observe(table[t])
-            cum += table[t] - p @ table[t]
+            phi = table[t] - p @ table[t]
+            cum += phi
+            d_max = max(d_max, float(phi.max() - phi.min()))
+            v_sum += float(p @ (phi * phi))
 
     def test_two_expert_closed_form_after_one_round(self):
-        eta = 0.35
-        agg = Aggregator(fixed_kernel(2), 1.0, constant_eta=eta)
+        gamma = 0.7
+        agg = Aggregator(fixed_kernel(2), gamma)
         agg.probabilities()
-        agg.observe([0.0, 1.0])  # phi = [-1/2, 1/2]
+        agg.observe([0.0, 1.0])  # phi = [-1/2, 1/2]: d = 1, v = 1/4
+        eta = gamma / math.sqrt(0.25 + gamma**2)
         expected = np.array([math.exp(eta / 2), math.exp(-eta / 2)])
         np.testing.assert_allclose(agg.probabilities(), expected / expected.sum(), rtol=1e-12)
 

@@ -133,6 +133,24 @@ def test_overflowing_loss_scale_exits_nonzero(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("experts, value", [(5, "0.1"), (5, "0.2"), (5, "1.1"), (7, "1000.1")])
+def test_constant_losses_run_cleanly(capsys, experts, value):
+    # the centered scores of a constant loss vector are exact zeros
+    assert main([
+        "run", "--experts", str(experts), "--rounds", "20", "--loss-gen", "constant",
+        "--loss-param", f"value={value}",
+    ]) == 0
+    assert "error:" not in capsys.readouterr().err
+
+
+def test_non_integer_generator_parameter_exits_nonzero(capsys):
+    assert main([
+        "run", "--experts", "3", "--rounds", "20", "--loss-gen", "adversarial-switching",
+        "--loss-param", "period=2.5",
+    ]) == 1
+    assert "must be an integer" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("line", ["experts = abc", "rounds = 2.5"])
 def test_non_integer_config_value_exits_nonzero(tmp_path, capsys, line):
     cfg = tmp_path / "exp.cfg"

@@ -38,6 +38,31 @@ class TestLossGenerators:
         with pytest.raises(ConfigError, match="does not take"):
             next(loss_generator("constant", 2, {"delta": 1.0}, np.random.default_rng(0)))
 
+    @pytest.mark.parametrize(
+        "name, params, message",
+        [
+            ("nope", {}, "unknown loss generator"),
+            ("adversarial-switching", {"period": 0}, "period must be >= 1"),
+            ("adversarial-switching", {"period": 2.5}, "must be an integer"),
+            ("adversarial-cyclic", {"sigma": 1.5}, "must be an integer"),
+            ("adversarial-cyclic", {"start": True}, "must be an integer"),
+            ("iid-uniform", {"scale": math.inf}, "must be finite"),
+        ],
+    )
+    def test_invalid_input_rejected_when_called(self, name, params, message):
+        # no next(): the checks must not wait for the first loss to be drawn
+        with pytest.raises(ConfigError, match=message):
+            loss_generator(name, 2, params, np.random.default_rng(0))
+
+    def test_integer_parameters_accept_numpy_integers(self):
+        params = {"period": np.int64(10), "delta": 5.0}
+        a = take(loss_generator("adversarial-switching", 3, params, np.random.default_rng(4)), 20)
+        b = take(
+            loss_generator("adversarial-switching", 3, {"period": 10, "delta": 5.0}, np.random.default_rng(4)),
+            20,
+        )
+        np.testing.assert_array_equal(a, b)
+
     def test_deterministic_given_seed(self):
         a = take(loss_generator("gaussian-drift", 4, {}, np.random.default_rng(3)), 10)
         b = take(loss_generator("gaussian-drift", 4, {}, np.random.default_rng(3)), 10)

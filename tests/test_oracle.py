@@ -16,14 +16,22 @@ from classhedge.oracle import (
 )
 
 
-def straight_loop_ewa(table: np.ndarray, eta: float) -> np.ndarray:
-    """A second, deliberately naive rendering of fixed-rate weighting."""
+def straight_loop_ewa(table: np.ndarray, gamma: float) -> np.ndarray:
+    """A second, deliberately naive rendering of adaptive-rate weighting."""
     rounds, experts = table.shape
     out = [np.full(experts, 1.0 / experts)]
     cum = np.zeros(experts)
+    d_max = v_sum = 0.0
     for t in range(rounds):
         p = out[-1]
-        cum = cum + (table[t] - float(np.dot(p, table[t])))
+        phi = table[t] - float(np.dot(p, table[t]))
+        cum = cum + phi
+        d_max = max(d_max, max(phi) - min(phi))
+        v_sum += sum(q * f * f for q, f in zip(p, phi))
+        if v_sum + d_max == 0.0:
+            out.append(p)
+            continue
+        eta = gamma / math.sqrt(v_sum + gamma**2 * d_max**2)
         weights = [math.exp(-eta * (c - cum.min())) for c in cum]
         total = sum(weights)
         out.append(np.array([w / total for w in weights]))
@@ -38,31 +46,33 @@ class TestEwaReference:
 
     def test_two_expert_one_round_closed_form(self):
         probs = ewa_reference(np.array([[0.0, 1.0]]), 0.4)
-        expected = np.array([math.exp(0.2), math.exp(-0.2)])
+        eta = 0.4 / math.sqrt(0.25 + 0.4**2)  # phi = [-1/2, 1/2]: d = 1, v = 1/4
+        expected = np.array([math.exp(eta / 2), math.exp(-eta / 2)])
         np.testing.assert_allclose(probs[1], expected / expected.sum(), rtol=1e-12)
 
     def test_matches_independent_straight_loop(self):
         rng = np.random.default_rng(21)
         for _ in range(20):
             table = rng.random((int(rng.integers(1, 30)), int(rng.integers(2, 6))))
-            eta = float(rng.uniform(0.05, 1.5))
+            gamma = float(rng.uniform(0.3, 3.0))
             np.testing.assert_allclose(
-                ewa_reference(table, eta), straight_loop_ewa(table, eta), rtol=1e-9
+                ewa_reference(table, gamma), straight_loop_ewa(table, gamma), rtol=1e-9
             )
 
-    def test_matches_engine_with_constant_rate(self):
+    def test_matches_adaptive_engine(self):
         rng = np.random.default_rng(8)
         table = rng.random((25, 3))
         probs = ewa_reference(table, 0.3)
-        agg = Aggregator(fixed_kernel(3), 1.0, constant_eta=0.3)
+        agg = Aggregator(fixed_kernel(3), 0.3)
         for t in range(25):
             np.testing.assert_allclose(agg.probabilities(), probs[t], atol=1e-9)
             agg.observe(table[t])
         np.testing.assert_allclose(agg.probabilities(), probs[25], atol=1e-9)
 
-    def test_rejects_nonpositive_eta(self):
-        with pytest.raises(ConfigError):
-            ewa_reference(np.zeros((1, 2)), 0.0)
+    def test_rejects_invalid_gamma(self):
+        for gamma in (0.0, -2.0, math.inf, math.nan, "1.0"):
+            with pytest.raises(ConfigError):
+                ewa_reference(np.zeros((1, 2)), gamma)
 
 
 class TestTrajectoryReference:
@@ -90,6 +100,12 @@ class TestTrajectoryReference:
                 agg.probabilities()
                 agg.observe(table[t])
             np.testing.assert_allclose(agg.log_weights(), logs[rounds], atol=1e-9)
+
+    def test_rejects_invalid_gamma(self):
+        for gamma in (0.0, -2.0, math.inf, math.nan, "1.0"):
+            with pytest.raises(ConfigError):
+                # no rounds: the check must not wait for the first rate
+                trajectory_reference(cyclic_kernel(2), np.zeros((0, 2)), gamma)
 
     def test_rejects_stochastic_kernel(self):
         with pytest.raises(ValueError, match="not deterministic"):
