@@ -13,6 +13,20 @@ through the kernel's transition map with the rate-ratio exponent:
 All sums are grouped log-sum-exp; weights are renormalized to max-log 0
 every round.  The resulting probability sequence is invariant to per-round
 translations and global positive scalings of the losses.
+
+The mixing sum runs over the kernel's edge list, except for the two
+structures the kernel tables read off their edges:
+
+* a permutation has one edge per destination, so the log-sum-exp of each
+  one-edge segment is the edge term itself, ratio*log z[src] + log T;
+* a fixed-share map with weights (stay, off) gives, with y = ratio*log z and
+  e = exp(y - max y),  w'[j] = max y + log(stay*e[j] + off*sum_{i != j} e[i]).
+  The sum over i != j is an exclusive prefix plus an exclusive suffix sum,
+  never the total minus e[j], which cancels when stay << off; nor a
+  diagonal-plus-rank-one form, whose coefficient stay - off may be negative.
+
+Both give the generic path's result (the permutation bit for bit, fixed
+share within rounding) in O(k) work instead of O(edges).
 """
 
 from __future__ import annotations
@@ -29,12 +43,12 @@ from .core import (
     RoundStats,
     as_gamma,
     as_loss_array,
-    center_losses,
+    clamped_mean,
     eta_ratio,
     learning_rate,
     round_stats,
 )
-from .kernels import TransitionKernel
+from .kernels import KernelTables, TransitionKernel
 
 _SIMPLEX_TOL = 1e-12
 _RATE_TOL = 1e-12
@@ -53,6 +67,36 @@ def _segment_logsumexp(values: np.ndarray, starts: np.ndarray, seg: np.ndarray) 
         return np.where(np.isneginf(seg_max), -np.inf, seg_max + np.log(sums))
 
 
+def _mix_edges(tb: KernelTables, log_z: np.ndarray, ratio: float) -> np.ndarray:
+    """Generic mixing: grouped log-sum-exp over the destination-sorted edges."""
+    contrib = ratio * log_z[tb.mix_src] + tb.mix_logw
+    new_lw = np.full(tb.num_classes, -np.inf)
+    new_lw[tb.mix_dst_ids] = _segment_logsumexp(contrib, tb.mix_starts, tb.mix_seg)
+    return new_lw
+
+
+def _mix(tb: KernelTables, log_z: np.ndarray, ratio: float) -> np.ndarray:
+    """Mixing step: log sum_c T(c' | c) * z[c] ** ratio for every class c'.
+
+    Closed form for a permutation or a fixed-share map (see the module
+    docstring), the edge lists otherwise.
+    """
+    if tb.permutation:
+        # every class is a destination exactly once, so mix_dst_ids is 0..k-1
+        return ratio * log_z[tb.mix_src] + tb.mix_logw
+    if tb.share is None:
+        return _mix_edges(tb, log_z, ratio)
+    stay, off = tb.share
+    y = ratio * log_z
+    top = y.max()
+    with np.errstate(invalid="ignore"):  # all -inf: NaN, reported as collapsed
+        e = np.exp(y - top)
+    others = np.zeros_like(e)
+    np.cumsum(e[:-1], out=others[1:])
+    others[:-1] += np.cumsum(e[:0:-1])[::-1]
+    return top + np.log(stay * e + off * others)
+
+
 @dataclass(frozen=True)
 class RoundDiagnostics:
     """Telemetry for the most recent observed round.
@@ -61,6 +105,8 @@ class RoundDiagnostics:
     analysis requires to stay <= 1); ``max_neg_exponent_phi`` uses the rate
     actually applied in the exponential step (the previous round's).  Both
     are logged because they need not coincide on a round whose range jumps.
+    ``expected_loss`` is the mean the losses were centered by: p . l, kept
+    inside [min l, max l].
     """
 
     t: int
@@ -73,6 +119,7 @@ class RoundDiagnostics:
     V: float
     max_neg_eta_phi: float
     max_neg_exponent_phi: float
+    expected_loss: float
 
 
 class Aggregator:
@@ -95,6 +142,8 @@ class Aggregator:
         self._tables = kernel.tables
         with np.errstate(divide="ignore"):
             self._log_w = np.log(self._tables.init_weights)
+        # one class per expert: the grouped weights are the class weights
+        self._one_class_per_expert = np.array_equal(self._tables.expert_of, np.arange(self.num_experts))
         self._t = 0
         self._stats = RoundStats()
         self._prev_eta: LearningRate | None = None
@@ -131,9 +180,12 @@ class Aggregator:
 
     def _compute_probabilities(self) -> np.ndarray:
         tb = self._tables
-        log_wm = np.full(self.num_experts, -np.inf)
-        lw = self._log_w.copy()
-        log_wm[tb.present_experts] = _segment_logsumexp(lw, tb.expert_starts, tb.class_seg)
+        if self._one_class_per_expert:
+            log_wm = self._log_w
+        else:
+            log_wm = np.full(self.num_experts, -np.inf)
+            lw = self._log_w.copy()
+            log_wm[tb.present_experts] = _segment_logsumexp(lw, tb.expert_starts, tb.class_seg)
         top = log_wm.max()
         if not math.isfinite(top):
             raise InvariantViolation("total class weight vanished")
@@ -163,7 +215,8 @@ class Aggregator:
         values = as_loss_array(losses, self.num_experts)
         p = self._cached_p
 
-        phi = center_losses(values, p)
+        mean = clamped_mean(values, p)
+        phi = values - mean
         stats = round_stats(phi, p, self._stats)
         eta_t = learning_rate(stats, self.gamma)
 
@@ -191,10 +244,7 @@ class Aggregator:
             )
 
         tb = self._tables
-        log_z = self._log_w - exponent * phi[tb.expert_of]
-        contrib = ratio * log_z[tb.mix_src] + tb.mix_logw
-        new_lw = np.full(tb.num_classes, -np.inf)
-        new_lw[tb.mix_dst_ids] = _segment_logsumexp(contrib, tb.mix_starts, tb.mix_seg)
+        new_lw = _mix(tb, self._log_w - exponent * phi[tb.expert_of], ratio)
         top = new_lw.max()
         if not math.isfinite(top):
             raise InvariantViolation(f"round {stats.t}: class weights collapsed")
@@ -211,6 +261,7 @@ class Aggregator:
             V=stats.V,
             max_neg_eta_phi=max_neg_eta_phi,
             max_neg_exponent_phi=float((-exponent * phi).max()),
+            expected_loss=mean,
         )
         self._stats = stats
         self._prev_eta = eta_t

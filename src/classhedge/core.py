@@ -101,16 +101,22 @@ class LearningRate:
         return math.isinf(self.eta)
 
 
-def center_losses(losses, probs) -> np.ndarray:
-    """Shift losses by their probability-weighted mean.
+def clamped_mean(losses, probs) -> float:
+    """Probability-weighted mean of the losses, kept inside [min l, max l].
 
-    The computed mean is kept inside [min l, max l], where the exact mean
-    lies, so max(phi) >= 0 >= min(phi) holds exactly and a loss vector that
-    is constant across experts centers to exact zeros (a degenerate round).
+    The exact mean lies in that interval, so max(phi) >= 0 >= min(phi) holds
+    exactly for phi = l - mean, and a loss vector that is constant across
+    experts has exactly its constant as mean (a degenerate round, no regret).
     """
     l = np.asarray(losses, dtype=float)
     mu = float(np.asarray(probs, dtype=float) @ l)
-    return l - min(max(mu, float(l.min())), float(l.max()))
+    return min(max(mu, float(l.min())), float(l.max()))
+
+
+def center_losses(losses, probs) -> np.ndarray:
+    """Shift losses by their clamped probability-weighted mean."""
+    l = np.asarray(losses, dtype=float)
+    return l - clamped_mean(l, probs)
 
 
 def round_stats(phi, probs, prev: RoundStats) -> RoundStats:

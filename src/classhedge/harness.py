@@ -5,8 +5,9 @@ generators here exist purely to exercise it, including adversarial streams
 that plant an in-class competitor with a known per-round advantage.
 
 Reported regret is measured against the expected loss sum(E_p l), which is
-the quantity the second-order bounds control; the realized sampled loss is
-reported alongside.  The bound columns use the closed-form budget/gamma
+the quantity the second-order bounds control; each round's term is the mean
+the engine centered the losses by.  The realized sampled loss is reported
+alongside.  The bound columns use the closed-form budget/gamma
 pairing, so they are guarantees only when gamma is set to "auto".
 """
 
@@ -257,9 +258,9 @@ def run_experiment(config: ExperimentConfig) -> RegretReport:
         probs[t] = p
         losses[t] = vec
         selections[t] = choice
-        expected[t] = float(p @ vec)
         realized[t] = float(vec[choice])
         diag = agg.last_round
+        expected[t] = diag.expected_loss
         eta[t] = diag.eta
         big_d[t] = diag.D
         big_v[t] = diag.V

@@ -33,6 +33,14 @@ class KernelTables:
     the expert index is the first coordinate.  Edge arrays come in two
     orders: sorted by destination (for the engine's mixing step and the
     prefix DP) and sorted by source (for the path DP and successor lists).
+
+    Two transition structures are read off the edges, not declared:
+    ``permutation`` (every class has exactly one successor and no two share
+    it, as in the fixed and cyclic classes) and ``share``, the (stay, off)
+    weights of a fixed-share map (k >= 2, all k^2 edges, one weight on the
+    diagonal and one off it, as in the switching class).  The engine's mixing
+    step takes a closed form for each, the DPs one for fixed share; every
+    other kernel uses the edge lists.
     """
 
     classes: tuple[ClassParams, ...]
@@ -53,6 +61,8 @@ class KernelTables:
     adj_w: np.ndarray = field(repr=False)
     adj_starts: np.ndarray = field(repr=False)
     init_weights: np.ndarray = field(repr=False)
+    permutation: bool
+    share: tuple[float, float] | None
 
     @property
     def num_classes(self) -> int:
@@ -78,9 +88,9 @@ class TransitionKernel:
         {0..M-1}.
     classes : iterable of int tuples
         The class space Omega.
-    successors : mapping class -> sequence of (class, weight)
+    successors : mapping class -> iterable of (class, weight)
         Sparse successor lists; each row must have strictly positive weights
-        summing to 1.
+        summing to 1.  Each row is iterated once, while the tables are built.
     init_weights : mapping class -> weight, optional
         Distribution over classes for the first round (the transition out of
         the virtual root); defaults to uniform.  Must sum to 1.
@@ -99,7 +109,7 @@ class TransitionKernel:
         name: str,
         num_experts: int,
         classes: Iterable[ClassParams],
-        successors: Mapping[ClassParams, Sequence[tuple[ClassParams, float]]],
+        successors: Mapping[ClassParams, Iterable[tuple[ClassParams, float]]],
         init_weights: Mapping[ClassParams, float] | None = None,
         budget: float | Callable[[int], float] | None = None,
     ):
@@ -173,6 +183,16 @@ class TransitionKernel:
         # order; every row is nonempty, so source segments cover 0..k-1
         adj_starts = np.searchsorted(src, np.arange(k))
 
+        permutation = len(src) == k and len(mix_dst_ids) == k
+        share = None
+        # with rows in (src, dst) order, k^2 edges are all present iff every
+        # row lists the destinations 0..k-1
+        if k >= 2 and len(src) == k * k and (dst.reshape(k, k) == np.arange(k)).all():
+            w2 = raw_w.reshape(k, k)
+            stay, off = w2[0, 0], w2[0, 1]
+            if (np.diagonal(w2) == stay).all() and (w2[~np.eye(k, dtype=bool)] == off).all():
+                share = (float(stay), float(off))
+
         if init_weights is None:
             init = np.full(k, 1.0 / k)
         else:
@@ -202,6 +222,8 @@ class TransitionKernel:
             adj_w=raw_w,
             adj_starts=adj_starts,
             init_weights=init,
+            permutation=permutation,
+            share=share,
         )
 
     @classmethod
@@ -305,12 +327,14 @@ def switching_kernel(num_experts: int, switch_weight: float) -> TransitionKernel
     w = float(switch_weight)
     if not (0.0 < w < 1.0 and math.isfinite(w)):
         raise ConfigError(f"switch_weight must lie in (0, 1), got {switch_weight!r}")
-    off = w / (num_experts - 1)
+    stay, off = 1.0 - w, w / (num_experts - 1)
     classes = [(m,) for m in range(num_experts)]
-    successors = {
-        (m,): [((m2,), (1.0 - w) if m2 == m else off) for m2 in range(num_experts)]
-        for m in range(num_experts)
-    }
+
+    def row(m: int):
+        # consumed while the tables are built: the M^2 pairs never all exist at once
+        return ((cls, stay if m2 == m else off) for m2, cls in enumerate(classes))
+
+    successors = {cls: row(m) for m, cls in enumerate(classes)}
     step = max(-math.log(1.0 - w), -math.log(off))
     return TransitionKernel(
         "switching",
@@ -369,7 +393,9 @@ def best_competitor(
 
     A path's cost is the sum over rounds of the loss of the expert its class
     selects.  Ties are broken toward the lexicographically smallest class
-    sequence.  Returns (path, cumulative loss).
+    sequence.  Returns (path, cumulative loss).  The min-plus step depends
+    only on the edge set, so a fixed-share kernel (all k^2 edges) takes it in
+    closed form; the result is the same bits either way.
     """
     table = validate_loss_table(kernel, losses)
     rounds = table.shape[0]
@@ -381,12 +407,19 @@ def best_competitor(
     suffix = table[rounds - 1][tb.expert_of]
     back = np.empty((max(rounds - 1, 0), k), dtype=np.intp)
     for t in range(rounds - 2, -1, -1):
-        cand = suffix[tb.adj_dst]
-        seg_min = np.minimum.reduceat(cand, tb.adj_starts)
-        # first minimal edge in each segment = lex-smallest successor
-        marked = np.where(cand == seg_min[tb.adj_src], edge_pos, nnz)
-        first_edge = np.minimum.reduceat(marked, tb.adj_starts)
-        back[t] = tb.adj_dst[first_edge]
+        if tb.share is not None:
+            # every class succeeds every class: each class's lex-smallest best
+            # successor is the first minimum overall
+            first = int(np.argmin(suffix))
+            back[t] = first
+            seg_min = suffix[first]
+        else:
+            cand = suffix[tb.adj_dst]
+            seg_min = np.minimum.reduceat(cand, tb.adj_starts)
+            # first minimal edge in each segment = lex-smallest successor
+            marked = np.where(cand == seg_min[tb.adj_src], edge_pos, nnz)
+            first_edge = np.minimum.reduceat(marked, tb.adj_starts)
+            back[t] = tb.adj_dst[first_edge]
         suffix = table[t][tb.expert_of] + seg_min
 
     start_ok = tb.init_weights > 0.0
@@ -403,7 +436,9 @@ def best_prefix_losses(kernel: TransitionKernel, losses) -> np.ndarray:
     """Minimum in-class cumulative loss for every prefix of the loss table.
 
     One forward DP pass; entry t-1 is the best competitor loss over rounds
-    1..t.  The final entry matches best_competitor's cumulative loss.
+    1..t.  The final entry matches best_competitor's cumulative loss.  On a
+    fixed-share kernel every class is carried the previous best, exactly
+    what the edge-list minimum gives.
     """
     table = validate_loss_table(kernel, losses)
     rounds = table.shape[0]
@@ -414,10 +449,13 @@ def best_prefix_losses(kernel: TransitionKernel, losses) -> np.ndarray:
     out = np.empty(rounds)
     out[0] = dp.min()
     for t in range(1, rounds):
-        cand = dp[tb.mix_src]
-        seg_min = np.minimum.reduceat(cand, tb.mix_starts)
-        carried = np.full(k, np.inf)
-        carried[tb.mix_dst_ids] = seg_min
+        if tb.share is not None:
+            carried = out[t - 1]  # every class succeeds every class
+        else:
+            cand = dp[tb.mix_src]
+            seg_min = np.minimum.reduceat(cand, tb.mix_starts)
+            carried = np.full(k, np.inf)
+            carried[tb.mix_dst_ids] = seg_min
         dp = carried + table[t][tb.expert_of]
         out[t] = dp.min()
     return out

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from classhedge import core
-from classhedge.aggregator import Aggregator
+from classhedge.aggregator import Aggregator, _mix, _mix_edges
 from classhedge.core import ConfigError, InvariantViolation, ProtocolError
-from classhedge.kernels import cyclic_kernel, fixed_kernel, switching_kernel
+from classhedge.kernels import TransitionKernel, cyclic_kernel, fixed_kernel, switching_kernel
 from classhedge.oracle import trajectory_reference
 
 
@@ -22,6 +22,42 @@ def drive(agg: Aggregator, table) -> np.ndarray:
         out[t] = agg.probabilities()
         agg.observe(losses)
     return out
+
+
+def straight_loop_mixing(matrix, table: np.ndarray, gamma: float) -> np.ndarray:
+    """A second, deliberately naive rendering of the engine for a kernel whose
+    classes are the experts: dense, linear-domain, one round at a time.
+
+    w' = T^T (w * exp(-eta_prev * phi)) ** (eta / eta_prev), renormalized.
+    """
+    T = np.asarray(matrix, dtype=float)
+    rounds, experts = table.shape
+    w = np.full(experts, 1.0 / experts)
+    out = []
+    d_max = v_sum = 0.0
+    eta_prev = None
+    for t in range(rounds):
+        p = w / w.sum()
+        out.append(p)
+        phi = table[t] - float(np.dot(p, table[t]))
+        d_max = max(d_max, max(phi) - min(phi))
+        v_sum += sum(q * f * f for q, f in zip(p, phi))
+        eta = gamma / math.sqrt(v_sum + gamma**2 * d_max**2)
+        if eta_prev is None:
+            eta_prev = eta
+        z = w * np.exp(-eta_prev * phi)
+        w = T.T @ z ** (eta / eta_prev)
+        w = w / w.max()
+        eta_prev = eta
+    out.append(w / w.sum())
+    return np.array(out)
+
+
+def switching_matrix(experts: int, weight: float) -> np.ndarray:
+    return np.where(np.eye(experts, dtype=bool), 1.0 - weight, weight / (experts - 1))
+
+
+LAZY_WALK = [[0.8, 0.2, 0.0], [0.1, 0.8, 0.1], [0.0, 0.2, 0.8]]
 
 
 class TestInit:
@@ -235,6 +271,63 @@ class TestObserve:
         assert diag.exponent_eta == diag.eta  # first round uses eta_1 as eta_0
         assert diag.ratio == 1.0
         assert diag.max_neg_eta_phi <= 1.0 + 1e-12
+
+
+class TestStructuredMixing:
+    """Closed-form mixing against the generic edge-list path on the same tables."""
+
+    @staticmethod
+    def random_log_z(rng, k):
+        log_z = rng.uniform(-30.0, 5.0, k)
+        log_z[rng.random(k) < 0.3] = -np.inf
+        log_z[rng.integers(k)] = rng.uniform(-30.0, 5.0)  # at least one finite
+        return log_z
+
+    @pytest.mark.parametrize("experts", [2, 3, 8, 64])
+    @pytest.mark.parametrize("weight", [0.1, 0.5, 0.9, 0.99, 1 - 1e-9])
+    def test_fixed_share_matches_edge_list(self, experts, weight):
+        tb = switching_kernel(experts, weight).tables
+        assert tb.share is not None
+        rng = np.random.default_rng(experts * 1000 + int(weight * 100))
+        for ratio in [1.0, 1e-6, *rng.uniform(0.0, 1.0, 10)]:
+            if ratio == 0.0:
+                continue
+            log_z = self.random_log_z(rng, experts)
+            np.testing.assert_allclose(
+                _mix(tb, log_z, ratio), _mix_edges(tb, log_z, ratio), rtol=0.0, atol=1e-12
+            )
+
+    @pytest.mark.parametrize("kernel", [fixed_kernel(1), fixed_kernel(5), cyclic_kernel(2), cyclic_kernel(4)])
+    def test_permutation_matches_edge_list_exactly(self, kernel):
+        tb = kernel.tables
+        assert tb.permutation
+        rng = np.random.default_rng(tb.num_classes)
+        for ratio in [1.0, *rng.uniform(1e-3, 1.0, 10)]:
+            log_z = self.random_log_z(rng, tb.num_classes)
+            assert np.array_equal(_mix(tb, log_z, ratio), _mix_edges(tb, log_z, ratio))
+
+
+class TestAgainstStraightLoop:
+    """The engine on non-permutation kernels against straight_loop_mixing."""
+
+    def check(self, kernel, matrix, seed):
+        rng = np.random.default_rng(seed)
+        table = rng.random((60, kernel.num_experts))
+        gamma = float(rng.uniform(0.3, 3.0))
+        agg = Aggregator(kernel, gamma)
+        probs = np.vstack([drive(agg, table), agg.probabilities()])
+        np.testing.assert_allclose(probs, straight_loop_mixing(matrix, table, gamma), rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("experts", [2, 3, 5])
+    @pytest.mark.parametrize("weight", [0.05, 0.5, 0.95])
+    def test_switching(self, experts, weight):
+        self.check(switching_kernel(experts, weight), switching_matrix(experts, weight), experts)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_lazy_walk_generic_path(self, seed):
+        kernel = TransitionKernel.from_dense("lazy-walk", 3, [(0,), (1,), (2,)], LAZY_WALK)
+        assert not kernel.tables.permutation and kernel.tables.share is None
+        self.check(kernel, LAZY_WALK, seed)
 
 
 class TestRunRound:

@@ -1,6 +1,10 @@
 """End-to-end tests of the command-line surface."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -123,6 +127,30 @@ def test_verify_subcommand(capsys):
     assert main(["verify", "--seed", "1"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 5 and "FAIL" not in out
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    done = subprocess.run(
+        [sys.executable, "-m", "classhedge", "verify", "--seed", "1"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.count("PASS") == 5
+
+
+def test_constant_loss_sweep_is_within_bound(tmp_path):
+    # every round is degenerate: the bound is 0 and so is the regret, exactly
+    out_dir = tmp_path / "sweep"
+    assert main([
+        "sweep", "--experts", "5", "--rounds", "20", "--loss-gen", "constant",
+        "--loss-param", "value=0.1", "--seeds", "0:2", "--out-dir", str(out_dir),
+    ]) == 0
+    columns = read_csv_columns(out_dir / "summary.csv")
+    assert list(columns["within_bound"]) == [1.0, 1.0]
+    assert list(columns["exp_regret"]) == [0.0, 0.0]
 
 
 def test_overflowing_loss_scale_exits_nonzero(capsys):

@@ -280,3 +280,62 @@ class TestBestPrefixLosses:
         np.testing.assert_allclose(
             best_prefix_losses(fixed_kernel(1), table), [0.5, 0.75, 1.75], rtol=1e-15
         )
+
+
+LAZY_WALK = [[0.8, 0.2, 0.0], [0.1, 0.8, 0.1], [0.0, 0.2, 0.8]]
+
+
+class TestTransitionStructure:
+    """The kernel tables read permutation and fixed-share structure off their edges."""
+
+    @pytest.mark.parametrize("kernel", [fixed_kernel(1), fixed_kernel(4), cyclic_kernel(1), cyclic_kernel(3)])
+    def test_fixed_and_cyclic_are_permutations(self, kernel):
+        assert kernel.tables.permutation and kernel.tables.share is None
+
+    @pytest.mark.parametrize("experts, weight", [(2, 0.5), (2, 0.1), (3, 0.2), (8, 1 - 1e-9)])
+    def test_switching_is_fixed_share(self, experts, weight):
+        tb = switching_kernel(experts, weight).tables
+        assert not tb.permutation
+        assert tb.share == (1.0 - weight, weight / (experts - 1))
+
+    def test_dense_fixed_share_detected(self):
+        matrix = np.full((3, 3), 0.25) + np.eye(3) * 0.25
+        kernel = TransitionKernel.from_dense("dense-share", 3, [(0,), (1,), (2,)], matrix)
+        assert kernel.tables.share == (0.5, 0.25) and not kernel.tables.permutation
+
+    def test_dense_permutation_detected(self):
+        matrix = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]
+        kernel = TransitionKernel.from_dense("rotate", 3, [(0,), (1,), (2,)], matrix)
+        assert kernel.tables.permutation and kernel.tables.share is None
+
+    def test_other_kernels_have_no_structure(self):
+        lazy = TransitionKernel.from_dense("lazy-walk", 3, [(0,), (1,), (2,)], LAZY_WALK)
+        drifty = TransitionKernel.from_dense("drifty", 2, [(0,), (1,)], [[0.7, 0.3], [0.4, 0.6]])
+        many_to_one = TransitionKernel("merge", 2, [(0,), (1,)], {(0,): [((0,), 1.0)], (1,): [((0,), 1.0)]})
+        for kernel in (lazy, drifty, many_to_one):
+            assert not kernel.tables.permutation and kernel.tables.share is None
+
+
+class TestStructuredDP:
+    """A complete kernel with unequal weights takes the generic DP; the DPs
+    depend only on the edge set, so it must agree bit for bit with the
+    fixed-share closed form of the switching kernel."""
+
+    MATRIX = [[0.8, 0.15, 0.05], [0.1, 0.8, 0.1], [0.05, 0.05, 0.9]]
+
+    def kernels(self):
+        generic = TransitionKernel.from_dense("complete", 3, [(0,), (1,), (2,)], self.MATRIX)
+        assert generic.tables.share is None and not generic.tables.permutation
+        return generic, switching_kernel(3, 0.2)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_prefix_and_path_dps_match_exactly(self, seed):
+        generic, share = self.kernels()
+        rng = np.random.default_rng(seed)
+        rounds = int(rng.integers(1, 40))
+        # integer losses make ties, which exercise the lexicographic tie-break
+        table = rng.integers(0, 3, (rounds, 3)).astype(float) if seed % 2 else rng.random((rounds, 3))
+        np.testing.assert_array_equal(
+            best_prefix_losses(generic, table), best_prefix_losses(share, table)
+        )
+        assert best_competitor(generic, table) == best_competitor(share, table)
