@@ -89,8 +89,10 @@ class TransitionKernel:
     classes : iterable of int tuples
         The class space Omega.
     successors : mapping class -> iterable of (class, weight)
-        Sparse successor lists; each row must have strictly positive weights
-        summing to 1.  Each row is iterated once, while the tables are built.
+        Sparse successor lists, one row for every class of Omega and no
+        other; each row must list distinct classes with strictly positive
+        weights summing to 1.  Each row is iterated once, while the tables
+        are built.
     init_weights : mapping class -> weight, optional
         Distribution over classes for the first round (the transition out of
         the virtual root); defaults to uniform.  Must sum to 1.
@@ -102,6 +104,18 @@ class TransitionKernel:
     Kernels are immutable after construction and safe to share across
     threads.  ``tables`` holds the index structures the engine and the DPs
     read.
+
+    The tables are built from three edge arrays: source and destination
+    indices into the sorted class list, and the raw weights.  This
+    constructor fills them in one pass over the successor rows, the only
+    per-edge Python work of a build; ``from_dense`` and the built-in classes
+    make them with numpy.  One builder then checks them with numpy: every
+    index names a class, every weight is finite and positive, every class
+    has a row, no (source, destination) pair repeats, and every row sums to
+    within 1e-12 of 1, exactly rounded (``math.fsum`` over the row's slice
+    when it has more than one edge).  One stable sort on
+    source*k + destination puts the edges in (source, destination) order;
+    it is skipped when they already are.
     """
 
     def __init__(
@@ -113,28 +127,60 @@ class TransitionKernel:
         init_weights: Mapping[ClassParams, float] | None = None,
         budget: float | Callable[[int], float] | None = None,
     ):
+        self._setup(name, num_experts, budget)
+        class_list = sorted({_as_class(c) for c in classes})
+        index = {cls: i for i, cls in enumerate(class_list)}
+        src: list[int] = []
+        dst: list[int] = []
+        weights: list[float] = []
+        for a, row in successors.items():
+            a = _as_class(a)
+            if a not in index:
+                raise ConfigError(f"successor row {a} is for a class not in the class space")
+            i = index[a]
+            for b, w in row:
+                b = _as_class(b)
+                if b not in index:
+                    raise ConfigError(f"successor {b} of {a} is not in the class space")
+                src.append(i)
+                dst.append(index[b])
+                weights.append(float(w))
+        self.tables = self._build_tables(class_list, src, dst, weights, init_weights)
+
+    @classmethod
+    def _from_edges(
+        cls, name, num_experts, class_list, src, dst, weights, init_weights=None, budget=None
+    ) -> "TransitionKernel":
+        """Kernel from edge arrays over ``class_list``, which must be sorted and distinct."""
+        kernel = cls.__new__(cls)
+        kernel._setup(name, num_experts, budget)
+        kernel.tables = kernel._build_tables(class_list, src, dst, weights, init_weights)
+        return kernel
+
+    def _setup(self, name, num_experts, budget) -> None:
         if num_experts < 1:
             raise ConfigError(f"num_experts must be >= 1, got {num_experts}")
         self.name = str(name)
         self.num_experts = int(num_experts)
         self._budget = budget
-        self.tables = self._build_tables(classes, successors, init_weights)
 
-    def _build_tables(self, classes, successors, init_weights) -> KernelTables:
-        class_list = sorted({_as_class(c) for c in classes})
+    def _build_tables(self, class_list, src, dst, weights, init_weights) -> KernelTables:
         if not class_list:
             raise ConfigError("kernel needs at least one class")
-        for cls in class_list:
-            if not 0 <= cls[0] < self.num_experts:
-                raise ConfigError(f"class {cls} selects expert outside 0..{self.num_experts - 1}")
-        index = {cls: i for i, cls in enumerate(class_list)}
         k = len(class_list)
+        firsts = [cls[0] for cls in class_list]
+        if min(firsts) < 0 or max(firsts) >= self.num_experts:
+            cls = next(c for c in class_list if not 0 <= c[0] < self.num_experts)
+            raise ConfigError(f"class {cls} selects expert outside 0..{self.num_experts - 1}")
+        index = {cls: i for i, cls in enumerate(class_list)}
 
-        expert_of = np.array([cls[0] for cls in class_list], dtype=np.intp)
-        missing = set(range(self.num_experts)) - set(int(m) for m in expert_of)
-        if missing:
+        expert_of = np.array(firsts, dtype=np.intp)
+        has_class = np.zeros(self.num_experts, dtype=bool)
+        has_class[expert_of] = True
+        if not has_class.all():
             warnings.warn(
-                f"kernel '{self.name}' has no class for experts {sorted(missing)}; "
+                f"kernel '{self.name}' has no class for experts "
+                f"{np.flatnonzero(~has_class).tolist()}; "
                 "their selection probability will be structurally zero",
                 stacklevel=3,
             )
@@ -143,45 +189,61 @@ class TransitionKernel:
             np.arange(len(present_experts)), np.diff(np.append(expert_starts, k))
         )
 
-        src_idx: list[int] = []
-        dst_idx: list[int] = []
-        weights: list[float] = []
-        for cls in class_list:
-            if cls not in successors:
-                raise ConfigError(f"class {cls} has no successor row")
-            row = []
-            for dst, w in successors[cls]:
-                dst = _as_class(dst)
-                w = float(w)
-                if dst not in index:
-                    raise ConfigError(f"successor {dst} of {cls} is not in the class space")
-                if not (math.isfinite(w) and w > 0.0):
-                    raise ConfigError(f"transition weight {cls} -> {dst} must be positive, got {w}")
-                row.append((dst, w))
-            total = math.fsum(w for _, w in row)
-            if abs(total - 1.0) > _ROW_TOL:
-                raise ConfigError(f"row for {cls} sums to {total!r}, not 1")
-            row.sort(key=lambda item: item[0])
-            for dst, w in row:
-                src_idx.append(index[cls])
-                dst_idx.append(index[dst])
-                weights.append(w)
+        src = np.asarray(src, dtype=np.intp)
+        dst = np.asarray(dst, dtype=np.intp)
+        raw_w = np.asarray(weights, dtype=float)
+        for ids in (src, dst):
+            outside = np.flatnonzero((ids < 0) | (ids >= k))
+            if len(outside):
+                raise ConfigError(f"class index {ids[outside[0]]} is not in the class space 0..{k - 1}")
+        bad = np.flatnonzero(~(np.isfinite(raw_w) & (raw_w > 0.0)))
+        if len(bad):
+            e = bad[0]
+            raise ConfigError(
+                f"transition weight {class_list[src[e]]} -> {class_list[dst[e]]} "
+                f"must be positive, got {raw_w[e]!r}"
+            )
 
-        src = np.array(src_idx, dtype=np.intp)
-        dst = np.array(dst_idx, dtype=np.intp)
-        raw_w = np.array(weights, dtype=float)
-        logw = np.log(raw_w)
-
-        order = np.lexsort((src, dst))
-        mix_src, mix_dst, mix_logw = src[order], dst[order], logw[order]
-        mix_dst_ids, mix_starts = np.unique(mix_dst, return_index=True)
-        mix_seg = np.repeat(
-            np.arange(len(mix_dst_ids)), np.diff(np.append(mix_starts, len(mix_dst)))
-        )
-
-        # rows were visited in class order and sorted, so edges are in (src, dst)
-        # order; every row is nonempty, so source segments cover 0..k-1
+        # edge-sized temporaries are deleted as soon as they are spent: the
+        # build's peak memory is the process's peak on large kernels
+        key = src * k + dst
+        if not (key[1:] > key[:-1]).all():
+            order = np.argsort(key, kind="stable")
+            key, src, dst, raw_w = key[order], src[order], dst[order], raw_w[order]
+            del order
+            repeat = np.flatnonzero(key[1:] == key[:-1])
+            if len(repeat):
+                e = repeat[0]
+                raise ConfigError(
+                    f"class {class_list[src[e]]} lists successor {class_list[dst[e]]} more than once"
+                )
+        del key
+        # edges are in (src, dst) order with no repeated pair
+        counts = np.bincount(src, minlength=k)
+        if not counts.all():
+            raise ConfigError(f"class {class_list[np.argmin(counts)]} has no successor row")
         adj_starts = np.searchsorted(src, np.arange(k))
+        # a one-edge row's sum is its weight, exactly; longer rows take fsum
+        totals = np.add.reduceat(raw_w, adj_starts)
+        multi = np.flatnonzero(counts > 1)
+        view = memoryview(raw_w)  # fsum reads a memoryview twice as fast as an ndarray
+        for i, lo, n in zip(multi.tolist(), adj_starts[multi].tolist(), counts[multi].tolist()):
+            totals[i] = math.fsum(view[lo:lo + n])
+        unsummed = np.flatnonzero(np.abs(totals - 1.0) > _ROW_TOL)
+        if len(unsummed):
+            i = unsummed[0]
+            raise ConfigError(f"row for {class_list[i]} sums to {float(totals[i])!r}, not 1")
+
+        # a stable sort by destination of (src, dst)-ordered edges gives (dst, src) order
+        order = np.argsort(dst, kind="stable")
+        mix_src, mix_dst = src[order], dst[order]
+        mix_logw = np.log(raw_w[order])
+        del order
+        mix_dst_ids, mix_starts = np.unique(mix_dst, return_index=True)
+        del mix_dst
+        mix_seg = np.repeat(
+            np.arange(len(mix_dst_ids)), np.diff(np.append(mix_starts, len(src)))
+        )
 
         permutation = len(src) == k and len(mix_dst_ids) == k
         share = None
@@ -239,17 +301,22 @@ class TransitionKernel:
         """Build a kernel from a dense row-stochastic matrix (rows = sources).
 
         Zero entries are dropped; the sparse successor-list form is what the
-        engine consumes.
+        engine consumes.  No class may be listed twice.
         """
         class_list = [_as_class(c) for c in classes]
         mat = np.asarray(matrix, dtype=float)
         if mat.shape != (len(class_list), len(class_list)):
             raise ConfigError(f"matrix shape {mat.shape} does not match {len(class_list)} classes")
-        successors = {
-            a: [(b, float(mat[i, j])) for j, b in enumerate(class_list) if mat[i, j] != 0.0]
-            for i, a in enumerate(class_list)
-        }
-        return cls(name, num_experts, class_list, successors, init_weights, budget)
+        order = sorted(range(len(class_list)), key=class_list.__getitem__)
+        class_list = [class_list[i] for i in order]
+        for a, b in zip(class_list, class_list[1:]):
+            if a == b:
+                raise ConfigError(f"class {a} is listed more than once")
+        mat = mat[np.ix_(order, order)]
+        src, dst = np.nonzero(mat)
+        return cls._from_edges(
+            name, num_experts, class_list, src, dst, mat[src, dst], init_weights, budget
+        )
 
     def class_list(self) -> tuple[ClassParams, ...]:
         return self.tables.classes
@@ -284,13 +351,14 @@ class TransitionKernel:
 
 def fixed_kernel(num_experts: int) -> TransitionKernel:
     """One class per expert, each a self-loop: the classic fixed-expert class."""
-    classes = [(m,) for m in range(num_experts)]
-    successors = {(m,): [((m,), 1.0)] for m in range(num_experts)}
-    return TransitionKernel(
+    ids = np.arange(num_experts)
+    return TransitionKernel._from_edges(
         "fixed",
         num_experts,
-        classes,
-        successors,
+        [(m,) for m in range(num_experts)],
+        ids,
+        ids,
+        np.ones(num_experts),
         budget=1.0 + math.log(num_experts),
     )
 
@@ -302,15 +370,16 @@ def cyclic_kernel(num_experts: int) -> TransitionKernel:
     stays fixed and each class has exactly one predecessor.
     """
     m_range = range(num_experts)
-    classes = [(m, s) for m in m_range for s in m_range]
-    successors = {
-        (m, s): [(((m + s) % num_experts, s), 1.0)] for m in m_range for s in m_range
-    }
-    return TransitionKernel(
+    # class (m, s) sits at index m*M + s of the sorted class list
+    ids = np.arange(num_experts * num_experts)
+    expert, sigma = np.divmod(ids, num_experts)
+    return TransitionKernel._from_edges(
         "cyclic",
         num_experts,
-        classes,
-        successors,
+        [(m, s) for m in m_range for s in m_range],
+        ids,
+        (expert + sigma) % num_experts * num_experts + sigma,
+        np.ones(len(ids)),
         budget=1.0 + 2.0 * math.log(num_experts),
     )
 
@@ -328,19 +397,17 @@ def switching_kernel(num_experts: int, switch_weight: float) -> TransitionKernel
     if not (0.0 < w < 1.0 and math.isfinite(w)):
         raise ConfigError(f"switch_weight must lie in (0, 1), got {switch_weight!r}")
     stay, off = 1.0 - w, w / (num_experts - 1)
-    classes = [(m,) for m in range(num_experts)]
-
-    def row(m: int):
-        # consumed while the tables are built: the M^2 pairs never all exist at once
-        return ((cls, stay if m2 == m else off) for m2, cls in enumerate(classes))
-
-    successors = {cls: row(m) for m, cls in enumerate(classes)}
+    ids = np.arange(num_experts)
+    weights = np.full(num_experts * num_experts, off)
+    weights[:: num_experts + 1] = stay  # the diagonal of the row-major M x M matrix
     step = max(-math.log(1.0 - w), -math.log(off))
-    return TransitionKernel(
+    return TransitionKernel._from_edges(
         "switching",
         num_experts,
-        classes,
-        successors,
+        [(m,) for m in range(num_experts)],
+        np.repeat(ids, num_experts),
+        np.tile(ids, num_experts),
+        weights,
         budget=lambda rounds: 1.0 + math.log(num_experts) + max(rounds - 1, 0) * step,
     )
 
@@ -394,25 +461,34 @@ def best_competitor(
     A path's cost is the sum over rounds of the loss of the expert its class
     selects.  Ties are broken toward the lexicographically smallest class
     sequence.  Returns (path, cumulative loss).  The min-plus step depends
-    only on the edge set, so a fixed-share kernel (all k^2 edges) takes it in
-    closed form; the result is the same bits either way.
+    only on the edge set, so two structures take it in closed form, with the
+    same bits as the edge lists: a permutation kernel's path is fixed by its
+    first class and keeps no back-pointers, and a fixed-share kernel (all
+    k^2 edges) keeps one per round.  Other kernels keep one per class and
+    round.
     """
     table = validate_loss_table(kernel, losses)
     rounds = table.shape[0]
     tb = kernel.tables
     k = tb.num_classes
     nnz = len(tb.adj_dst)
-    edge_pos = np.arange(nnz)
+    steps = max(rounds - 1, 0)
+    if tb.share is not None:
+        back = np.empty(steps, dtype=np.intp)
+    elif not tb.permutation:
+        back = np.empty((steps, k), dtype=np.intp)
+        edge_pos = np.arange(nnz)
 
     suffix = table[rounds - 1][tb.expert_of]
-    back = np.empty((max(rounds - 1, 0), k), dtype=np.intp)
     for t in range(rounds - 2, -1, -1):
-        if tb.share is not None:
+        if tb.permutation:
+            # one successor per class: its suffix is the segment minimum
+            seg_min = suffix[tb.adj_dst]
+        elif tb.share is not None:
             # every class succeeds every class: each class's lex-smallest best
             # successor is the first minimum overall
-            first = int(np.argmin(suffix))
-            back[t] = first
-            seg_min = suffix[first]
+            back[t] = np.argmin(suffix)
+            seg_min = suffix[back[t]]
         else:
             cand = suffix[tb.adj_dst]
             seg_min = np.minimum.reduceat(cand, tb.adj_starts)
@@ -426,9 +502,17 @@ def best_competitor(
     masked = np.where(start_ok, suffix, np.inf)
     start = int(np.argmin(masked))  # first minimum = lex-smallest class
     best_loss = float(masked[start])
-    path_idx = [start]
-    for t in range(rounds - 1):
-        path_idx.append(int(back[t][path_idx[-1]]))
+    if tb.permutation:
+        succ = tb.adj_dst.tolist()  # adj_src is 0..k-1
+        path_idx = [start]
+        for _ in range(steps):
+            path_idx.append(succ[path_idx[-1]])
+    elif tb.share is not None:
+        path_idx = [start] + back.tolist()
+    else:
+        path_idx = [start]
+        for t in range(steps):
+            path_idx.append(int(back[t][path_idx[-1]]))
     return tuple(tb.classes[i] for i in path_idx), best_loss
 
 
@@ -437,8 +521,9 @@ def best_prefix_losses(kernel: TransitionKernel, losses) -> np.ndarray:
 
     One forward DP pass; entry t-1 is the best competitor loss over rounds
     1..t.  The final entry matches best_competitor's cumulative loss.  On a
-    fixed-share kernel every class is carried the previous best, exactly
-    what the edge-list minimum gives.
+    fixed-share kernel every class is carried the previous best, and on a
+    permutation kernel its one predecessor's value: exactly what the
+    edge-list minimum gives.
     """
     table = validate_loss_table(kernel, losses)
     rounds = table.shape[0]
@@ -451,6 +536,8 @@ def best_prefix_losses(kernel: TransitionKernel, losses) -> np.ndarray:
     for t in range(1, rounds):
         if tb.share is not None:
             carried = out[t - 1]  # every class succeeds every class
+        elif tb.permutation:
+            carried = dp[tb.mix_src]  # each class's one predecessor; mix_dst_ids is 0..k-1
         else:
             cand = dp[tb.mix_src]
             seg_min = np.minimum.reduceat(cand, tb.mix_starts)

@@ -1,6 +1,9 @@
 """Tests for competition-class kernels, budgets, and the competitor DP."""
 
+import copy
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 
 from classhedge.core import ConfigError, OutOfClassError
 from classhedge.kernels import (
+    KernelTables,
     TransitionKernel,
     best_competitor,
     best_prefix_losses,
@@ -339,3 +343,227 @@ class TestStructuredDP:
             best_prefix_losses(generic, table), best_prefix_losses(share, table)
         )
         assert best_competitor(generic, table) == best_competitor(share, table)
+
+
+def mapping_form(name, experts, weight=0.1):
+    """A built-in class written out as a successor mapping, rows and edges reversed."""
+    if name == "fixed":
+        classes = [(m,) for m in range(experts)]
+        rows = {(m,): [((m,), 1.0)] for m in range(experts)}
+    elif name == "cyclic":
+        classes = [(m, s) for m in range(experts) for s in range(experts)]
+        rows = {(m, s): [(((m + s) % experts, s), 1.0)] for m, s in classes}
+    else:
+        classes = [(m,) for m in range(experts)]
+        stay, off = 1.0 - weight, weight / (experts - 1)
+        rows = {(m,): [((d,), stay if d == m else off) for d in range(experts)] for m in range(experts)}
+    successors = {a: list(reversed(rows[a])) for a in reversed(classes)}
+    return TransitionKernel(name, experts, reversed(classes), successors)
+
+
+def assert_tables_equal(a, b):
+    for f in dataclasses.fields(KernelTables):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and x.shape == y.shape, f.name
+            assert np.array_equal(x, y), f.name
+        else:
+            assert x == y and type(x) is type(y), f.name
+
+
+BUILT = [("fixed", m) for m in (1, 2, 3, 8, 64)] + [("cyclic", m) for m in (1, 2, 3, 8, 64)] + [
+    ("switching", m) for m in (2, 3, 8, 64)
+]
+
+
+class TestArrayBuild:
+    """The built-ins and from_dense make edge arrays directly; their tables must
+    equal those of the same kernel given as a successor mapping."""
+
+    @pytest.mark.parametrize("name, experts", BUILT)
+    def test_builtin_tables_equal_mapping_form(self, name, experts):
+        made = {"fixed": fixed_kernel, "cyclic": cyclic_kernel}.get(
+            name, lambda m: switching_kernel(m, 0.1)
+        )(experts)
+        assert_tables_equal(made.tables, mapping_form(name, experts).tables)
+
+    @pytest.mark.parametrize(
+        "classes, matrix",
+        [
+            ([(2,), (0,), (1,)], LAZY_WALK),
+            ([(0,), (1,), (2,)], [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]),
+            ([(1,), (0,), (2,)], np.full((3, 3), 0.25) + np.eye(3) * 0.25),
+            ([(1, 1), (0, 0), (1, 0)], [[0.5, 0.25, 0.25], [0.0, 1.0, 0.0], [0.3, 0.0, 0.7]]),
+        ],
+    )
+    def test_from_dense_tables_equal_mapping_form(self, classes, matrix):
+        mat = np.asarray(matrix)
+        successors = {
+            a: [(b, mat[i, j]) for j, b in enumerate(classes) if mat[i, j] != 0.0]
+            for i, a in enumerate(classes)
+        }
+        experts = 1 + max(c[0] for c in classes)
+        mapped = TransitionKernel("m", experts, classes, successors)
+        dense = TransitionKernel.from_dense("m", experts, classes, matrix)
+        assert_tables_equal(dense.tables, mapped.tables)
+
+    def test_switching_build_peak_memory(self):
+        # the finished M=512 tables hold about 12 MB of edge arrays
+        tracemalloc.start()
+        try:
+            switching_kernel(512, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 26e6
+
+
+TWO = [(0,), (1,)]
+NAN = float("nan")
+
+
+class TestBuildErrors:
+    """Each build error through the successor mapping and through from_dense.
+
+    TestKernelValidation covers negative weights, destinations outside the
+    class space and experts outside 0..M-1 through the mapping."""
+
+    @pytest.mark.parametrize(
+        "classes, successors, match",
+        [
+            (TWO, {(0,): [((0,), NAN), ((1,), 0.5)], (1,): [((1,), 1.0)]}, "positive"),
+            (TWO, {(0,): [((0,), 1.0), ((1,), 0.0)], (1,): [((1,), 1.0)]}, "positive"),
+            (TWO, {(0,): [((0,), 1.0)]}, "no successor row"),
+            (TWO, {(0,): [((0,), 0.5), ((1,), 0.5 + 2e-12)], (1,): [((1,), 1.0)]}, "sums to"),
+            (TWO, {(0,): [((0,), 1.0)], (1,): [((1,), 1.0 - 2e-12)]}, "sums to"),
+            (TWO, {(0,): [((0,), 0.5), ((0,), 0.3), ((1,), 0.2)], (1,): [((1,), 1.0)]}, "more than once"),
+            (
+                TWO,
+                {(0,): [((0,), 1.0)], (1,): [((1,), 1.0)], (5,): [((0,), 1.0)]},
+                "not in the class space",
+            ),
+        ],
+        ids=["nan", "zero", "missing-row", "sum-multi", "sum-single", "duplicate", "extra-row"],
+    )
+    def test_mapping(self, classes, successors, match):
+        with pytest.raises(ConfigError, match=match):
+            TransitionKernel("bad", 2, classes, successors)
+
+    @pytest.mark.parametrize(
+        "classes, matrix, match",
+        [
+            (TWO, [[NAN, 0.5], [0.0, 1.0]], "positive"),
+            (TWO, [[1.5, -0.5], [0.0, 1.0]], "positive"),
+            (TWO, [[0.0, 0.0], [0.0, 1.0]], "no successor row"),
+            (TWO, [[0.5, 0.5 + 2e-12], [0.0, 1.0]], "sums to"),
+            (TWO, [[1.0, 0.0], [0.0, 1.0 + 2e-12]], "sums to"),
+            ([(0,), (0,), (1,)], [[0.5, 0.3, 0.2], [0.5, 0.3, 0.2], [0.0, 0.0, 1.0]], "more than once"),
+            (TWO, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "does not match"),
+            (TWO, [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]], "does not match"),
+            ([(2,), (1,)], [[1.0, 0.0], [0.0, 1.0]], "outside"),
+        ],
+        ids=["nan", "negative", "zero-row", "sum-multi", "sum-single", "duplicate-class",
+             "destination", "extra-row", "expert"],
+    )
+    def test_from_dense(self, classes, matrix, match):
+        with pytest.raises(ConfigError, match=match):
+            TransitionKernel.from_dense("bad", 2, classes, matrix)
+
+    def test_row_sum_within_tolerance_builds(self):
+        kernel = TransitionKernel("ok", 2, TWO, {(0,): [((0,), 0.5), ((1,), 0.5 + 5e-13)], (1,): [((1,), 1.0)]})
+        assert kernel.successor_items((0,)) == (((0,), 0.5), ((1,), 0.5 + 5e-13))
+
+    def test_zero_dense_entries_are_dropped(self):
+        kernel = TransitionKernel.from_dense("ok", 2, TWO, [[1.0, 0.0], [0.0, 1.0]])
+        assert kernel.tables.permutation and len(kernel.tables.adj_w) == 2
+
+    @pytest.mark.parametrize(
+        "src, dst, match",
+        [([0, 2], [0, 1], "not in the class space"), ([0, 1], [-1, 1], "not in the class space"),
+         ([1, 0, 1], [1, 0, 1], "more than once")],
+    )
+    def test_edge_arrays(self, src, dst, match):
+        with pytest.raises(ConfigError, match=match):
+            TransitionKernel._from_edges("bad", 2, TWO, src, dst, np.full(len(src), 1.0))
+
+
+def straight_loop_dp(kernel, table):
+    """Dense min-plus DP with plain loops: (best path, its loss, prefix minima)."""
+    tb = kernel.tables
+    k, rounds = tb.num_classes, len(table)
+    expert = [c[0] for c in tb.classes]
+    succ = [[tb.index[b] for b, _ in kernel.successor_items(a)] for a in tb.classes]
+    cost = [[0.0] * k for _ in range(rounds)]
+    cost[-1] = [float(table[-1][expert[i]]) for i in range(k)]
+    for t in range(rounds - 2, -1, -1):
+        cost[t] = [float(table[t][expert[i]]) + min(cost[t + 1][j] for j in succ[i]) for i in range(k)]
+    starts = [i for i in range(k) if tb.init_weights[i] > 0.0]
+    cur = min(starts, key=lambda i: (cost[0][i], i))
+    path = [cur]
+    for t in range(1, rounds):
+        cur = min(succ[cur], key=lambda j: (cost[t][j], j))
+        path.append(cur)
+    prefix, dp = [], [float(table[0][expert[i]]) if i in starts else math.inf for i in range(k)]
+    prefix.append(min(dp))
+    for t in range(1, rounds):
+        carried = [math.inf] * k
+        for i in range(k):
+            for j in succ[i]:
+                carried[j] = min(carried[j], dp[i])
+        dp = [carried[j] + float(table[t][expert[j]]) for j in range(k)]
+        prefix.append(min(dp))
+    return tuple(tb.classes[i] for i in path), cost[0][path[0]], prefix
+
+
+def edge_list_twin(kernel):
+    """The same kernel with its structure flags cleared, so the DPs take the edge lists."""
+    twin = copy.copy(kernel)
+    twin.tables = dataclasses.replace(kernel.tables, permutation=False, share=None)
+    return twin
+
+
+ROTATE_WITH_INIT = TransitionKernel.from_dense(
+    "rotate", 3, [(0,), (1,), (2,)], [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]],
+    init_weights={(1,): 0.25, (2,): 0.75},
+)
+DP_KERNELS = [fixed_kernel(1), fixed_kernel(3), cyclic_kernel(1), cyclic_kernel(2), cyclic_kernel(3),
+              cyclic_kernel(4), switching_kernel(2, 0.5), switching_kernel(4, 0.1), ROTATE_WITH_INIT]
+
+
+class TestClosedFormDP:
+    """Permutation and fixed-share DPs give the same bits as the edge lists and a
+    straight-loop DP, and keep at most one back-pointer per round."""
+
+    @pytest.mark.parametrize("kernel", DP_KERNELS, ids=lambda k: f"{k.name}-{k.tables.num_classes}")
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_straight_loop_and_edge_lists(self, kernel, seed):
+        rng = np.random.default_rng(seed)
+        rounds = int(rng.integers(1, 30))
+        shape = (rounds, kernel.num_experts)
+        table = rng.integers(0, 3, shape).astype(float) if seed % 2 else rng.standard_normal(shape)
+        path, loss = best_competitor(kernel, table)
+        prefix = best_prefix_losses(kernel, table)
+        loop_path, loop_loss, loop_prefix = straight_loop_dp(kernel, table)
+        assert (path, loss) == (loop_path, loop_loss)
+        assert prefix.tolist() == loop_prefix
+        twin = edge_list_twin(kernel)
+        assert best_competitor(twin, table) == (path, loss)
+        np.testing.assert_array_equal(best_prefix_losses(twin, table), prefix)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_permutation_with_initial_weights_matches_enumeration(self, seed):
+        table = np.random.default_rng(seed).integers(0, 3, (5, 3)).astype(float)
+        truth = exhaustive_best(ROTATE_WITH_INIT, table)
+        assert best_competitor(ROTATE_WITH_INIT, table) == (truth.classes, truth.cum_loss)
+
+    @pytest.mark.parametrize("kernel", [cyclic_kernel(16), switching_kernel(64, 0.1)], ids=["cyclic", "switching"])
+    def test_no_per_class_back_pointers(self, kernel):
+        # a (T-1) x k back-pointer table would take 4 MB (cyclic) or 1 MB (switching) here
+        table = np.random.default_rng(0).random((2000, kernel.num_experts))
+        tracemalloc.start()
+        try:
+            best_competitor(kernel, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5e6
