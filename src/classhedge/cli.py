@@ -189,8 +189,6 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     elif args.kernel and args.experts and args.rounds:
         kernel = harness.make_kernel(args.kernel, args.experts, _kv_pairs(args.kernel_param, "--kernel-param"))
         w_budget = kernel.budget_bound(args.rounds)
-        if w_budget is None:
-            raise ConfigError(f"kernel {args.kernel!r} declares no budget")
     else:
         raise ConfigError("provide --w-budget, or --kernel with --experts and --rounds")
 
@@ -205,7 +203,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         )
         print(f"bound_var={report.bound_var:.12g} bound_range={report.bound_range:.12g}")
         stored = float(columns["bound_var"][-1])
-        if math.isfinite(stored) and abs(stored - report.bound_var) > 1e-6 * max(1.0, abs(stored)):
+        tol = 1e-6 * max(1.0, abs(stored))
+        if not math.isfinite(stored) or abs(stored - report.bound_var) > tol:
             print(f"stored bound_var {stored:.12g} disagrees with recomputation", file=sys.stderr)
             return 1
     else:

@@ -188,7 +188,7 @@ class RegretReport:
 
     config: ExperimentConfig
     gamma: float
-    w_budget: float | None
+    w_budget: float
     expected_loss: np.ndarray
     realized_loss: np.ndarray
     best_cumloss: np.ndarray
@@ -212,8 +212,6 @@ class RegretReport:
         return len(self.expected_loss)
 
     def final_bound_report(self) -> oracle.BoundReport:
-        if self.w_budget is None:
-            raise ConfigError("kernel declared no budget; bounds are undefined")
         return oracle.bound_report(self.w_budget, self.probs, self.losses)
 
 
@@ -226,14 +224,7 @@ def run_experiment(config: ExperimentConfig) -> RegretReport:
     config.validate()
     kernel = make_kernel(config.kernel, config.experts, config.kernel_params)
     w_budget = kernel.budget_bound(config.rounds)
-    if config.gamma == "auto":
-        if w_budget is None:
-            raise ConfigError(
-                f"kernel {config.kernel!r} declares no budget; gamma='auto' needs one"
-            )
-        gamma = gamma_from_budget(w_budget)
-    else:
-        gamma = float(config.gamma)
+    gamma = gamma_from_budget(w_budget) if config.gamma == "auto" else float(config.gamma)
 
     seeds = np.random.SeedSequence(int(config.seed)).spawn(2)
     loss_rng = np.random.default_rng(seeds[0])
@@ -276,7 +267,6 @@ def run_experiment(config: ExperimentConfig) -> RegretReport:
     cum_expected = np.cumsum(expected)
     cum_realized = np.cumsum(realized)
     sum_d_sq = np.cumsum(small_d * small_d)
-    w = math.nan if w_budget is None else w_budget  # no budget: NaN bound columns
 
     report = RegretReport(
         config=config,
@@ -287,8 +277,8 @@ def run_experiment(config: ExperimentConfig) -> RegretReport:
         best_cumloss=best_cum,
         exp_regret=cum_expected - best_cum,
         real_regret=cum_realized - best_cum,
-        bound_var=bound_var(w, big_d, big_v),
-        bound_range=bound_range(w, big_d, sum_d_sq),
+        bound_var=bound_var(w_budget, big_d, big_v),
+        bound_range=bound_range(w_budget, big_d, sum_d_sq),
         eta=eta,
         D=big_d,
         V=big_v,
@@ -407,10 +397,8 @@ def run_sweep(
     with open(summary, "w", newline="") as fh:
         fh.write("seed,exp_regret,bound_var,bound_range,within_bound\n")
         for seed, regret, b_var, b_range in sorted(results):
-            ok = int(regret <= b_var) if math.isfinite(b_var) else 0
-            fh.write(
-                f"{seed},{_fmt(regret)},{_fmt(b_var)},{_fmt(b_range)},{ok}\n"
-            )
+            ok = int(regret <= b_var)
+            fh.write(f"{seed},{_fmt(regret)},{_fmt(b_var)},{_fmt(b_range)},{ok}\n")
     return summary
 
 

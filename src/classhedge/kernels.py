@@ -5,8 +5,9 @@ A competition class is described by a finite set of equivalence classes
 row-stochastic transition map between consecutive rounds.  Built-ins cover
 the fixed-expert class, the cyclic moving-rate class, and a fixed-share style
 switching class.  The module also provides the class budget
-W = 1 + log(max |Omega|) - log(product of transition weights) used to choose
-gamma, and the dynamic-programming search for the best in-class competitor.
+W = 1 + log(max |Omega|) - log(product of transition weights), its bound
+read off each kernel's own tables (which chooses gamma), and the
+dynamic-programming search for the best in-class competitor.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -96,14 +97,11 @@ class TransitionKernel:
     init_weights : mapping class -> weight, optional
         Distribution over classes for the first round (the transition out of
         the virtual root); defaults to uniform.  Must sum to 1.
-    budget : float or callable (T -> float), optional
-        Declared upper bound on the class budget of any in-class competitor
-        over a T-round game.  Built-ins declare it; user kernels may pass
-        None and supply gamma explicitly.
 
     Kernels are immutable after construction and safe to share across
     threads.  ``tables`` holds the index structures the engine and the DPs
-    read.
+    read.  No budget is declared: ``budget_bound`` reads it off the tables,
+    so every kernel, built-in or not, can choose gamma from it.
 
     The tables are built from three edge arrays: source and destination
     indices into the sorted class list, and the raw weights.  This
@@ -125,9 +123,8 @@ class TransitionKernel:
         classes: Iterable[ClassParams],
         successors: Mapping[ClassParams, Iterable[tuple[ClassParams, float]]],
         init_weights: Mapping[ClassParams, float] | None = None,
-        budget: float | Callable[[int], float] | None = None,
     ):
-        self._setup(name, num_experts, budget)
+        self._setup(name, num_experts)
         class_list = sorted({_as_class(c) for c in classes})
         index = {cls: i for i, cls in enumerate(class_list)}
         src: list[int] = []
@@ -149,22 +146,24 @@ class TransitionKernel:
 
     @classmethod
     def _from_edges(
-        cls, name, num_experts, class_list, src, dst, weights, init_weights=None, budget=None
+        cls, name, num_experts, class_list, src, dst, weights, init_weights=None
     ) -> "TransitionKernel":
         """Kernel from edge arrays over ``class_list``, which must be sorted and distinct."""
         kernel = cls.__new__(cls)
-        kernel._setup(name, num_experts, budget)
-        kernel.tables = kernel._build_tables(class_list, src, dst, weights, init_weights)
+        kernel._setup(name, num_experts)
+        # one frame deeper than __init__, so warnings skip one more to reach the caller
+        kernel.tables = kernel._build_tables(class_list, src, dst, weights, init_weights, 4)
         return kernel
 
-    def _setup(self, name, num_experts, budget) -> None:
+    def _setup(self, name, num_experts) -> None:
         if num_experts < 1:
             raise ConfigError(f"num_experts must be >= 1, got {num_experts}")
         self.name = str(name)
         self.num_experts = int(num_experts)
-        self._budget = budget
 
-    def _build_tables(self, class_list, src, dst, weights, init_weights) -> KernelTables:
+    def _build_tables(
+        self, class_list, src, dst, weights, init_weights, stacklevel=3
+    ) -> KernelTables:
         if not class_list:
             raise ConfigError("kernel needs at least one class")
         k = len(class_list)
@@ -182,7 +181,7 @@ class TransitionKernel:
                 f"kernel '{self.name}' has no class for experts "
                 f"{np.flatnonzero(~has_class).tolist()}; "
                 "their selection probability will be structurally zero",
-                stacklevel=3,
+                stacklevel=stacklevel,
             )
         present_experts, expert_starts = np.unique(expert_of, return_index=True)
         class_seg = np.repeat(
@@ -296,7 +295,6 @@ class TransitionKernel:
         classes: Sequence[ClassParams],
         matrix,
         init_weights: Mapping[ClassParams, float] | None = None,
-        budget: float | Callable[[int], float] | None = None,
     ) -> "TransitionKernel":
         """Build a kernel from a dense row-stochastic matrix (rows = sources).
 
@@ -314,9 +312,7 @@ class TransitionKernel:
                 raise ConfigError(f"class {a} is listed more than once")
         mat = mat[np.ix_(order, order)]
         src, dst = np.nonzero(mat)
-        return cls._from_edges(
-            name, num_experts, class_list, src, dst, mat[src, dst], init_weights, budget
-        )
+        return cls._from_edges(name, num_experts, class_list, src, dst, mat[src, dst], init_weights)
 
     def class_list(self) -> tuple[ClassParams, ...]:
         return self.tables.classes
@@ -334,13 +330,17 @@ class TransitionKernel:
     def initial_weights(self) -> np.ndarray:
         return self.tables.init_weights.copy()
 
-    def budget_bound(self, rounds: int) -> float | None:
-        """Declared budget bound W_T for a game of the given length, if any."""
-        if self._budget is None:
-            return None
-        if callable(self._budget):
-            return float(self._budget(int(rounds)))
-        return float(self._budget)
+    def budget_bound(self, rounds: int) -> float:
+        """Bound W_T on ``class_budget`` of every in-class path of ``rounds`` rounds.
+
+        W_T = 1 + s + max(T-1, 0) * (-log min_e w_e): no step costs more than
+        the lightest edge, and s charges the lightest start as ``class_budget``
+        does.  Built-ins get 1 + log M (fixed), 1 + 2 log M (cyclic) and
+        1 + log M + (T-1) * max(-log(1-w), -log(w/(M-1))) (switching).
+        """
+        tb = self.tables
+        start = _start_charge(float(tb.init_weights[tb.init_weights > 0.0].min()), tb.num_classes)
+        return 1.0 + start + max(int(rounds) - 1, 0) * -math.log(float(tb.adj_w.min()))
 
     def __repr__(self) -> str:
         return (
@@ -359,7 +359,6 @@ def fixed_kernel(num_experts: int) -> TransitionKernel:
         ids,
         ids,
         np.ones(num_experts),
-        budget=1.0 + math.log(num_experts),
     )
 
 
@@ -380,7 +379,6 @@ def cyclic_kernel(num_experts: int) -> TransitionKernel:
         ids,
         (expert + sigma) % num_experts * num_experts + sigma,
         np.ones(len(ids)),
-        budget=1.0 + 2.0 * math.log(num_experts),
     )
 
 
@@ -388,8 +386,8 @@ def switching_kernel(num_experts: int, switch_weight: float) -> TransitionKernel
     """Fixed-share style class: stay with weight 1 - w, spread w over the rest.
 
     The worst in-class competitor over T rounds pays the larger of the two
-    per-step log penalties at every step, which is what the declared budget
-    bound charges.
+    per-step log penalties, -log(1 - w) and -log(w / (M-1)), at every step,
+    which is what ``budget_bound`` charges.
     """
     if num_experts < 2:
         raise ConfigError(f"switching kernel needs at least 2 experts, got {num_experts}")
@@ -400,7 +398,6 @@ def switching_kernel(num_experts: int, switch_weight: float) -> TransitionKernel
     ids = np.arange(num_experts)
     weights = np.full(num_experts * num_experts, off)
     weights[:: num_experts + 1] = stay  # the diagonal of the row-major M x M matrix
-    step = max(-math.log(1.0 - w), -math.log(off))
     return TransitionKernel._from_edges(
         "switching",
         num_experts,
@@ -408,8 +405,14 @@ def switching_kernel(num_experts: int, switch_weight: float) -> TransitionKernel
         np.repeat(ids, num_experts),
         np.tile(ids, num_experts),
         weights,
-        budget=lambda rounds: 1.0 + math.log(num_experts) + max(rounds - 1, 0) * step,
     )
+
+
+def _start_charge(init_weight: float, num_classes: int) -> float:
+    """log |Omega|, or -log(init_weight) below uniform (strictly: 1.0/|Omega| costs log |Omega|)."""
+    if init_weight < 1.0 / num_classes:
+        return -math.log(init_weight)
+    return math.log(num_classes)
 
 
 def class_budget(kernel: TransitionKernel, competitor: Sequence[ClassParams]) -> float:
@@ -417,9 +420,9 @@ def class_budget(kernel: TransitionKernel, competitor: Sequence[ClassParams]) ->
 
     The competitor must be a valid in-class path: its first class must carry
     positive initial weight and every step must use a positive-weight
-    transition.  The initial weight itself is not charged: for the uniform
-    initial distribution its -log equals log |Omega|, which the max-|Omega|
-    term already accounts for (a one-round game therefore has budget 1).
+    transition.  A start of initial weight pi < 1/|Omega| is charged -log pi
+    in place of log |Omega|.  Only the virtual root precedes round 1, so a
+    one-round path has budget 1 whatever its start.
     """
     path = [_as_class(c) for c in competitor]
     if not path:
@@ -428,16 +431,23 @@ def class_budget(kernel: TransitionKernel, competitor: Sequence[ClassParams]) ->
     first = path[0]
     if first not in tb.index:
         raise OutOfClassError(f"{first} is not a class of kernel '{kernel.name}'")
-    if tb.init_weights[tb.index[first]] <= 0.0:
+    a = tb.index[first]
+    init_weight = float(tb.init_weights[a])
+    if init_weight <= 0.0:
         raise OutOfClassError(f"{first} has zero initial weight")
+    if len(path) == 1:
+        return 1.0
+    row_end = np.append(tb.adj_starts[1:], len(tb.adj_dst))
     log_tau = 0.0
-    for t, (a, b) in enumerate(zip(path, path[1:]), start=1):
-        row = dict(kernel.successor_items(a))
-        if b not in row:
-            raise OutOfClassError(f"transition {a} -> {b} at step {t} has zero weight")
-        log_tau += math.log(row[b])
-    max_omega = tb.num_classes if len(path) > 1 else 1  # only the virtual root precedes round 1
-    return 1.0 + math.log(max_omega) - log_tau
+    for t, (prev, cls) in enumerate(zip(path, path[1:]), start=1):
+        # each row lists its destinations in sorted order: search the row's slice
+        lo, hi, b = tb.adj_starts[a], row_end[a], tb.index.get(cls, -1)
+        e = lo + np.searchsorted(tb.adj_dst[lo:hi], b)
+        if e == hi or tb.adj_dst[e] != b:
+            raise OutOfClassError(f"transition {prev} -> {cls} at step {t} has zero weight")
+        log_tau += math.log(tb.adj_w[e])
+        a = b
+    return 1.0 + _start_charge(init_weight, tb.num_classes) - log_tau
 
 
 def validate_loss_table(kernel: TransitionKernel, losses) -> np.ndarray:

@@ -413,7 +413,7 @@ class TestEdgeKernels:
             "lazy-walk", 3, [(0,), (1,), (2,)],
             [[0.8, 0.2, 0.0], [0.1, 0.8, 0.1], [0.0, 0.2, 0.8]],
         )
-        agg = Aggregator(kernel, 1.0)  # explicit gamma; no declared budget
+        agg = Aggregator(kernel, 1.0)
         rng = np.random.default_rng(18)
         for _ in range(200):
             p = agg.probabilities()

@@ -1,5 +1,7 @@
 """The package's public surface: what ``import classhedge`` exports."""
 
+import inspect
+
 import classhedge
 
 PUBLIC_API = [
@@ -72,3 +74,8 @@ def test_per_round_internals_stay_in_core():
         assert name not in classhedge.__all__
         assert not hasattr(classhedge, name), name
         assert callable(getattr(core, name))
+
+
+def test_kernel_constructors_take_no_budget():
+    for build in (classhedge.TransitionKernel, classhedge.TransitionKernel.from_dense):
+        assert "budget" not in inspect.signature(build).parameters

@@ -217,3 +217,17 @@ def test_bounds_rejects_invalid_telemetry_rows(tmp_path, capsys):
         assert main(["bounds", "--csv", str(out), "--probs", str(probs), "--w-budget", "5"]) == 1
         err = capsys.readouterr().err
         assert "round 3" in err and message in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_bounds_rejects_non_finite_stored_bound(tmp_path, capsys, value):
+    out, probs = _run_with_probs(tmp_path)
+    budget = ["--kernel", "fixed", "--experts", "3", "--rounds", "10"]
+    assert main(["bounds", "--csv", str(out), "--probs", str(probs), *budget]) == 0
+    lines = out.read_text().splitlines()
+    cells = lines[-1].split(",")
+    cells[6] = value  # bound_var
+    out.write_text("\n".join(lines[:-1] + [",".join(cells)]) + "\n")
+    capsys.readouterr()
+    assert main(["bounds", "--csv", str(out), "--probs", str(probs), *budget]) == 1
+    assert "disagrees with recomputation" in capsys.readouterr().err

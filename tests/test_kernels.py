@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from classhedge.core import ConfigError, OutOfClassError
+from classhedge.aggregator import Aggregator
+from classhedge.core import ConfigError, OutOfClassError, bound_var, gamma_from_budget
 from classhedge.kernels import (
     KernelTables,
     TransitionKernel,
@@ -133,8 +134,14 @@ class TestKernelValidation:
             TransitionKernel("bad", 2, [(2,)], {(2,): [((2,), 1.0)]})
 
     def test_missing_expert_warns(self):
-        with pytest.warns(UserWarning, match="no class for experts"):
+        with pytest.warns(UserWarning, match="no class for experts") as record:
             TransitionKernel("partial", 3, [(0,), (1,)], {(0,): [((0,), 1.0)], (1,): [((1,), 1.0)]})
+        assert record[0].filename == __file__
+
+    def test_from_dense_missing_expert_warns_at_the_caller(self):
+        with pytest.warns(UserWarning, match="no class for experts") as record:
+            TransitionKernel.from_dense("partial", 3, [(0,), (1,)], np.eye(2))
+        assert record[0].filename == __file__
 
     def test_from_dense_round_trips(self):
         classes = [(0,), (1,)]
@@ -254,7 +261,7 @@ class TestUserKernels:
         classes = [(0,), (1,), (2,)]
         matrix = [[0.8, 0.2, 0.0], [0.1, 0.8, 0.1], [0.0, 0.2, 0.8]]
         kernel = TransitionKernel.from_dense("lazy-walk", 3, classes, matrix)
-        assert kernel.budget_bound(10) is None  # user kernels may not declare one
+        assert kernel.budget_bound(10) == 1.0 + math.log(3) + 9 * -math.log(0.1)
         expected = 1 + math.log(3) - math.log(0.8) - math.log(0.2)
         assert class_budget(kernel, [(0,), (0,), (1,)]) == pytest.approx(expected, rel=1e-14)
         with pytest.raises(OutOfClassError):
@@ -567,3 +574,76 @@ class TestClosedFormDP:
         finally:
             tracemalloc.stop()
         assert peak < 0.5e6
+
+
+def random_dense_kernel(seed, uniform_prior):
+    """A random sparse user kernel over k classes (m, j), with a uniform or a
+    random prior (some starts light, some weightless)."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 7))
+    experts = int(rng.integers(1, k + 1))
+    classes = [(i % experts, i // experts) for i in range(k)]
+    mat = rng.random((k, k)) * (rng.random((k, k)) < 0.6)
+    mat[np.arange(k), rng.integers(0, k, k)] += rng.random(k) + 1e-3
+    mat /= mat.sum(axis=1, keepdims=True)
+    init = None
+    if not uniform_prior:
+        pi = rng.dirichlet(np.full(k, 0.5)) * (rng.random(k) < 0.7)
+        if pi.sum() == 0.0:
+            pi[0] = 1.0
+        init = dict(zip(classes, (pi / pi.sum()).tolist()))
+    return TransitionKernel.from_dense("random", experts, classes, mat, init)
+
+
+class TestDerivedBudget:
+    """budget_bound reads W_T = 1 + start + (T-1) * (-log min weight) off the tables."""
+
+    @pytest.mark.parametrize("experts", [1, 2, 3, 7, 8, 10, 49, 64, 100, 256])
+    def test_builtins_keep_their_closed_forms(self, experts):
+        rounds_grid = [1, 2, 3, 100, 2000, 10_000]
+        for rounds in rounds_grid:
+            assert fixed_kernel(experts).budget_bound(rounds) == 1.0 + math.log(experts)
+            assert cyclic_kernel(experts).budget_bound(rounds) == 1.0 + 2.0 * math.log(experts)
+        for w in (1e-9, 1e-3, 0.05, 0.1, 0.5, 0.9, 0.999) if experts >= 2 else ():
+            kernel = switching_kernel(experts, w)
+            step = max(-math.log(1.0 - w), -math.log(w / (experts - 1)))
+            for rounds in rounds_grid:
+                expected = 1.0 + math.log(experts) + max(rounds - 1, 0) * step
+                assert kernel.budget_bound(rounds) == expected
+
+    def test_light_start_is_charged(self):
+        # initial weights 0, 0.25 and 0.75 over three classes: 0.25 < 1/3
+        assert class_budget(ROTATE_WITH_INIT, [(1,), (2,), (0,)]) == 1.0 - math.log(0.25)
+        assert class_budget(ROTATE_WITH_INIT, [(2,), (0,)]) == 1.0 + math.log(3)
+        assert class_budget(ROTATE_WITH_INIT, [(1,)]) == 1.0
+        assert ROTATE_WITH_INIT.budget_bound(5) == 1.0 - math.log(0.25)
+        with pytest.raises(OutOfClassError, match="zero initial weight"):
+            class_budget(ROTATE_WITH_INIT, [(0,), (1,)])
+
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.integers(1, 12))
+    @settings(deadline=None, max_examples=80)
+    def test_best_competitor_stays_within_the_bound(self, seed, uniform_prior, rounds):
+        kernel = random_dense_kernel(seed, uniform_prior)
+        table = np.random.default_rng(seed).standard_normal((rounds, kernel.num_experts))
+        path, _ = best_competitor(kernel, table)
+        bound = kernel.budget_bound(rounds)
+        assert math.isfinite(bound) and bound >= 1.0
+        assert class_budget(kernel, path) <= bound + 1e-9
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_auto_gamma_keeps_regret_under_the_variance_bound(self, seed):
+        kernel = random_dense_kernel(seed + 100, uniform_prior=seed % 2 == 0)
+        rng = np.random.default_rng(seed)
+        rounds = 400
+        scale = 10.0 ** rng.uniform(-3, 3, (rounds, 1))
+        table = rng.standard_cauchy((rounds, kernel.num_experts)) * scale
+        w_budget = kernel.budget_bound(rounds)
+        agg = Aggregator(kernel, gamma_from_budget(w_budget))
+        expected, big_d, big_v = np.empty(rounds), np.empty(rounds), np.empty(rounds)
+        for t, losses in enumerate(table):
+            agg.probabilities()
+            agg.observe(losses)
+            diag = agg.last_round
+            expected[t], big_d[t], big_v[t] = diag.expected_loss, diag.D, diag.V
+        regret = np.cumsum(expected) - best_prefix_losses(kernel, table)
+        assert np.all(regret <= bound_var(w_budget, big_d, big_v))
