@@ -32,15 +32,14 @@ share within rounding) in O(k) work instead of O(edges).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import (
+    DEGENERATE_ETA,
     InvariantViolation,
-    LearningRate,
     ProtocolError,
-    RoundStats,
     as_gamma,
     as_loss_array,
     clamped_mean,
@@ -97,8 +96,7 @@ def _mix(tb: KernelTables, log_z: np.ndarray, ratio: float) -> np.ndarray:
     return top + np.log(stay * e + off * others)
 
 
-@dataclass(frozen=True)
-class RoundDiagnostics:
+class RoundDiagnostics(NamedTuple):
     """Telemetry for the most recent observed round.
 
     ``max_neg_eta_phi`` uses the freshly computed rate (the quantity the
@@ -106,7 +104,8 @@ class RoundDiagnostics:
     actually applied in the exponential step (the previous round's).  Both
     are logged because they need not coincide on a round whose range jumps.
     ``expected_loss`` is the mean the losses were centered by: p . l, kept
-    inside [min l, max l].
+    inside [min l, max l].  ``eta`` is DEGENERATE_ETA (inf) while every round
+    so far was constant across experts.
     """
 
     t: int
@@ -128,6 +127,10 @@ class Aggregator:
     A single instance is single-writer: ``observe`` mutates, ``probabilities``
     is read-only.  Distinct instances share nothing and may run in parallel.
 
+    The running statistics are plain floats: the range D, the variance sum V
+    with its compensation carry, and the last rate eta (DEGENERATE_ETA until
+    a round is not constant across experts).  ``t`` counts observed rounds.
+
     Parameters
     ----------
     kernel : TransitionKernel
@@ -139,30 +142,17 @@ class Aggregator:
         self.kernel = kernel
         self.gamma = as_gamma(gamma)
         self.num_experts = kernel.num_experts
-        self._tables = kernel.tables
+        self._tables = tb = kernel.tables
         with np.errstate(divide="ignore"):
-            self._log_w = np.log(self._tables.init_weights)
+            self._log_w = np.log(tb.init_weights)
         # one class per expert: the grouped weights are the class weights
-        self._one_class_per_expert = np.array_equal(self._tables.expert_of, np.arange(self.num_experts))
-        self._t = 0
-        self._stats = RoundStats()
-        self._prev_eta: LearningRate | None = None
+        self._one_class_per_expert = np.array_equal(tb.expert_of, np.arange(self.num_experts))
+        self._every_expert_has_class = tb.present_experts.size == self.num_experts
+        self.t = 0
+        self._D = self._V = self._carry = 0.0
+        self._eta = DEGENERATE_ETA
         self._cached_p: np.ndarray | None = None
         self.last_round: RoundDiagnostics | None = None
-
-    @property
-    def t(self) -> int:
-        """Number of observed rounds."""
-        return self._t
-
-    @property
-    def stats(self) -> RoundStats:
-        return self._stats
-
-    @property
-    def current_eta(self) -> LearningRate | None:
-        """Rate after the last observed round (None before the first)."""
-        return self._prev_eta
 
     def log_weights(self) -> np.ndarray:
         """Log class weights, in the kernel's class order."""
@@ -174,25 +164,30 @@ class Aggregator:
         Declares the round: the next ``observe`` call centers against exactly
         this vector.
         """
-        if self._cached_p is None:
-            self._cached_p = self._compute_probabilities()
-        return self._cached_p.copy()
+        return self._declared().copy()
 
-    def _compute_probabilities(self) -> np.ndarray:
+    def _declared(self) -> np.ndarray:
+        """The round's probability vector, computed once and cached until ``observe``."""
+        if self._cached_p is not None:
+            return self._cached_p
         tb = self._tables
         if self._one_class_per_expert:
             log_wm = self._log_w
         else:
-            log_wm = np.full(self.num_experts, -np.inf)
-            lw = self._log_w.copy()
-            log_wm[tb.present_experts] = _segment_logsumexp(lw, tb.expert_starts, tb.class_seg)
+            log_wm = _segment_logsumexp(self._log_w.copy(), tb.expert_starts, tb.class_seg)
+            if not self._every_expert_has_class:
+                grouped, log_wm = log_wm, np.full(self.num_experts, -np.inf)
+                log_wm[tb.present_experts] = grouped
         top = log_wm.max()
         if not math.isfinite(top):
             raise InvariantViolation("total class weight vanished")
-        p = np.exp(log_wm - top)
+        p = log_wm - top
+        np.exp(p, out=p)
         p /= p.sum()
-        if abs(float(p.sum()) - 1.0) > _SIMPLEX_TOL or float(p.min()) < 0.0:
+        # exp >= 0, so only the sum can leave the simplex; NaN fails this test
+        if not abs(float(p.sum()) - 1.0) <= _SIMPLEX_TOL:
             raise InvariantViolation("selection probabilities left the simplex")
+        self._cached_p = p
         return p
 
     def sample(self, rng: np.random.Generator) -> int:
@@ -200,72 +195,68 @@ class Aggregator:
 
         The final bucket absorbs any rounding residue of the cumulative sums.
         """
-        p = self.probabilities()
-        u = float(rng.random())
-        idx = int(np.searchsorted(np.cumsum(p), u, side="right"))
+        cdf = np.cumsum(self._declared())
+        idx = int(cdf.searchsorted(float(rng.random()), side="right"))
         return min(idx, self.num_experts - 1)
 
     def observe(self, losses) -> None:
         """Feed back the round's raw loss vector and update class weights."""
-        if self._cached_p is None:
+        p = self._cached_p
+        if p is None:
             raise ProtocolError(
                 "probabilities() must be called before each observe(); "
                 "observing twice in one round is not allowed"
             )
         values = as_loss_array(losses, self.num_experts)
-        p = self._cached_p
+        t = self.t + 1
 
-        mean = clamped_mean(values, p)
+        lo = float(values.min())
+        hi = float(values.max())
+        mean = clamped_mean(float(p @ values), lo, hi)
         phi = values - mean
-        stats = round_stats(phi, p, self._stats)
-        eta_t = learning_rate(stats, self.gamma)
+        # x -> fl(x - mean) is monotone, so these are exactly phi.min() and phi.max()
+        phi_min = lo - mean
+        d = (hi - mean) - phi_min
+        if not math.isfinite(d * d):
+            # centered |phi_m| <= d: checked before phi is squared
+            raise InvariantViolation(f"round {t}: score range {d!r} overflows when squared")
+        v = float(p @ (phi * phi))
+        D, V, self._carry = round_stats(d, v, self._D, self._V, self._carry)
+        eta = learning_rate(D, V, self.gamma, t)
 
-        prev = self._prev_eta if self._prev_eta is not None else eta_t
-        if not prev.degenerate and not eta_t.degenerate:
-            if eta_t.eta > prev.eta * (1.0 + _RATE_TOL):
-                raise InvariantViolation(
-                    f"round {stats.t}: learning rate increased "
-                    f"({prev.eta!r} -> {eta_t.eta!r})"
-                )
+        prev = self._eta
+        if math.isinf(prev):
+            # the first informative round fixes the previous rate (eta_0 := eta_1)
+            prev = eta
+        elif prev < eta < DEGENERATE_ETA:
+            if eta > prev * (1.0 + _RATE_TOL):
+                raise InvariantViolation(f"round {t}: learning rate increased ({prev!r} -> {eta!r})")
             # the formula is nonincreasing in exact arithmetic; clamp the
             # occasional last-ulp wobble of the compensated accumulator
-            if eta_t.eta > prev.eta:
-                eta_t = LearningRate(eta=prev.eta, gamma=eta_t.gamma)
+            eta = prev
+        exponent = 0.0 if math.isinf(prev) else prev
+        ratio = eta_ratio(eta, prev)
 
-        # the first informative round fixes the previous rate (eta_0 := eta_1)
-        prev_eff = eta_t if prev.degenerate else prev
-        exponent = 0.0 if prev_eff.degenerate else prev_eff.eta
-        ratio = eta_ratio(eta_t, prev_eff)
-
-        max_neg_eta_phi = 0.0 if eta_t.degenerate else float((-eta_t.eta * phi).max())
+        # -c*phi is nonincreasing in phi for c >= 0, and so is its rounding:
+        # the largest entry of fl(-c*phi) is fl(-c*min phi)
+        max_neg_eta_phi = 0.0 if math.isinf(eta) else -eta * phi_min
         if max_neg_eta_phi > 1.0 + _RATE_TOL:
-            raise InvariantViolation(
-                f"round {stats.t}: -eta*phi reached {max_neg_eta_phi!r} > 1"
-            )
+            raise InvariantViolation(f"round {t}: -eta*phi reached {max_neg_eta_phi!r} > 1")
 
         tb = self._tables
         new_lw = _mix(tb, self._log_w - exponent * phi[tb.expert_of], ratio)
         top = new_lw.max()
         if not math.isfinite(top):
-            raise InvariantViolation(f"round {stats.t}: class weights collapsed")
-        self._log_w = new_lw - top
+            raise InvariantViolation(f"round {t}: class weights collapsed")
+        new_lw -= top
+        self._log_w = new_lw
 
+        # positional: a keyword call costs about 1 us more per round
         self.last_round = RoundDiagnostics(
-            t=stats.t,
-            eta=eta_t.eta,
-            exponent_eta=exponent,
-            ratio=ratio,
-            d=stats.d,
-            v=stats.v,
-            D=stats.D,
-            V=stats.V,
-            max_neg_eta_phi=max_neg_eta_phi,
-            max_neg_exponent_phi=float((-exponent * phi).max()),
-            expected_loss=mean,
+            t, eta, exponent, ratio, d, v, D, V, max_neg_eta_phi, -exponent * phi_min, mean
         )
-        self._stats = stats
-        self._prev_eta = eta_t
-        self._t += 1
+        self._D, self._V, self._eta = D, V, eta
+        self.t = t
         self._cached_p = None
 
     def run_round(self, losses, rng: np.random.Generator) -> tuple[np.ndarray, int]:

@@ -185,7 +185,7 @@ def _read_telemetry(path) -> tuple[np.ndarray, np.ndarray]:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     if args.w_budget is not None:
-        w_budget = float(args.w_budget)
+        w_budget = core.as_budget(args.w_budget)
     elif args.kernel and args.experts and args.rounds:
         kernel = harness.make_kernel(args.kernel, args.experts, _kv_pairs(args.kernel_param, "--kernel-param"))
         w_budget = kernel.budget_bound(args.rounds)

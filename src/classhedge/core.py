@@ -6,13 +6,12 @@ the closed-form gamma for a given competition-class budget, and the two
 second-order regret bounds.  The helpers trust their inputs: inputs are
 validated once, at ``Aggregator.observe`` and in the CLI.
 
-Everything here is a pure function over value types; no shared mutable state.
+Everything here is a pure function over floats and arrays; no shared mutable state.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,71 +71,32 @@ def as_simplex(values, num_experts: int | None = None, tol: float = 1e-9) -> np.
     return arr
 
 
-@dataclass(frozen=True)
-class RoundStats:
-    """Range/variance statistics accumulated over rounds.
-
-    d: current-round score range, max_m phi_m - min_m phi_m.
-    v: current-round second moment of phi under the selection probabilities.
-    D: running max of d.  V: running sum of v (compensated summation).
-    """
-
-    d: float = 0.0
-    v: float = 0.0
-    D: float = 0.0
-    V: float = 0.0
-    t: int = 0
-    v_carry: float = 0.0  # Kahan compensation for V
-
-
-@dataclass(frozen=True)
-class LearningRate:
-    """Adaptive rate eta = gamma / sqrt(V + gamma^2 D^2); inf when degenerate."""
-
-    eta: float
-    gamma: float
-
-    @property
-    def degenerate(self) -> bool:
-        return math.isinf(self.eta)
-
-
-def clamped_mean(losses, probs) -> float:
-    """Probability-weighted mean of the losses, kept inside [min l, max l].
+def clamped_mean(mu: float, lo: float, hi: float) -> float:
+    """The probability-weighted mean mu = p . l, kept inside [lo, hi] = [min l, max l].
 
     The exact mean lies in that interval, so max(phi) >= 0 >= min(phi) holds
     exactly for phi = l - mean, and a loss vector that is constant across
     experts has exactly its constant as mean (a degenerate round, no regret).
     """
-    l = np.asarray(losses, dtype=float)
-    mu = float(np.asarray(probs, dtype=float) @ l)
-    return min(max(mu, float(l.min())), float(l.max()))
+    return min(max(mu, lo), hi)
 
 
 def center_losses(losses, probs) -> np.ndarray:
     """Shift losses by their clamped probability-weighted mean."""
     l = np.asarray(losses, dtype=float)
-    return l - clamped_mean(l, probs)
+    mu = float(np.asarray(probs, dtype=float) @ l)
+    return l - clamped_mean(mu, float(l.min()), float(l.max()))
 
 
-def round_stats(phi, probs, prev: RoundStats) -> RoundStats:
-    """Fold one round of centered scores into the running statistics.
+def round_stats(d: float, v: float, D: float, V: float, carry: float) -> tuple[float, float, float]:
+    """Fold one round's range d = max phi - min phi and second moment v = E_p[phi^2].
 
-    d = max(phi) - min(phi);  v = E_p[phi^2];  D = max(D_prev, d);
-    V = V_prev + v, accumulated with compensated summation.  Raises
-    InvariantViolation if d^2 overflows; centered |phi_m| <= d, so phi^2 cannot.
+    Returns (D, V, carry): D = max(D_prev, d) and V = V_prev + v, accumulated
+    with compensated summation whose low-order bits ride in ``carry``.
     """
-    values = np.asarray(phi, dtype=float)
-    p = np.asarray(probs, dtype=float)
-    d = float(values.max() - values.min())
-    if not math.isfinite(d * d):
-        raise InvariantViolation(f"round {prev.t + 1}: score range {d!r} overflows when squared")
-    v = float(p @ (values * values))
-    # Kahan step: V + v with carried low-order bits.
-    y = v - prev.v_carry
-    total = prev.V + y
-    carry = (total - prev.V) - y
-    return RoundStats(d=d, v=v, D=max(prev.D, d), V=total, t=prev.t + 1, v_carry=carry)
+    y = v - carry
+    total = V + y
+    return max(D, d), total, (total - V) - y
 
 
 def as_gamma(gamma) -> float:
@@ -146,26 +106,25 @@ def as_gamma(gamma) -> float:
     return float(gamma)
 
 
-def learning_rate(stats: RoundStats, gamma: float) -> LearningRate:
-    """eta_t = gamma / sqrt(V_t + gamma^2 * D_t^2); degenerate when the radicand is 0.
+def learning_rate(D: float, V: float, gamma: float, t: int) -> float:
+    """eta_t = gamma / sqrt(V_t + gamma^2 * D_t^2); DEGENERATE_ETA when the radicand is 0.
 
-    A radicand that overflows raises InvariantViolation; gamma is checked by ``as_gamma``.
+    A radicand that overflows raises InvariantViolation naming round ``t``;
+    gamma is checked by ``as_gamma``.
     """
-    radicand = stats.V + gamma * gamma * stats.D * stats.D
+    radicand = V + gamma * gamma * D * D
     if not math.isfinite(radicand):
-        raise InvariantViolation(
-            f"round {stats.t}: rate radicand is {radicand!r}; the loss scale overflows"
-        )
+        raise InvariantViolation(f"round {t}: rate radicand is {radicand!r}; the loss scale overflows")
     if radicand <= 0.0:
-        return LearningRate(eta=DEGENERATE_ETA, gamma=float(gamma))
-    return LearningRate(eta=float(gamma) / math.sqrt(radicand), gamma=float(gamma))
+        return DEGENERATE_ETA
+    return gamma / math.sqrt(radicand)
 
 
-def eta_ratio(current: LearningRate, previous: LearningRate) -> float:
+def eta_ratio(current: float, previous: float) -> float:
     """Mixing exponent eta_t / eta_{t-1}; defined as 1 in the degenerate regime."""
-    if previous.degenerate or current.degenerate:
+    if math.isinf(previous) or math.isinf(current):
         return 1.0
-    return current.eta / previous.eta
+    return current / previous
 
 
 def bound_var(w_budget, d_max, v_star):
@@ -178,8 +137,13 @@ def bound_range(w_budget, d_max, sum_d_sq):
     return w_budget * d_max + 1.2 * np.sqrt(w_budget * sum_d_sq)
 
 
-def gamma_from_budget(w_budget: float) -> float:
-    """Closed-form gamma = sqrt(W / (2(e-2))) for a class budget W >= 1."""
+def as_budget(w_budget) -> float:
+    """Validate a class budget W: a finite real >= 1."""
     if not (isinstance(w_budget, (int, float)) and math.isfinite(w_budget) and w_budget >= 1.0):
         raise ConfigError(f"class budget must be a finite real >= 1, got {w_budget!r}")
-    return math.sqrt(w_budget / TWO_E_MINUS_2)
+    return float(w_budget)
+
+
+def gamma_from_budget(w_budget: float) -> float:
+    """Closed-form gamma = sqrt(W / (2(e-2))) for a class budget W >= 1."""
+    return math.sqrt(as_budget(w_budget) / TWO_E_MINUS_2)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterator
@@ -388,6 +387,9 @@ def run_sweep(
     ]
     workers = jobs or min(len(seeds), os.cpu_count() or 1)
     if workers > 1:
+        # imported here: the pool machinery costs ~2 MB of RSS that online use never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_task, tasks))
     else:

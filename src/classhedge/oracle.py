@@ -4,8 +4,8 @@ Each oracle recomputes a quantity the engine or the DP produces, along a
 deliberately different code path: the closed form of adaptive exponential
 weights over fixed experts, a per-trajectory weight recursion for
 permutation kernels, and exhaustive path enumeration.  They share only the
-scalar centering, learning-rate and bound formulas with the core module,
-never the engine's grouped log-sum-exp machinery.  ``bound_report``
+scalar centering, statistics, learning-rate and bound formulas with the core
+module, never the engine's grouped log-sum-exp machinery.  ``bound_report``
 evaluates the second-order regret bounds from run telemetry.
 """
 
@@ -17,16 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    ConfigError,
+    DEGENERATE_ETA,
     InvariantViolation,
-    LearningRate,
-    RoundStats,
+    as_budget,
     as_gamma,
     bound_range,
     bound_var,
     center_losses,
     eta_ratio,
     learning_rate,
+    round_stats,
 )
 from .kernels import ClassParams, TransitionKernel, validate_loss_table
 
@@ -79,17 +79,17 @@ def ewa_reference(losses, gamma: float) -> np.ndarray:
     rounds, num_experts = table.shape
     out = np.empty((rounds + 1, num_experts))
     cum = np.zeros(num_experts)
-    d_max = v_sum = 0.0
+    d_max = v_sum = carry = 0.0
     p = np.full(num_experts, 1.0 / num_experts)
     out[0] = p
     for t in range(rounds):
         phi = center_losses(table[t], p)
         cum += phi
-        d_max = max(d_max, float(phi.max() - phi.min()))
-        v_sum += float(p @ (phi * phi))
-        eta_t = learning_rate(RoundStats(D=d_max, V=v_sum, t=t + 1), gamma)
-        if not eta_t.degenerate:
-            w = np.exp(-eta_t.eta * (cum - cum.min()))
+        d = float(phi.max() - phi.min())
+        d_max, v_sum, carry = round_stats(d, float(p @ (phi * phi)), d_max, v_sum, carry)
+        eta_t = learning_rate(d_max, v_sum, gamma, t + 1)
+        if not math.isinf(eta_t):
+            w = np.exp(-eta_t * (cum - cum.min()))
             p = w / w.sum()
         out[t + 1] = p
     return out
@@ -132,9 +132,8 @@ def trajectory_reference(kernel: TransitionKernel, losses, gamma: float) -> np.n
     # later rows are max-normalized like the engine's post-mixing state
     out[0][cur] = log_u
 
-    prev: LearningRate | None = None
-    d_max = 0.0
-    v_sum = 0.0
+    prev = DEGENERATE_ETA
+    d_max = v_sum = carry = 0.0
     for t in range(rounds):
         shifted = np.exp(log_u - log_u.max())
         by_expert = np.zeros(kernel.num_experts)
@@ -143,13 +142,11 @@ def trajectory_reference(kernel: TransitionKernel, losses, gamma: float) -> np.n
 
         phi = center_losses(table[t], p)
         d = float(phi.max() - phi.min())
-        v = float(p @ (phi * phi))
-        d_max = max(d_max, d)
-        v_sum += v
-        eta_t = learning_rate(RoundStats(d=d, v=v, D=d_max, V=v_sum, t=t + 1), gamma)
+        d_max, v_sum, carry = round_stats(d, float(p @ (phi * phi)), d_max, v_sum, carry)
+        eta_t = learning_rate(d_max, v_sum, gamma, t + 1)
 
-        prev_eff = eta_t if prev is None or prev.degenerate else prev
-        exponent = 0.0 if prev_eff.degenerate else prev_eff.eta
+        prev_eff = eta_t if math.isinf(prev) else prev
+        exponent = 0.0 if math.isinf(prev_eff) else prev_eff
         ratio = eta_ratio(eta_t, prev_eff)
 
         log_u = ratio * (log_u - exponent * phi[tb.expert_of[cur]])
@@ -229,9 +226,7 @@ def bound_report(w_budget: float, probs, losses) -> BoundReport:
     and the raw losses.  Raises if the variance statistic exceeds a quarter
     of the summed squared ranges, which no valid telemetry can do.
     """
-    w = float(w_budget)
-    if not (math.isfinite(w) and w >= 1.0):
-        raise ConfigError(f"class budget must be a finite real >= 1, got {w_budget!r}")
+    w = as_budget(w_budget)
     p = np.asarray(probs, dtype=float)
     l = np.asarray(losses, dtype=float)
     if p.shape != l.shape or p.ndim != 2:

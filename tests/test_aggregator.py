@@ -178,6 +178,12 @@ class TestObserve:
         with pytest.raises(InvariantViolation, match="overflows"):
             drive(agg, table)
 
+    def test_range_whose_square_overflows_is_a_typed_error(self):
+        agg = Aggregator(fixed_kernel(2), 1.0)
+        agg.probabilities()
+        with pytest.raises(InvariantViolation, match="round 1: score range .* overflows"):
+            agg.observe([-1e160, 1e160])
+
     def test_constant_losses_keep_initial_distribution(self):
         for kernel in (fixed_kernel(3), cyclic_kernel(2)):
             agg = Aggregator(kernel, 1.0)
@@ -186,7 +192,7 @@ class TestObserve:
                     agg.probabilities(), 1 / kernel.num_experts, rtol=1e-12
                 )
                 agg.observe([4.2] * kernel.num_experts)
-            assert agg.current_eta.degenerate
+            assert math.isinf(agg.last_round.eta)
 
     @pytest.mark.parametrize("value", [0.1, 1.1, 1000.1, -0.3])
     def test_constant_across_experts_is_degenerate_at_any_gamma(self, value):
@@ -200,7 +206,7 @@ class TestObserve:
                     agg.probabilities(), 1 / kernel.num_experts, rtol=1e-12
                 )
                 agg.observe([value] * kernel.num_experts)
-            assert agg.current_eta.degenerate
+            assert math.isinf(agg.last_round.eta)
 
     def test_degenerate_rounds_then_signal(self):
         # constant rounds leave no trace; the first informative round behaves
@@ -403,6 +409,48 @@ class TestInvariances:
             assert diag.eta <= previous
             assert diag.max_neg_eta_phi <= 1.0 + 1e-12
             previous = diag.eta
+
+
+_ENTRY = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0]),  # exact ties and signed zeros
+    st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False),
+)
+
+
+class TestRoundShortcuts:
+    """The engine reads d, both -c*phi margins and the clamped mean off one
+    min/max pair of the losses; array reductions over phi must agree exactly."""
+
+    @given(
+        kernel_index=st.integers(0, 3),
+        gamma=st.floats(0.3, 3.0),
+        opening=st.integers(0, 4),
+        rows=st.lists(
+            st.tuples(st.lists(_ENTRY, min_size=4, max_size=4), st.integers(-150, 150), st.booleans()),
+            min_size=1,
+            max_size=25,
+        ),
+    )
+    @settings(deadline=None, max_examples=150)
+    def test_margins_and_range_equal_array_reductions(self, kernel_index, gamma, opening, rows):
+        kernel = (fixed_kernel(4), cyclic_kernel(4), switching_kernel(4, 0.1), switching_kernel(4, 0.9))
+        agg = Aggregator(kernel[kernel_index], gamma)
+        # a constant row under a non-uniform p is where p . l can round outside [min l, max l]
+        table = [[0.0, -0.0, 0.0, -0.0]] * opening + [
+            [x * 10.0**k for x in (row[:1] * 4 if constant else row)] for row, k, constant in rows
+        ]
+        for losses in table:
+            p = agg.probabilities()
+            agg.observe(losses)
+            diag = agg.last_round
+            l = np.asarray(losses)
+            mean = float(np.clip(p @ l, l.min(), l.max()))
+            phi = l - mean
+            assert diag.expected_loss == mean
+            assert diag.d == phi.max() - phi.min()
+            if not math.isinf(diag.eta):
+                assert diag.max_neg_eta_phi == (-diag.eta * phi).max()
+            assert diag.max_neg_exponent_phi == (-diag.exponent_eta * phi).max()
 
 
 class TestEdgeKernels:

@@ -69,8 +69,7 @@ def test_benchmark_names_stay_exported():
 def test_per_round_internals_stay_in_core():
     from classhedge import core
 
-    for name in ("LearningRate", "RoundStats", "center_losses",
-                 "eta_ratio", "learning_rate", "round_stats"):
+    for name in ("center_losses", "eta_ratio", "learning_rate", "round_stats"):
         assert name not in classhedge.__all__
         assert not hasattr(classhedge, name), name
         assert callable(getattr(core, name))

@@ -231,3 +231,14 @@ def test_bounds_rejects_non_finite_stored_bound(tmp_path, capsys, value):
     capsys.readouterr()
     assert main(["bounds", "--csv", str(out), "--probs", str(probs), *budget]) == 1
     assert "disagrees with recomputation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "0.5", "-3"])
+def test_bounds_rejects_invalid_budget(tmp_path, capsys, value):
+    out, probs = _run_with_probs(tmp_path)
+    capsys.readouterr()
+    for extra in ([], ["--probs", str(probs)]):
+        assert main(["bounds", "--csv", str(out), *extra, "--w-budget", value]) == 1
+        captured = capsys.readouterr()
+        assert "class budget must be a finite real >= 1" in captured.err
+        assert "bound_var" not in captured.out
