@@ -59,11 +59,14 @@ def _segment_logsumexp(values: np.ndarray, starts: np.ndarray, seg: np.ndarray) 
     Works in place on ``values``; its only input-sized temporary is the
     gathered segment maxima, which keeps large mixing steps off the allocator.
     """
-    with np.errstate(invalid="ignore"):
-        seg_max = np.maximum.reduceat(values, starts)
-        values -= seg_max[seg]
+    seg_max = np.maximum.reduceat(values, starts)
+    if seg_max.min() == -np.inf:  # rare: an all -inf segment shifts to NaN, reported as -inf
+        with np.errstate(invalid="ignore"):
+            values -= seg_max[seg]
         sums = np.add.reduceat(np.exp(values, out=values), starts)
         return np.where(np.isneginf(seg_max), -np.inf, seg_max + np.log(sums))
+    values -= seg_max[seg]
+    return seg_max + np.log(np.add.reduceat(np.exp(values, out=values), starts))
 
 
 def _mix_edges(tb: KernelTables, log_z: np.ndarray, ratio: float) -> np.ndarray:
@@ -87,9 +90,9 @@ def _mix(tb: KernelTables, log_z: np.ndarray, ratio: float) -> np.ndarray:
         return _mix_edges(tb, log_z, ratio)
     stay, off = tb.share
     y = ratio * log_z
+    # finite: the log weights peak at 0, the exponent term is finite and ratio is in (0, 1]
     top = y.max()
-    with np.errstate(invalid="ignore"):  # all -inf: NaN, reported as collapsed
-        e = np.exp(y - top)
+    e = np.exp(y - top)
     others = np.zeros_like(e)
     np.cumsum(e[:-1], out=others[1:])
     others[:-1] += np.cumsum(e[:0:-1])[::-1]

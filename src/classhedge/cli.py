@@ -17,8 +17,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .core import ConfigError, InvariantViolation, ProtocolError
 from . import core, harness, oracle
 
@@ -74,7 +72,9 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--kernel-param", action="append", metavar="K=V", help="kernel parameter (repeatable)"
     )
-    parser.add_argument("--gamma", help="'auto' (from the kernel budget) or a positive real")
+    parser.add_argument(
+        "--gamma", type=_parse_value, help="'auto' (from the kernel budget) or a positive real"
+    )
     parser.add_argument("--loss-gen", choices=harness.GENERATORS, help="loss stream")
     parser.add_argument(
         "--loss-param", action="append", metavar="K=V", help="generator parameter (repeatable)"
@@ -110,8 +110,6 @@ def _build_config(args: argparse.Namespace) -> harness.ExperimentConfig:
     merged["loss_params"].update(_kv_pairs(args.loss_param, "--loss-param"))
     if "experts" not in merged or "rounds" not in merged:
         raise ConfigError("both --experts and --rounds are required (flag or config file)")
-    if isinstance(merged.get("gamma"), str) and merged["gamma"] != "auto":
-        merged["gamma"] = float(merged["gamma"])
     known = {f.name for f in harness.ExperimentConfig.__dataclass_fields__.values()}
     unknown = set(merged) - known
     if unknown:
@@ -160,29 +158,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if harness.run_verification(seed=args.seed) else 1
 
 
-def _check_columns(path, columns: dict, names) -> None:
-    missing = [name for name in names if name not in columns]
-    if missing:
-        raise ConfigError(f"{path} has no column(s) {', '.join(missing)}")
-
-
-def _read_telemetry(path) -> tuple[np.ndarray, np.ndarray]:
-    """Probabilities and losses of a --debug-probs CSV, validated row by row."""
-    telemetry = harness.read_csv_columns(path)
-    experts = max(1, sum(1 for name in telemetry if name.startswith("p_")))
-    names = [f"{kind}_{m}" for kind in "pl" for m in range(experts)]
-    _check_columns(path, telemetry, names)
-    table = np.column_stack([telemetry[name] for name in names])
-    probs, losses = table[:, :experts], table[:, experts:]
-    for t, (p_row, l_row) in enumerate(zip(probs, losses), start=1):
-        try:
-            core.as_simplex(p_row)
-            core.as_loss_array(l_row)
-        except ValueError as exc:
-            raise ValueError(f"{path} round {t}: {exc}") from exc
-    return probs, losses
-
-
 def _cmd_bounds(args: argparse.Namespace) -> int:
     if args.w_budget is not None:
         w_budget = core.as_budget(args.w_budget)
@@ -192,11 +167,10 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     else:
         raise ConfigError("provide --w-budget, or --kernel with --experts and --rounds")
 
-    columns = harness.read_csv_columns(args.csv)
-    _check_columns(args.csv, columns, ("D", "V", "bound_var", "bound_range", "exp_regret"))
+    needed = ("D", "V", "bound_var", "bound_range", "exp_regret")
+    columns = harness.read_csv_columns(args.csv, needed)
     if args.probs:
-        probs, losses = _read_telemetry(args.probs)
-        report = oracle.bound_report(w_budget, probs, losses)
+        report = oracle.bound_report(w_budget, *harness.read_probs_csv(args.probs))
         print(
             f"W={report.w_budget:.12g} D={report.D:.12g} V*={report.v_star:.12g} "
             f"sum_d_sq={report.sum_d_sq:.12g}"

@@ -4,7 +4,7 @@ Centering of raw losses into performance scores, the range/variance
 round statistics, the adaptive learning rate eta = gamma / sqrt(V + gamma^2 D^2),
 the closed-form gamma for a given competition-class budget, and the two
 second-order regret bounds.  The helpers trust their inputs: inputs are
-validated once, at ``Aggregator.observe`` and in the CLI.
+validated once, at ``Aggregator.observe`` and ``oracle.bound_report``.
 
 Everything here is a pure function over floats and arrays; no shared mutable state.
 """
@@ -12,6 +12,7 @@ Everything here is a pure function over floats and arrays; no shared mutable sta
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -57,17 +58,23 @@ def as_loss_array(values, num_experts: int | None = None) -> np.ndarray:
     return arr
 
 
-def as_simplex(values, num_experts: int | None = None, tol: float = 1e-9) -> np.ndarray:
-    """Validate a probability vector: entries >= 0, sum == 1 within tol."""
+def as_simplex(values, tol: float = 1e-9) -> np.ndarray:
+    """Validate a probability vector, or a (T, M) table with one per row: entries
+    finite and >= -tol, each vector summing to 1 within tol.  A table's first
+    bad row is named as its round, counting from 1."""
     arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError(f"probability vector must be 1-D and nonempty, got shape {arr.shape}")
-    if num_experts is not None and arr.size != num_experts:
-        raise ValueError(f"expected {num_experts} probabilities, got {arr.size}")
-    if np.any(arr < -tol) or not math.isfinite(float(arr.sum())):
-        raise ValueError("probabilities must be nonnegative and finite")
-    if abs(float(arr.sum()) - 1.0) > tol:
-        raise ValueError(f"probabilities sum to {arr.sum()!r}, not 1")
+    if arr.ndim not in (1, 2) or arr.shape[-1] == 0:
+        raise ValueError(f"probabilities must be a nonempty vector or table, not shape {arr.shape}")
+    rows = arr.reshape(-1, arr.shape[-1])
+    sums = np.einsum("ij->i", rows)
+    # NaN fails every test; per-row minima, slow on narrow rows, only if some entry is negative
+    bad = ~(np.abs(sums - 1.0) <= tol)
+    if not rows.min(initial=0.0) >= -tol:
+        bad |= ~(rows >= -tol).all(axis=1)
+    if bad.any():
+        i = int(bad.argmax())
+        where = f"round {i + 1}: " if arr.ndim == 2 else ""
+        raise ValueError(f"{where}probabilities must be nonnegative and sum to 1, not {sums[i]}")
     return arr
 
 
@@ -100,8 +107,9 @@ def round_stats(d: float, v: float, D: float, V: float, carry: float) -> tuple[f
 
 
 def as_gamma(gamma) -> float:
-    """Validate the rate scale gamma: a positive finite real."""
-    if not (isinstance(gamma, (int, float)) and math.isfinite(gamma) and gamma > 0):
+    """Validate the rate scale gamma: a positive finite real, not a bool."""
+    real = isinstance(gamma, numbers.Real) and not isinstance(gamma, bool)
+    if not (real and math.isfinite(gamma) and gamma > 0):
         raise ConfigError(f"gamma must be a positive finite real, got {gamma!r}")
     return float(gamma)
 

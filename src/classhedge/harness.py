@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
+import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterator
@@ -23,7 +24,8 @@ from typing import Iterator
 import numpy as np
 
 from .aggregator import Aggregator
-from .core import ConfigError, InvariantViolation, bound_range, bound_var, gamma_from_budget
+from .core import ConfigError, InvariantViolation, as_gamma, gamma_from_budget
+from .core import bound_range, bound_var
 from .kernels import (
     ClassParams,
     TransitionKernel,
@@ -154,7 +156,7 @@ class ExperimentConfig:
     loss_gen: str = "iid-uniform"
     loss_params: dict = field(default_factory=dict)
     seed: int = 0
-    out: str | None = None
+    out: str | os.PathLike | None = None
     debug_probs: bool = False
 
     def validate(self) -> None:
@@ -169,9 +171,11 @@ class ExperimentConfig:
         if not 0 <= int(self.seed) < 2**64:
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if self.gamma != "auto":
-            g = float(self.gamma)
-            if not (math.isfinite(g) and g > 0):
-                raise ConfigError(f"gamma must be 'auto' or a positive real, got {self.gamma!r}")
+            as_gamma(self.gamma)
+        if self.out is not None and not isinstance(self.out, (str, os.PathLike)):
+            raise ConfigError(f"out must be a path, got {self.out!r}")
+        if not isinstance(self.debug_probs, bool):
+            raise ConfigError(f"debug_probs must be true or false, got {self.debug_probs!r}")
 
 
 @dataclass
@@ -209,9 +213,6 @@ class RegretReport:
     @property
     def rounds(self) -> int:
         return len(self.expected_loss)
-
-    def final_bound_report(self) -> oracle.BoundReport:
-        return oracle.bound_report(self.w_budget, self.probs, self.losses)
 
 
 def run_experiment(config: ExperimentConfig) -> RegretReport:
@@ -296,26 +297,21 @@ def run_experiment(config: ExperimentConfig) -> RegretReport:
     return report
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
+def _write_csv(path, header, table, fmt="%.17g") -> None:
+    """Header line, then one line per row: 17 significant digits make a parse
+    exact, and a whole float such as ``t`` prints as an integer."""
+    try:
+        with open(path, "w", newline="") as fh:
+            np.savetxt(fh, table, fmt=fmt, delimiter=",", header=",".join(header), comments="")
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc}") from exc
 
 
 def emit_csv(report: RegretReport, path) -> None:
-    """Write the per-round report: header plus one row per round.
-
-    Floats carry 17 significant digits so a round-trip parse is exact; the
-    byte stream is a pure function of the report.
-    """
-    path = Path(path)
+    """Write the per-round report: header plus one row per round."""
     # every column after "t" is the report array of the same name
-    columns = [getattr(report, name) for name in CSV_COLUMNS[1:]]
-    try:
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(CSV_COLUMNS) + "\n")
-            for t in range(report.rounds):
-                fh.write(",".join([str(t + 1)] + [_fmt(c[t]) for c in columns]) + "\n")
-    except OSError as exc:
-        raise OSError(f"cannot write report to {path}: {exc}") from exc
+    columns = [np.arange(1, report.rounds + 1)] + [getattr(report, c) for c in CSV_COLUMNS[1:]]
+    _write_csv(path, CSV_COLUMNS, np.column_stack(columns))
 
 
 def probs_csv_path(out_path) -> Path:
@@ -323,47 +319,55 @@ def probs_csv_path(out_path) -> Path:
     return out_path.with_name(out_path.stem + ".probs.csv")
 
 
+def _probs_columns(experts: int) -> list[str]:
+    return [f"{kind}_{m}" for kind in "pl" for m in range(experts)]
+
+
 def emit_probs_csv(report: RegretReport, path) -> None:
     """Debug telemetry: played probabilities and raw losses per round."""
-    path = Path(path)
-    experts = report.probs.shape[1]
-    header = ["t"] + [f"{kind}_{m}" for kind in "pl" for m in range(experts)]
-    try:
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            for t in range(report.rounds):
-                cells = [str(t + 1)]
-                cells += [_fmt(x) for x in report.probs[t]]
-                cells += [_fmt(x) for x in report.losses[t]]
-                fh.write(",".join(cells) + "\n")
-    except OSError as exc:
-        raise OSError(f"cannot write telemetry to {path}: {exc}") from exc
+    header = ["t"] + _probs_columns(report.probs.shape[1])
+    table = np.column_stack([np.arange(1, report.rounds + 1), report.probs, report.losses])
+    _write_csv(path, header, table)
 
 
-def read_csv_columns(path) -> dict[str, np.ndarray]:
-    """Parse a CSV written by this module back into named float columns."""
-    path = Path(path)
+def read_csv_columns(path, required=()) -> dict[str, np.ndarray]:
+    """Parse a CSV written by this module back into named float columns; a
+    ``required`` column the header lacks is a ConfigError."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    data = np.array([[float(cell) for cell in row] for row in rows])
-    if data.ndim != 2 or data.shape[1] != len(header):
-        raise ValueError(f"{path} is not a rectangular CSV with {len(header)} columns")
+        with warnings.catch_warnings():
+            # a header-only file warns, then is rejected below as an empty table
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            try:
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from exc
+    if len(data) == 0 or data.shape[1] != len(header):
+        raise ValueError(f"{path} needs at least one row of {len(header)} numbers under its header")
+    missing = [name for name in required if name not in header]
+    if missing:
+        raise ConfigError(f"{path} has no column(s) {', '.join(missing)}")
     return {name: data[:, i] for i, name in enumerate(header)}
+
+
+def read_probs_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """The (T, M) probabilities and losses of an ``emit_probs_csv`` file, unchecked."""
+    with open(path) as fh:
+        experts = max(1, sum(name.startswith("p_") for name in fh.readline().strip().split(",")))
+    names = _probs_columns(experts)
+    columns = read_csv_columns(path, names)
+    table = np.column_stack([columns[name] for name in names])
+    return table[:, :experts], table[:, experts:]
 
 
 # --- sweeps ---------------------------------------------------------------
 
 
-def _sweep_task(args: tuple[ExperimentConfig, Path]) -> tuple[int, float, float, float]:
-    config, out_path = args
-    report = run_experiment(replace(config, out=str(out_path)))
-    return (
-        int(config.seed),
-        float(report.exp_regret[-1]),
-        float(report.bound_var[-1]),
-        float(report.bound_range[-1]),
-    )
+def _sweep_task(config: ExperimentConfig) -> tuple[int, float, float, float, int]:
+    """One seed's summary row: seed, final regret and bounds, within_bound."""
+    report = run_experiment(config)
+    regret, bound = float(report.exp_regret[-1]), float(report.bound_var[-1])
+    return int(config.seed), regret, bound, float(report.bound_range[-1]), int(regret <= bound)
 
 
 def run_sweep(
@@ -379,12 +383,11 @@ def run_sweep(
     """
     if not seeds:
         raise ConfigError("sweep needs at least one seed")
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError(f"sweep seeds must be distinct, got {list(seeds)}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    tasks = [
-        (replace(base, seed=s, out=None, debug_probs=False), out_dir / f"seed_{s}.csv")
-        for s in seeds
-    ]
+    tasks = [replace(base, seed=s, out=out_dir / f"seed_{s}.csv", debug_probs=False) for s in seeds]
     workers = jobs or min(len(seeds), os.cpu_count() or 1)
     if workers > 1:
         # imported here: the pool machinery costs ~2 MB of RSS that online use never needs
@@ -396,11 +399,10 @@ def run_sweep(
         results = [_sweep_task(task) for task in tasks]
 
     summary = out_dir / "summary.csv"
-    with open(summary, "w", newline="") as fh:
-        fh.write("seed,exp_regret,bound_var,bound_range,within_bound\n")
-        for seed, regret, b_var, b_range in sorted(results):
-            ok = int(regret <= b_var)
-            fh.write(f"{seed},{_fmt(regret)},{_fmt(b_var)},{_fmt(b_range)},{ok}\n")
+    header = ("seed", "exp_regret", "bound_var", "bound_range", "within_bound")
+    # objects, not floats: a seed may need all 64 bits
+    table = np.array(sorted(results), dtype=object)
+    _write_csv(summary, header, table, fmt=("%d", "%.17g", "%.17g", "%.17g", "%d"))
     return summary
 
 
@@ -477,7 +479,7 @@ def run_verification(seed: int = 0, emit=print) -> bool:
             seed=seed,
         )
     )
-    bounds = report.final_bound_report()
+    bounds = oracle.bound_report(report.w_budget, report.probs, report.losses)
     check(
         "variance statistic is at most a quarter of the squared ranges",
         bounds.v_star <= bounds.sum_d_sq / 4.0 + 1e-12,

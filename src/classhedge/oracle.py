@@ -21,6 +21,7 @@ from .core import (
     InvariantViolation,
     as_budget,
     as_gamma,
+    as_simplex,
     bound_range,
     bound_var,
     center_losses,
@@ -223,21 +224,31 @@ def bound_report(w_budget: float, probs, losses) -> BoundReport:
     """Evaluate the second-order regret bounds from run telemetry.
 
     ``probs`` and ``losses`` are (T, M) arrays of the played probabilities
-    and the raw losses.  Raises if the variance statistic exceeds a quarter
-    of the summed squared ranges, which no valid telemetry can do.
+    and the raw losses.  Raises ValueError naming the first bad round unless
+    every probability row is on the simplex and every loss is finite, and
+    InvariantViolation if the variance statistic exceeds a quarter of the
+    summed squared ranges, which no valid telemetry can do.
     """
     w = as_budget(w_budget)
     p = np.asarray(probs, dtype=float)
     l = np.asarray(losses, dtype=float)
     if p.shape != l.shape or p.ndim != 2:
         raise ValueError(f"probs {p.shape} and losses {l.shape} must be matching 2-D arrays")
+    as_simplex(p)
+    lo, hi = l.min(axis=1), l.max(axis=1)
+    # a NaN or infinite loss reaches its row's minimum or maximum
+    finite = np.isfinite(lo) & np.isfinite(hi)
+    if not finite.all():
+        raise ValueError(f"round {finite.argmin() + 1}: losses contain NaN or infinite entries")
     mu = np.einsum("tm,tm->t", p, l)
-    phi = l - mu[:, None]
-    variances = np.einsum("tm,tm->t", p, phi * phi)
-    ranges = phi.max(axis=1) - phi.min(axis=1)
+    sq = l - mu[:, None]
+    sq *= sq
+    variances = np.einsum("tm,tm->t", p, sq)
+    # x -> fl(x - mu) is monotone, so these are the row ranges of phi, bit for bit
+    ranges = (hi - mu) - (lo - mu)
 
-    v_star = math.fsum(variances)
-    sum_d_sq = math.fsum(r * r for r in ranges)
+    v_star = math.fsum(variances.tolist())
+    sum_d_sq = math.fsum((ranges * ranges).tolist())
     d_top = float(ranges.max()) if ranges.size else 0.0
     if v_star > sum_d_sq / 4.0 + 1e-9 * max(1.0, sum_d_sq):
         raise InvariantViolation(

@@ -196,9 +196,12 @@ def test_criterion_6_rate_conditions_every_round(moving_rate_sweep, assorted_run
 
 def test_criterion_7_variance_bound_dominance(moving_rate_sweep, assorted_runs):
     """V* never exceeds a quarter of the summed squared ranges, so the
-    variance bound refines the range bound, per round and at the horizon."""
+    variance bound refines the range bound, per round and at the horizon;
+    and the anytime expected regret stays below the variance bound on every
+    run, fixed, cyclic and switching kernels alike (gamma auto)."""
     reports = moving_rate_sweep[0] + assorted_runs
     for report in reports:
+        assert np.all(report.exp_regret <= report.bound_var)
         assert np.all(report.V <= report.sum_d_sq / 4.0 + 1e-12)
         assert np.all(report.bound_var <= report.bound_range + 1e-12)
         final = bound_report(report.w_budget, report.probs, report.losses)

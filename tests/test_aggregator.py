@@ -78,6 +78,8 @@ class TestInit:
             Aggregator(fixed_kernel(2), 0.0)
         with pytest.raises(ConfigError):
             Aggregator(fixed_kernel(2), math.nan)
+        with pytest.raises(ConfigError):
+            Aggregator(fixed_kernel(2), True)
 
 
 class TestProbabilities:
@@ -484,6 +486,22 @@ class TestEdgeKernels:
             assert p[1] == 0.0
             assert abs(p.sum() - 1.0) <= 1e-12
             agg.observe(rng.random(3))
+
+    def test_expert_whose_classes_carry_no_weight_gets_zero(self):
+        # expert 1's two classes start, and so stay, at weight 0: its grouped
+        # log-sum-exp segment is all -inf
+        from classhedge.kernels import TransitionKernel
+
+        classes = [(m, j) for m in range(2) for j in range(2)]
+        kernel = TransitionKernel(
+            "half-started", 2, classes, {c: [(c, 1.0)] for c in classes},
+            init_weights={(0, 0): 0.5, (0, 1): 0.5},
+        )
+        agg = Aggregator(kernel, 1.0)
+        rng = np.random.default_rng(23)
+        for _ in range(5):
+            np.testing.assert_array_equal(agg.probabilities(), [1.0, 0.0])
+            agg.observe(rng.random(2))
 
 
 class TestLongHorizon:

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -187,6 +188,16 @@ def test_non_integer_config_value_exits_nonzero(tmp_path, capsys, line):
     assert "must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["out = 123", "out = true", "debug_probs = no", "gamma = fast"])
+def test_invalid_config_value_exits_nonzero_and_writes_nothing(tmp_path, capsys, monkeypatch, line):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"experts = 3\nrounds = 20\nout = run.csv\n{line}\n")
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert [path.name for path in tmp_path.iterdir()] == ["exp.cfg"]
+
+
 def _run_with_probs(tmp_path):
     out = tmp_path / "run.csv"
     assert main([
@@ -217,6 +228,20 @@ def test_bounds_rejects_invalid_telemetry_rows(tmp_path, capsys):
         assert main(["bounds", "--csv", str(out), "--probs", str(probs), "--w-budget", "5"]) == 1
         err = capsys.readouterr().err
         assert "round 3" in err and message in err
+
+
+def test_bounds_rejects_header_only_csv(tmp_path, capsys):
+    out, probs = _run_with_probs(tmp_path)
+    capsys.readouterr()
+    for emptied in (out, probs):
+        full = emptied.read_text()
+        emptied.write_text(full.splitlines()[0] + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["bounds", "--csv", str(out), "--probs", str(probs), "--w-budget", "5"]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {emptied} needs at least one row" in err
+        emptied.write_text(full)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -59,6 +59,19 @@ class TestValidation:
         with pytest.raises(ValueError, match="nonnegative"):
             as_simplex([1.5, -0.5])
 
+    @pytest.mark.parametrize(
+        "row, sum_text",
+        [([0.9, 0.0], "0.9"), ([1.5, -0.5], "1.0"), ([math.nan, 1.0], "nan"), ([math.inf, 0.0], "inf")],
+    )
+    def test_simplex_table_names_first_bad_round(self, row, sum_text):
+        table = np.full((5, 2), 0.5)
+        table[2] = row
+        table[4] = [2.0, 0.0]
+        message = f"round 3: probabilities must be nonnegative and sum to 1, not {sum_text}"
+        with pytest.raises(ValueError, match=message):
+            as_simplex(table)
+        np.testing.assert_array_equal(as_simplex(table[:2]), 0.5)
+
 
 class TestCenterLosses:
     def test_constant_losses_center_to_zero(self):

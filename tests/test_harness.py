@@ -1,6 +1,7 @@
 """Tests for loss generators, the experiment loop, CSV emission, and sweeps."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from classhedge.harness import (
     make_kernel,
     probs_csv_path,
     read_csv_columns,
+    read_probs_csv,
     run_experiment,
     run_sweep,
     run_verification,
@@ -110,7 +112,11 @@ class TestConfig:
             ExperimentConfig(experts=2, rounds=0).validate()
         with pytest.raises(ConfigError):
             ExperimentConfig(experts=2, rounds=5, gamma=-1.0).validate()
+        for bad in ({"gamma": "fast"}, {"gamma": True}, {"out": 123}, {"debug_probs": "no"}):
+            with pytest.raises(ConfigError):
+                ExperimentConfig(experts=2, rounds=5, **bad).validate()
         ExperimentConfig(experts=2, rounds=5).validate()
+        ExperimentConfig(experts=2, rounds=5, gamma=2, out=Path("run.csv")).validate()
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ConfigError, match="unknown kernel"):
@@ -212,6 +218,15 @@ def _replay_transformed(base_report, scale, shifts):
     return probs, float(np.cumsum(expected)[-1] - best[-1])
 
 
+def _per_cell_csv(header, table) -> bytes:
+    """Reference rendering of a report CSV, one cell at a time: ``t`` as an
+    integer, every other cell with format(x, ".17g"), and "\n" line ends."""
+    lines = [",".join(header)]
+    for t, row in enumerate(table, start=1):
+        lines.append(",".join([str(t)] + [format(float(x), ".17g") for x in row]))
+    return ("\n".join(lines) + "\n").encode()
+
+
 class TestCsv:
     def test_two_lines_for_single_round(self, tmp_path):
         report = run_experiment(ExperimentConfig(experts=2, rounds=1, seed=11))
@@ -242,10 +257,45 @@ class TestCsv:
         )
         out = tmp_path / "run.csv"
         emit_csv(report, out)
+        emit_probs_csv(report, probs_csv_path(out))
         columns = read_csv_columns(out)
-        np.testing.assert_allclose(columns["exp_regret"], report.exp_regret, rtol=1e-9)
-        np.testing.assert_array_equal(columns["eta"], report.eta)
+        assert tuple(columns) == CSV_COLUMNS
         np.testing.assert_array_equal(columns["t"], np.arange(1, 26))
+        for name in CSV_COLUMNS[1:]:
+            np.testing.assert_array_equal(columns[name], getattr(report, name))
+        telemetry = read_csv_columns(probs_csv_path(out))
+        assert list(telemetry) == ["t", "p_0", "p_1", "p_2", "l_0", "l_1", "l_2"]
+        np.testing.assert_array_equal(telemetry["t"], np.arange(1, 26))
+        for m in range(3):
+            np.testing.assert_array_equal(telemetry[f"p_{m}"], report.probs[:, m])
+            np.testing.assert_array_equal(telemetry[f"l_{m}"], report.losses[:, m])
+        probs, losses = read_probs_csv(probs_csv_path(out))
+        np.testing.assert_array_equal(probs, report.probs)
+        np.testing.assert_array_equal(losses, report.losses)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            ExperimentConfig(experts=3, rounds=25, kernel="cyclic", loss_gen="gaussian-drift", seed=12),
+            # every round is degenerate, so the eta column is inf throughout
+            ExperimentConfig(experts=2, rounds=6, loss_gen="constant", loss_params={"value": -0.1}),
+            ExperimentConfig(
+                experts=4, rounds=30, kernel="switching", seed=5,
+                loss_params={"offset": -1e6, "scale": 1e-3},
+            ),
+        ],
+    )
+    def test_bytes_match_per_cell_rendering(self, tmp_path, config):
+        report = run_experiment(config)
+        out = tmp_path / "run.csv"
+        emit_csv(report, out)
+        emit_probs_csv(report, probs_csv_path(out))
+        table = np.column_stack([getattr(report, name) for name in CSV_COLUMNS[1:]])
+        assert out.read_bytes() == _per_cell_csv(CSV_COLUMNS, table)
+        experts = config.experts
+        header = ["t"] + [f"p_{m}" for m in range(experts)] + [f"l_{m}" for m in range(experts)]
+        telemetry = np.hstack([report.probs, report.losses])
+        assert probs_csv_path(out).read_bytes() == _per_cell_csv(header, telemetry)
 
     def test_identical_config_byte_identical_csv(self, tmp_path):
         config = ExperimentConfig(
@@ -286,6 +336,21 @@ class TestSweep:
         assert columns["within_bound"].all()
         for seed in (0, 1, 2):
             assert (tmp_path / "sweep" / f"seed_{seed}.csv").exists()
+
+    def test_large_seeds_keep_their_exact_digits(self, tmp_path):
+        seeds = [2**64 - 1, 2**53 + 1]
+        base = ExperimentConfig(experts=2, rounds=5)
+        summary = run_sweep(base, seeds, tmp_path / "sweep", jobs=1)
+        rows = summary.read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == [str(2**53 + 1), str(2**64 - 1)]
+        for seed in seeds:
+            assert (tmp_path / "sweep" / f"seed_{seed}.csv").exists()
+
+    def test_repeated_seed_rejected(self, tmp_path):
+        base = ExperimentConfig(experts=2, rounds=5)
+        with pytest.raises(ConfigError, match="distinct"):
+            run_sweep(base, [1, 1, 2], tmp_path / "sweep", jobs=1)
+        assert not (tmp_path / "sweep").exists()
 
     def test_parallel_matches_serial(self, tmp_path):
         base = ExperimentConfig(experts=2, rounds=30, kernel="fixed", seed=0)

@@ -190,6 +190,22 @@ class TestBoundReport:
         with pytest.raises(ValueError, match="matching"):
             bound_report(1.0, np.zeros((3, 2)), np.zeros((2, 2)))
 
+    @pytest.mark.parametrize(
+        "table, cell, value, message",
+        [
+            ("losses", (6, 1), math.nan, "round 7: losses contain NaN or infinite"),
+            ("losses", (6, 0), -math.inf, "round 7: losses contain NaN or infinite"),
+            ("probs", (6, 0), 0.4, "round 7: probabilities must be nonnegative and sum to 1, not 0.9"),
+            ("probs", (6, 0), -0.5, "round 7: probabilities must be nonnegative and sum to 1, not 0.0"),
+        ],
+    )
+    def test_bad_telemetry_row_named_by_round(self, table, cell, value, message):
+        arrays = {"probs": np.full((9, 2), 0.5), "losses": np.tile([0.0, 1.0], (9, 1))}
+        arrays[table][cell] = value
+        arrays[table][8] = arrays[table][cell[0]]
+        with pytest.raises(ValueError, match=message):
+            bound_report(2.0, arrays["probs"], arrays["losses"])
+
     def test_budget_below_one_rejected(self):
         with pytest.raises(ConfigError):
             bound_report(0.5, np.ones((1, 1)), np.ones((1, 1)))
