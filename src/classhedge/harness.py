@@ -19,7 +19,7 @@ import os
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -62,14 +62,22 @@ _GEN_PARAMS = {
 GENERATORS = tuple(_GEN_PARAMS)
 
 
+def _as_params(params, owner: str) -> dict:
+    if params is None:
+        return {}
+    if not isinstance(params, Mapping):
+        raise ConfigError(f"{owner} parameters must be a mapping of names to values, got {params!r}")
+    return dict(params)
+
+
 def make_kernel(name: str, num_experts: int, params: dict | None = None) -> TransitionKernel:
-    params = dict(params or {})
+    params = _as_params(params, f"kernel {name!r}")
     if name == "fixed":
         kernel = fixed_kernel(num_experts)
     elif name == "cyclic":
         kernel = cyclic_kernel(num_experts)
     elif name == "switching":
-        kernel = switching_kernel(num_experts, float(params.pop("switch_weight", 0.1)))
+        kernel = switching_kernel(num_experts, params.pop("switch_weight", 0.1))
     else:
         raise ConfigError(f"unknown kernel {name!r}; choose from {KERNELS}")
     if params:
@@ -91,15 +99,18 @@ def loss_generator(
     if name not in _GEN_PARAMS:
         raise ConfigError(f"unknown loss generator {name!r}; choose from {GENERATORS}")
     defaults = _GEN_PARAMS[name]
-    unknown = set(params or {}) - set(defaults)
+    params = _as_params(params, f"generator {name!r}")
+    unknown = set(params) - set(defaults)
     if unknown:
         raise ConfigError(f"generator {name!r} does not take parameters {sorted(unknown)}")
-    values = {**defaults, **(params or {})}
+    values = {**defaults, **params}
     for key, value in values.items():
         if isinstance(defaults[key], int):
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"generator parameter {key}={value!r} must be an integer")
-        elif not math.isfinite(float(value)):
+        elif isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ConfigError(f"generator parameter {key}={value!r} must be a real number")
+        elif not math.isfinite(value):
             raise ConfigError(f"generator parameter {key}={value!r} must be finite")
     if name == "adversarial-switching" and values["period"] < 1:
         raise ConfigError(f"period must be >= 1, got {values['period']}")

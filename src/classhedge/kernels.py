@@ -13,6 +13,7 @@ dynamic-programming search for the best in-class competitor.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -40,8 +41,8 @@ class KernelTables:
     it, as in the fixed and cyclic classes) and ``share``, the (stay, off)
     weights of a fixed-share map (k >= 2, all k^2 edges, one weight on the
     diagonal and one off it, as in the switching class).  The engine's mixing
-    step takes a closed form for each, the DPs one for fixed share; every
-    other kernel uses the edge lists.
+    step and both competitor DPs take a closed form for each; every other
+    kernel uses the edge lists.
     """
 
     classes: tuple[ClassParams, ...]
@@ -391,9 +392,10 @@ def switching_kernel(num_experts: int, switch_weight: float) -> TransitionKernel
     """
     if num_experts < 2:
         raise ConfigError(f"switching kernel needs at least 2 experts, got {num_experts}")
+    real = isinstance(switch_weight, numbers.Real) and not isinstance(switch_weight, bool)
+    if not (real and 0.0 < switch_weight < 1.0):
+        raise ConfigError(f"switch_weight must be a real in (0, 1), got {switch_weight!r}")
     w = float(switch_weight)
-    if not (0.0 < w < 1.0 and math.isfinite(w)):
-        raise ConfigError(f"switch_weight must lie in (0, 1), got {switch_weight!r}")
     stay, off = 1.0 - w, w / (num_experts - 1)
     ids = np.arange(num_experts)
     weights = np.full(num_experts * num_experts, off)
@@ -463,6 +465,139 @@ def validate_loss_table(kernel: TransitionKernel, losses) -> np.ndarray:
     return table
 
 
+# (round, class) entries in one block of the structured DPs, which hold at
+# least one round: their temporaries, a few arrays of this size (about 0.3 MB
+# in all), do not grow with the number of rounds.
+_BLOCK = 8192
+
+
+def _best_start(tb: KernelTables, suffix: np.ndarray) -> tuple[int, float]:
+    """First minimum of the round-1 suffix values over the classes a path may start in."""
+    masked = np.where(tb.init_weights > 0.0, suffix, np.inf)
+    start = int(np.argmin(masked))  # first minimum = lex-smallest class
+    return start, float(masked[start])
+
+
+def _orbit_block(tb: KernelTables, rounds: int, num_experts: int):
+    """One block of a permutation kernel's orbits: (orbit, flat, jump).
+
+    ``orbit[j, c]`` is succ^j(c) for the block's B rounds, built by doubling
+    (about log2 B gathers); ``flat[j, c]`` indexes the loss of that class's
+    expert in a block of the flattened loss table; ``jump`` is succ^B.
+    """
+    k = tb.num_classes
+    width = max(1, min(rounds, _BLOCK // k))
+    succ = tb.adj_dst  # adj_src is 0..k-1
+    orbit = np.empty((width, k), dtype=np.intp)
+    orbit[0] = np.arange(k)
+    filled = 1
+    while filled < width:
+        n = min(filled, width - filled)
+        # succ^(filled + j)(c) = succ^j(succ^filled(c))
+        orbit[filled:filled + n] = orbit[:n, succ[orbit[filled - 1]]]
+        filled += n
+    flat = tb.expert_of[orbit]
+    flat += np.arange(0, width * num_experts, num_experts)[:, None]
+    return orbit, flat, succ[orbit[-1]]
+
+
+def _running_sum(rows: np.ndarray) -> None:
+    """Sum down the rows in place, each entry fl(entry above + entry), strictly in order.
+
+    ``np.add.accumulate`` costs a few ns per entry whatever the shape, so
+    blocks of at most 32 rows, each of 256 classes or more, add row by row.
+    """
+    if len(rows) > 32:
+        np.add.accumulate(rows, axis=0, out=rows)
+    else:
+        for j in range(1, len(rows)):
+            np.add(rows[j - 1], rows[j], out=rows[j])
+
+
+def _orbit_path(table: np.ndarray, tb: KernelTables) -> tuple[list[int], float]:
+    rounds = len(table)
+    orbit, flat, jump = _orbit_block(tb, rounds, table.shape[1])
+    width = len(orbit)
+    # -0.0 is the exact identity of addition, the sign of a zero included
+    carry = np.full(tb.num_classes, -0.0)
+    for lo in range((rounds - 1) // width * width, -1, -width):
+        # row j, column c: the loss of the class j steps on from c at round lo
+        block = table[lo:lo + width].ravel().take(flat[:rounds - lo])
+        block[-1] += carry
+        _running_sum(block[::-1])
+        # the class after a row's last round is succ^B of its first
+        carry = block[0].take(jump)
+    start, best_loss = _best_start(tb, block[0])
+    heads = [start]  # the path's class at the first round of each block
+    for _ in range((rounds - 1) // width):
+        heads.append(int(jump[heads[-1]]))
+    path = orbit[:, heads].T.ravel()[:rounds]
+    return path.tolist(), best_loss
+
+
+def _orbit_prefix(table: np.ndarray, tb: KernelTables) -> np.ndarray:
+    rounds = len(table)
+    _, flat, jump = _orbit_block(tb, rounds, table.shape[1])
+    width = len(flat)
+    before = np.empty_like(jump)
+    before[jump] = np.arange(len(jump))  # the class whose row ends one round before c's
+    # -0.0 leaves a start's loss as it is; inf bars the classes no path starts in
+    carry = np.where(tb.init_weights > 0.0, -0.0, np.inf)
+    out = np.empty(rounds)
+    for lo in range(0, rounds, width):
+        block = table[lo:lo + width].ravel().take(flat[:rounds - lo])
+        block[0] += carry
+        _running_sum(block)
+        block.min(axis=1, out=out[lo:lo + len(block)])
+        carry = block[-1].take(before)
+    return out
+
+
+def _round_minima(table: np.ndarray, tb: KernelTables) -> np.ndarray:
+    """Each round's least loss over the classes' experts, in blocks unless every expert has one."""
+    cols = tb.present_experts
+    if len(cols) == table.shape[1]:
+        return table.min(axis=1)
+    width = max(1, _BLOCK // len(cols))
+    return np.concatenate(
+        [table[lo:lo + width, cols].min(axis=1) for lo in range(0, len(table), width)]
+    )
+
+
+def _share_path(table: np.ndarray, tb: KernelTables) -> tuple[list[int], float]:
+    rounds = len(table)
+    # best[t]: the least suffix value from round t on, fl(minima[t] + best[t+1]); best[T] = -0.0
+    best = np.add.accumulate(np.append(_round_minima(table, tb), -0.0)[::-1])[::-1]
+    firsts = np.empty(rounds, dtype=np.intp)
+    width = max(1, _BLOCK // tb.num_classes)
+    for lo in range(0, rounds, width):
+        suffix = table[lo:lo + width, tb.expert_of]
+        suffix += best[lo + 1:lo + width + 1, None]
+        suffix.argmin(axis=1, out=firsts[lo:lo + len(suffix)])
+    start, best_loss = _best_start(tb, table[0][tb.expert_of] + best[1])
+    return [start] + firsts[1:].tolist(), best_loss
+
+
+def _edge_list_path(table: np.ndarray, tb: KernelTables) -> tuple[list[int], float]:
+    rounds = len(table)
+    nnz = len(tb.adj_dst)
+    back = np.empty((max(rounds - 1, 0), tb.num_classes), dtype=np.intp)
+    edge_pos = np.arange(nnz)
+    suffix = table[rounds - 1][tb.expert_of]
+    for t in range(rounds - 2, -1, -1):
+        cand = suffix[tb.adj_dst]
+        seg_min = np.minimum.reduceat(cand, tb.adj_starts)
+        # first minimal edge in each segment = lex-smallest successor
+        marked = np.where(cand == seg_min[tb.adj_src], edge_pos, nnz)
+        back[t] = tb.adj_dst[np.minimum.reduceat(marked, tb.adj_starts)]
+        suffix = table[t][tb.expert_of] + seg_min
+    start, best_loss = _best_start(tb, suffix)
+    path = [start]
+    for t in range(rounds - 1):
+        path.append(int(back[t][path[-1]]))
+    return path, best_loss
+
+
 def best_competitor(
     kernel: TransitionKernel, losses
 ) -> tuple[tuple[ClassParams, ...], float]:
@@ -470,60 +605,41 @@ def best_competitor(
 
     A path's cost is the sum over rounds of the loss of the expert its class
     selects.  Ties are broken toward the lexicographically smallest class
-    sequence.  Returns (path, cumulative loss).  The min-plus step depends
-    only on the edge set, so two structures take it in closed form, with the
-    same bits as the edge lists: a permutation kernel's path is fixed by its
-    first class and keeps no back-pointers, and a fixed-share kernel (all
-    k^2 edges) keeps one per round.  Other kernels keep one per class and
-    round.
+    sequence.  Returns (path, cumulative loss).  Every kernel has the same
+    backward recursion, suffix_t(c) = x_t(c) + min over successors b of
+    suffix_t+1(b), where x_t(c) is the loss of c's expert at round t; two
+    structures take it without a per-round loop:
+
+    - a permutation kernel (fixed, cyclic) fixes a path by its first class,
+      so suffix_0(c) is a right-to-left running sum along c's orbit.  The
+      rounds are cut into blocks of B rounds and k classes, B*k about
+      ``_BLOCK``; ``orbit[j, c]`` = succ^j(c) is built once by doubling.
+      Each block's losses are one ``take``, last block first, summed by a
+      reversed ``np.add.accumulate`` (strictly sequential, like the loop);
+      the carry into row c is the later block's first row at succ^B(c).
+      The path is read off ``orbit`` from its first class.
+    - on a fixed-share kernel (switching) every class succeeds every class,
+      and rounding is monotone, so min_c fl(x_c + a) = fl(min_c x_c + a):
+      the least suffix from each round on is one reverse accumulate of the
+      rounds' minima, and the back-pointer of round t is the first minimum
+      of fl(x_t+1 + least suffix from t+2), one ``argmin`` per block.
+
+    Both give the loop's path and bits, save the sign of a zero loss: numpy's
+    ``min`` does not fix which of -0.0 and +0.0 it returns, and neither did
+    the loop.  Their temporaries are a few arrays of one block (at least one
+    round) plus a few numbers per round, whatever the number of rounds.
+    Other kernels walk the edge lists round by round, keeping one
+    back-pointer per class and round; they are the reference.
     """
     table = validate_loss_table(kernel, losses)
-    rounds = table.shape[0]
     tb = kernel.tables
-    k = tb.num_classes
-    nnz = len(tb.adj_dst)
-    steps = max(rounds - 1, 0)
-    if tb.share is not None:
-        back = np.empty(steps, dtype=np.intp)
-    elif not tb.permutation:
-        back = np.empty((steps, k), dtype=np.intp)
-        edge_pos = np.arange(nnz)
-
-    suffix = table[rounds - 1][tb.expert_of]
-    for t in range(rounds - 2, -1, -1):
-        if tb.permutation:
-            # one successor per class: its suffix is the segment minimum
-            seg_min = suffix[tb.adj_dst]
-        elif tb.share is not None:
-            # every class succeeds every class: each class's lex-smallest best
-            # successor is the first minimum overall
-            back[t] = np.argmin(suffix)
-            seg_min = suffix[back[t]]
-        else:
-            cand = suffix[tb.adj_dst]
-            seg_min = np.minimum.reduceat(cand, tb.adj_starts)
-            # first minimal edge in each segment = lex-smallest successor
-            marked = np.where(cand == seg_min[tb.adj_src], edge_pos, nnz)
-            first_edge = np.minimum.reduceat(marked, tb.adj_starts)
-            back[t] = tb.adj_dst[first_edge]
-        suffix = table[t][tb.expert_of] + seg_min
-
-    start_ok = tb.init_weights > 0.0
-    masked = np.where(start_ok, suffix, np.inf)
-    start = int(np.argmin(masked))  # first minimum = lex-smallest class
-    best_loss = float(masked[start])
     if tb.permutation:
-        succ = tb.adj_dst.tolist()  # adj_src is 0..k-1
-        path_idx = [start]
-        for _ in range(steps):
-            path_idx.append(succ[path_idx[-1]])
+        path, best_loss = _orbit_path(table, tb)
     elif tb.share is not None:
-        path_idx = [start] + back.tolist()
+        path, best_loss = _share_path(table, tb)
     else:
-        path_idx = [start]
-        for t in range(steps):
-            path_idx.append(int(back[t][path_idx[-1]]))
-    return tuple(tb.classes[i] for i in path_idx), best_loss
+        path, best_loss = _edge_list_path(table, tb)
+    return tuple(tb.classes[i] for i in path), best_loss
 
 
 def best_prefix_losses(kernel: TransitionKernel, losses) -> np.ndarray:
@@ -531,28 +647,32 @@ def best_prefix_losses(kernel: TransitionKernel, losses) -> np.ndarray:
 
     One forward DP pass; entry t-1 is the best competitor loss over rounds
     1..t.  The final entry matches best_competitor's cumulative loss.  On a
-    fixed-share kernel every class is carried the previous best, and on a
-    permutation kernel its one predecessor's value: exactly what the
-    edge-list minimum gives.
+    permutation kernel each class's value is a running sum along its orbit:
+    each block of rounds (see ``best_competitor``) is one ``take``, summed
+    down its rows by ``np.add.accumulate`` (strictly sequential, the loop's
+    bits) after its first row takes the carry of the row whose block ends
+    one round before, then reduced by a ``min`` over the classes.  On a
+    fixed-share kernel every class is carried the previous best, so by
+    monotone rounding the entries are an ``np.add.accumulate`` of the
+    rounds' minima.  Both keep the edge-list loop's values, save the sign of
+    a zero minimum, in temporaries of one block; other kernels take that
+    loop.
     """
     table = validate_loss_table(kernel, losses)
-    rounds = table.shape[0]
     tb = kernel.tables
-    k = tb.num_classes
-
-    dp = np.where(tb.init_weights > 0.0, table[0][tb.expert_of], np.inf)
-    out = np.empty(rounds)
+    if tb.permutation:
+        return _orbit_prefix(table, tb)
+    first = np.where(tb.init_weights > 0.0, table[0][tb.expert_of], np.inf)
+    if tb.share is not None:
+        minima = _round_minima(table, tb)
+        minima[0] = first.min()
+        return np.add.accumulate(minima)
+    dp = first
+    out = np.empty(len(table))
     out[0] = dp.min()
-    for t in range(1, rounds):
-        if tb.share is not None:
-            carried = out[t - 1]  # every class succeeds every class
-        elif tb.permutation:
-            carried = dp[tb.mix_src]  # each class's one predecessor; mix_dst_ids is 0..k-1
-        else:
-            cand = dp[tb.mix_src]
-            seg_min = np.minimum.reduceat(cand, tb.mix_starts)
-            carried = np.full(k, np.inf)
-            carried[tb.mix_dst_ids] = seg_min
+    for t in range(1, len(table)):
+        carried = np.full(tb.num_classes, np.inf)
+        carried[tb.mix_dst_ids] = np.minimum.reduceat(dp[tb.mix_src], tb.mix_starts)
         dp = carried + table[t][tb.expert_of]
         out[t] = dp.min()
     return out

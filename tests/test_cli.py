@@ -198,6 +198,19 @@ def test_invalid_config_value_exits_nonzero_and_writes_nothing(tmp_path, capsys,
     assert [path.name for path in tmp_path.iterdir()] == ["exp.cfg"]
 
 
+@pytest.mark.parametrize(
+    "flag, pair, message",
+    [("--kernel-param", "switch_weight=abc", "switch_weight must be a real in (0, 1), got 'abc'"),
+     ("--loss-param", "scale=x", "generator parameter scale='x' must be a real number")],
+)
+def test_non_numeric_parameter_exits_with_its_config_error(tmp_path, capsys, flag, pair, message):
+    out = tmp_path / "run.csv"
+    argv = ["run", "--experts", "3", "--rounds", "5", "--kernel", "switching", flag, pair, "--out", str(out)]
+    assert main(argv) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _run_with_probs(tmp_path):
     out = tmp_path / "run.csv"
     assert main([

@@ -122,6 +122,27 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown kernel"):
             make_kernel("mystery", 3)
 
+    @pytest.mark.parametrize("weight", ["abc", None, True, "0.1", math.nan, math.inf, 1.0])
+    def test_switch_weight_must_be_a_real_in_the_unit_interval(self, weight):
+        with pytest.raises(ConfigError, match="switch_weight must be a real in"):
+            make_kernel("switching", 3, {"switch_weight": weight})
+
+    def test_switch_weight_accepts_numpy_reals(self):
+        assert make_kernel("switching", 3, {"switch_weight": np.float32(0.25)}).tables.share is not None
+
+    @pytest.mark.parametrize("params", [[1], "switch_weight", 0.1])
+    def test_parameters_must_be_a_mapping(self, params):
+        with pytest.raises(ConfigError, match="must be a mapping"):
+            make_kernel("switching", 3, params)
+        for field in ("kernel_params", "loss_params"):
+            with pytest.raises(ConfigError, match="must be a mapping"):
+                run_experiment(ExperimentConfig(experts=3, rounds=5, kernel="switching", **{field: params}))
+
+    @pytest.mark.parametrize("value", ["x", None, True, [1.0]])
+    def test_real_generator_parameters_must_be_real_numbers(self, value):
+        with pytest.raises(ConfigError, match="must be a real number"):
+            run_experiment(ExperimentConfig(experts=3, rounds=5, loss_params={"scale": value}))
+
     def test_auto_gamma_uses_declared_budget(self):
         report = run_experiment(ExperimentConfig(experts=4, rounds=3, kernel="cyclic", seed=1))
         expected = math.sqrt((1 + 2 * math.log(4)) / (2 * (math.e - 2)))

@@ -4,12 +4,14 @@ import copy
 import dataclasses
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from classhedge import kernels
 from classhedge.aggregator import Aggregator
 from classhedge.core import ConfigError, OutOfClassError, bound_var, gamma_from_budget
 from classhedge.kernels import (
@@ -529,12 +531,58 @@ def edge_list_twin(kernel):
     return twin
 
 
+def assert_same_bits(got, want):
+    """Equal bytes, except that a zero may carry either sign: numpy's ``min``
+    does not fix which of -0.0 and +0.0 it returns, and neither did the loops."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    zero = want == 0.0
+    np.testing.assert_array_equal(got[zero], want[zero])
+    assert got[~zero].tobytes() == want[~zero].tobytes()
+
+
 ROTATE_WITH_INIT = TransitionKernel.from_dense(
     "rotate", 3, [(0,), (1,), (2,)], [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]],
     init_weights={(1,): 0.25, (2,): 0.75},
 )
+with pytest.warns(UserWarning, match="no class for experts"):
+    # fixed share over classes of experts 0 and 2 only, with a prior on expert 0 alone
+    SHARE_WITH_GAP = TransitionKernel.from_dense(
+        "share", 3, [(0, 0), (0, 1), (2, 0)], np.full((3, 3), 0.25) + np.eye(3) * 0.25,
+        init_weights={(0, 0): 0.25, (0, 1): 0.75},
+    )
+
+
 DP_KERNELS = [fixed_kernel(1), fixed_kernel(3), cyclic_kernel(1), cyclic_kernel(2), cyclic_kernel(3),
-              cyclic_kernel(4), switching_kernel(2, 0.5), switching_kernel(4, 0.1), ROTATE_WITH_INIT]
+              cyclic_kernel(4), switching_kernel(2, 0.5), switching_kernel(4, 0.1), ROTATE_WITH_INIT,
+              SHARE_WITH_GAP]
+
+
+@st.composite
+def block_games(draw):
+    """(kernel, entries per DP block, loss table) with T at, one off, and past
+    multiples of the block length; losses with exact ties, signed zeros and
+    scale jumps of 1e+-150."""
+    kernel = draw(st.one_of(
+        st.sampled_from(DP_KERNELS + [cyclic_kernel(16)]),
+        st.floats(1e-3, 0.999).map(lambda w: switching_kernel(64, w)),
+    ))
+    block = draw(st.sampled_from([kernels._BLOCK, 1, 50, 700]))
+    width = max(1, block // kernel.tables.num_classes)
+    rounds = max(1, draw(st.sampled_from([1, 2, width - 1, width, width + 1, 2 * width + 1])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (rounds, kernel.num_experts)
+    if draw(st.booleans()):
+        table = rng.integers(-2, 3, shape).astype(float)  # ties, and zeros of both signs below
+    else:
+        table = rng.standard_normal(shape)
+    table[rng.random(shape) < 0.2] = -0.0
+    table[rng.random(shape) < 0.1] = 0.0
+    if draw(st.booleans()):
+        scale = np.ones(rounds)
+        for cut in np.sort(rng.integers(0, rounds, 3)):
+            scale[cut:] = rng.choice([1e-150, 1.0, 1e150])
+        table *= scale[:, None]
+    return kernel, block, table
 
 
 class TestClosedFormDP:
@@ -565,15 +613,46 @@ class TestClosedFormDP:
 
     @pytest.mark.parametrize("kernel", [cyclic_kernel(16), switching_kernel(64, 0.1)], ids=["cyclic", "switching"])
     def test_no_per_class_back_pointers(self, kernel):
-        # a (T-1) x k back-pointer table would take 4 MB (cyclic) or 1 MB (switching) here
+        # a (T-1) x k back-pointer table would take 4 MB (cyclic) or 1 MB (switching)
+        # here, and so would the losses of every class and round at once
         table = np.random.default_rng(0).random((2000, kernel.num_experts))
-        tracemalloc.start()
-        try:
-            best_competitor(kernel, table)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 0.5e6
+        for dp in (best_competitor, best_prefix_losses):
+            tracemalloc.start()
+            try:
+                dp(kernel, table)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 0.5e6, dp.__name__
+
+    @given(game=block_games())
+    @settings(max_examples=60, deadline=None)
+    def test_blocks_match_straight_loop_and_edge_lists(self, game):
+        kernel, block, table = game
+        with mock.patch.object(kernels, "_BLOCK", block):
+            path, loss = best_competitor(kernel, table)
+            prefix = best_prefix_losses(kernel, table)
+        loop_path, loop_loss, loop_prefix = straight_loop_dp(kernel, table)
+        assert path == loop_path
+        assert_same_bits([loss], [loop_loss])
+        assert_same_bits(prefix, loop_prefix)
+        twin = edge_list_twin(kernel)
+        twin_path, twin_loss = best_competitor(twin, table)
+        assert twin_path == path
+        assert_same_bits([loss], [twin_loss])
+        assert_same_bits(prefix, best_prefix_losses(twin, table))
+
+    def test_large_permutation_with_one_round_per_block(self):
+        kernel = cyclic_kernel(100)
+        assert kernel.tables.num_classes > kernels._BLOCK  # each block holds one round
+        rng = np.random.default_rng(5)
+        table = rng.integers(-3, 4, (50, 100)) * 10.0 ** rng.choice([-150, 0, 150], (50, 1))
+        twin = edge_list_twin(kernel)
+        path, loss = best_competitor(kernel, table)
+        assert (path, loss) == best_competitor(twin, table)
+        prefix = best_prefix_losses(kernel, table)
+        np.testing.assert_array_equal(prefix, best_prefix_losses(twin, table))
+        assert prefix[-1] == loss
 
 
 def random_dense_kernel(seed, uniform_prior):
