@@ -210,11 +210,11 @@ class Aggregator:
                 "probabilities() must be called before each observe(); "
                 "observing twice in one round is not allowed"
             )
-        values = as_loss_array(losses, self.num_experts)
+        values, lo, hi = as_loss_array(losses, self.num_experts)
+        if values.ndim != 1:
+            raise ValueError(f"observe() takes one round's losses, not shape {values.shape}")
         t = self.t + 1
 
-        lo = float(values.min())
-        hi = float(values.max())
         mean = clamped_mean(float(p @ values), lo, hi)
         phi = values - mean
         # x -> fl(x - mean) is monotone, so these are exactly phi.min() and phi.max()

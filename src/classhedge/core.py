@@ -3,8 +3,10 @@
 Centering of raw losses into performance scores, the range/variance
 round statistics, the adaptive learning rate eta = gamma / sqrt(V + gamma^2 D^2),
 the closed-form gamma for a given competition-class budget, and the two
-second-order regret bounds.  The helpers trust their inputs: inputs are
-validated once, at ``Aggregator.observe`` and ``oracle.bound_report``.
+second-order regret bounds; and the input gates, one per kind of value a
+caller passes (``as_loss_array``, ``as_simplex``, ``as_real``, ``as_integer``).
+Every public entry point checks each such value with its gate, and only
+there; the math helpers trust their inputs.
 
 Everything here is a pure function over floats and arrays; no shared mutable state.
 """
@@ -42,20 +44,43 @@ class InvariantViolation(RuntimeError):
     """A runtime invariant of the algorithm failed to hold."""
 
 
-def as_loss_array(values, num_experts: int | None = None) -> np.ndarray:
-    """Validate a per-expert loss vector: 1-D, nonempty, all entries finite.
-
-    NaN or infinite entries are rejected rather than clamped; the range
-    statistic D would be silently corrupted otherwise.
-    """
+def as_loss_array(values, num_experts: int | None = None) -> tuple[np.ndarray, float, float]:
+    """Validate one round's loss vector, or a (T, M) table of them: nonempty,
+    ``num_experts`` wide if given, and finite, not clamped, which would corrupt
+    the range statistic D.  Returns the array with its least and greatest entry,
+    which decide finiteness: NaN reaches both, an infinity one.  A table's first
+    bad row is named as its round, counting from 1."""
     arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError(f"loss vector must be 1-D and nonempty, got shape {arr.shape}")
-    if num_experts is not None and arr.size != num_experts:
-        raise ValueError(f"expected {num_experts} losses, got {arr.size}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("loss vector contains NaN or infinite entries")
-    return arr
+    if arr.ndim not in (1, 2) or arr.size == 0:
+        raise ValueError(f"losses must be a nonempty vector or table, not shape {arr.shape}")
+    if num_experts is not None and arr.shape[-1] != num_experts:
+        raise ValueError(f"losses have {arr.shape[-1]} columns, expected {num_experts}")
+    lo, hi = float(arr.min()), float(arr.max())
+    if not (-math.inf < lo and hi < math.inf):
+        where = f"round {np.isfinite(arr).all(axis=1).argmin() + 1}: " if arr.ndim == 2 else ""
+        raise ValueError(f"{where}losses contain NaN or infinite entries")
+    return arr, lo, hi
+
+
+def as_real(value, what: str, rule: str | None = None, valid=None) -> float:
+    """A caller's real parameter as a float: a real number, not a bool, finite and
+    ``valid`` if given.  Else ConfigError "<what> must be <rule>, got <value>",
+    where no ``rule`` reads "a real number" or "finite", whichever failed."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{what} must be {rule or 'a real number'}, got {value!r}")
+    if not (math.isfinite(value) and (valid is None or valid(value))):
+        raise ConfigError(f"{what} must be {rule or 'finite'}, got {value!r}")
+    return float(value)
+
+
+def as_integer(value, what: str, minimum: int | None = None) -> int:
+    """A caller's integer parameter as an int: an integer, not a bool, and at
+    least ``minimum`` if given; anything else is a ConfigError naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{what} must be >= {minimum}, got {value!r}")
+    return int(value)
 
 
 def as_simplex(values, tol: float = 1e-9) -> np.ndarray:
@@ -108,10 +133,7 @@ def round_stats(d: float, v: float, D: float, V: float, carry: float) -> tuple[f
 
 def as_gamma(gamma) -> float:
     """Validate the rate scale gamma: a positive finite real, not a bool."""
-    real = isinstance(gamma, numbers.Real) and not isinstance(gamma, bool)
-    if not (real and math.isfinite(gamma) and gamma > 0):
-        raise ConfigError(f"gamma must be a positive finite real, got {gamma!r}")
-    return float(gamma)
+    return as_real(gamma, "gamma", "a positive finite real", lambda g: g > 0)
 
 
 def learning_rate(D: float, V: float, gamma: float, t: int) -> float:
@@ -146,10 +168,8 @@ def bound_range(w_budget, d_max, sum_d_sq):
 
 
 def as_budget(w_budget) -> float:
-    """Validate a class budget W: a finite real >= 1."""
-    if not (isinstance(w_budget, (int, float)) and math.isfinite(w_budget) and w_budget >= 1.0):
-        raise ConfigError(f"class budget must be a finite real >= 1, got {w_budget!r}")
-    return float(w_budget)
+    """Validate a class budget W: a finite real >= 1, not a bool."""
+    return as_real(w_budget, "class budget", "a finite real >= 1", lambda w: w >= 1.0)
 
 
 def gamma_from_budget(w_budget: float) -> float:

@@ -13,8 +13,6 @@ pairing, so they are guarantees only when gamma is set to "auto".
 
 from __future__ import annotations
 
-import math
-import numbers
 import os
 import warnings
 from dataclasses import dataclass, field, replace
@@ -25,7 +23,7 @@ import numpy as np
 
 from .aggregator import Aggregator
 from .core import ConfigError, InvariantViolation, as_gamma, gamma_from_budget
-from .core import bound_range, bound_var
+from .core import as_integer, as_real, bound_range, bound_var
 from .kernels import (
     ClassParams,
     TransitionKernel,
@@ -103,15 +101,13 @@ def loss_generator(
     unknown = set(params) - set(defaults)
     if unknown:
         raise ConfigError(f"generator {name!r} does not take parameters {sorted(unknown)}")
-    values = {**defaults, **params}
-    for key, value in values.items():
-        if isinstance(defaults[key], int):
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"generator parameter {key}={value!r} must be an integer")
-        elif isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ConfigError(f"generator parameter {key}={value!r} must be a real number")
-        elif not math.isfinite(value):
-            raise ConfigError(f"generator parameter {key}={value!r} must be finite")
+    num_experts = as_integer(num_experts, "num_experts", 1)
+    values = {
+        key: (as_integer if isinstance(defaults[key], int) else as_real)(
+            value, f"generator parameter {key}={value!r}"
+        )
+        for key, value in {**defaults, **params}.items()
+    }
     if name == "adversarial-switching" and values["period"] < 1:
         raise ConfigError(f"period must be >= 1, got {values['period']}")
     return _loss_stream(name, num_experts, values, rng)
@@ -121,21 +117,20 @@ def _loss_stream(
     name: str, num_experts: int, params: dict, rng: np.random.Generator
 ) -> Iterator[np.ndarray]:
     if name == "constant":
-        value = float(params["value"])
         while True:
-            yield np.full(num_experts, value)
+            yield np.full(num_experts, params["value"])
     elif name == "iid-uniform":
-        offset, scale = float(params["offset"]), float(params["scale"])
+        offset, scale = params["offset"], params["scale"]
         while True:
             yield offset + scale * rng.random(num_experts)
     elif name == "gaussian-drift":
-        drift, noise = float(params["drift"]), float(params["noise"])
-        means = float(params["spread"]) * rng.standard_normal(num_experts)
+        drift, noise = params["drift"], params["noise"]
+        means = params["spread"] * rng.standard_normal(num_experts)
         while True:
             yield means + noise * rng.standard_normal(num_experts)
             means = means + drift * rng.standard_normal(num_experts)
     elif name == "adversarial-cyclic":
-        sigma, start, delta = params["sigma"], params["start"], float(params["delta"])
+        sigma, start, delta = params["sigma"], params["start"], params["delta"]
         t = 0
         while True:
             losses = rng.random(num_experts)
@@ -143,7 +138,7 @@ def _loss_stream(
             yield losses
             t += 1
     else:  # adversarial-switching
-        delta, period = float(params["delta"]), params["period"]
+        delta, period = params["delta"], params["period"]
         t = 0
         planted = int(rng.integers(num_experts))
         while True:
@@ -171,15 +166,9 @@ class ExperimentConfig:
     debug_probs: bool = False
 
     def validate(self) -> None:
-        for name in ("experts", "rounds", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if self.experts < 1:
-            raise ConfigError(f"experts must be >= 1, got {self.experts}")
-        if self.rounds < 1:
-            raise ConfigError(f"rounds must be >= 1, got {self.rounds}")
-        if not 0 <= int(self.seed) < 2**64:
+        for name, minimum in (("experts", 1), ("rounds", 1), ("seed", 0)):
+            as_integer(getattr(self, name), name, minimum)
+        if int(self.seed) >= 2**64:
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if self.gamma != "auto":
             as_gamma(self.gamma)
@@ -396,10 +385,12 @@ def run_sweep(
         raise ConfigError("sweep needs at least one seed")
     if len(set(seeds)) != len(seeds):
         raise ConfigError(f"sweep seeds must be distinct, got {list(seeds)}")
+    if jobs is None:
+        jobs = min(len(seeds), os.cpu_count() or 1)
+    workers = as_integer(jobs, "jobs", 1)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     tasks = [replace(base, seed=s, out=out_dir / f"seed_{s}.csv", debug_probs=False) for s in seeds]
-    workers = jobs or min(len(seeds), os.cpu_count() or 1)
     if workers > 1:
         # imported here: the pool machinery costs ~2 MB of RSS that online use never needs
         from concurrent.futures import ProcessPoolExecutor
@@ -425,7 +416,7 @@ def run_verification(seed: int = 0, emit=print) -> bool:
 
     Prints one PASS/FAIL line per check and returns overall success.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_integer(seed, "seed", 0))
     ok = True
 
     def check(label: str, passed: bool) -> None:

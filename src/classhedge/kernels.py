@@ -13,14 +13,13 @@ dynamic-programming search for the best in-class competitor.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import ConfigError, OutOfClassError
+from .core import ConfigError, OutOfClassError, as_integer, as_loss_array, as_real
 
 ClassParams = tuple[int, ...]
 
@@ -72,7 +71,7 @@ class KernelTables:
 
 
 def _as_class(coords) -> ClassParams:
-    cls = tuple(int(c) for c in coords)
+    cls = tuple(as_integer(c, "class coordinate") for c in coords)
     if not cls:
         raise ConfigError("class parameters must have at least one coordinate")
     return cls
@@ -142,7 +141,7 @@ class TransitionKernel:
                     raise ConfigError(f"successor {b} of {a} is not in the class space")
                 src.append(i)
                 dst.append(index[b])
-                weights.append(float(w))
+                weights.append(w)
         self.tables = self._build_tables(class_list, src, dst, weights, init_weights)
 
     @classmethod
@@ -157,10 +156,8 @@ class TransitionKernel:
         return kernel
 
     def _setup(self, name, num_experts) -> None:
-        if num_experts < 1:
-            raise ConfigError(f"num_experts must be >= 1, got {num_experts}")
         self.name = str(name)
-        self.num_experts = int(num_experts)
+        self.num_experts = as_integer(num_experts, "num_experts", 1)
 
     def _build_tables(
         self, class_list, src, dst, weights, init_weights, stacklevel=3
@@ -191,7 +188,10 @@ class TransitionKernel:
 
         src = np.asarray(src, dtype=np.intp)
         dst = np.asarray(dst, dtype=np.intp)
-        raw_w = np.asarray(weights, dtype=float)
+        raw_w = np.asarray(weights)
+        if raw_w.dtype.kind not in "iuf":
+            raise ConfigError(f"transition weights must be real numbers, not {raw_w.dtype}")
+        raw_w = raw_w.astype(float, copy=False)
         for ids in (src, dst):
             outside = np.flatnonzero((ids < 0) | (ids >= k))
             if len(outside):
@@ -263,7 +263,7 @@ class TransitionKernel:
                 cls = _as_class(cls)
                 if cls not in index:
                     raise ConfigError(f"initial class {cls} is not in the class space")
-                init[index[cls]] = float(w)
+                init[index[cls]] = as_real(w, f"initial weight of {cls}")
             if np.any(init < 0.0) or abs(math.fsum(init) - 1.0) > _ROW_TOL:
                 raise ConfigError("initial distribution must be nonnegative and sum to 1")
 
@@ -303,7 +303,7 @@ class TransitionKernel:
         engine consumes.  No class may be listed twice.
         """
         class_list = [_as_class(c) for c in classes]
-        mat = np.asarray(matrix, dtype=float)
+        mat = np.asarray(matrix)
         if mat.shape != (len(class_list), len(class_list)):
             raise ConfigError(f"matrix shape {mat.shape} does not match {len(class_list)} classes")
         order = sorted(range(len(class_list)), key=class_list.__getitem__)
@@ -341,7 +341,8 @@ class TransitionKernel:
         """
         tb = self.tables
         start = _start_charge(float(tb.init_weights[tb.init_weights > 0.0].min()), tb.num_classes)
-        return 1.0 + start + max(int(rounds) - 1, 0) * -math.log(float(tb.adj_w.min()))
+        steps = max(as_integer(rounds, "rounds", 0) - 1, 0)
+        return 1.0 + start + steps * -math.log(float(tb.adj_w.min()))
 
     def __repr__(self) -> str:
         return (
@@ -352,6 +353,7 @@ class TransitionKernel:
 
 def fixed_kernel(num_experts: int) -> TransitionKernel:
     """One class per expert, each a self-loop: the classic fixed-expert class."""
+    num_experts = as_integer(num_experts, "num_experts", 1)
     ids = np.arange(num_experts)
     return TransitionKernel._from_edges(
         "fixed",
@@ -369,6 +371,7 @@ def cyclic_kernel(num_experts: int) -> TransitionKernel:
     The successor map is a permutation of the M^2 classes, so the class count
     stays fixed and each class has exactly one predecessor.
     """
+    num_experts = as_integer(num_experts, "num_experts", 1)
     m_range = range(num_experts)
     # class (m, s) sits at index m*M + s of the sorted class list
     ids = np.arange(num_experts * num_experts)
@@ -390,12 +393,8 @@ def switching_kernel(num_experts: int, switch_weight: float) -> TransitionKernel
     per-step log penalties, -log(1 - w) and -log(w / (M-1)), at every step,
     which is what ``budget_bound`` charges.
     """
-    if num_experts < 2:
-        raise ConfigError(f"switching kernel needs at least 2 experts, got {num_experts}")
-    real = isinstance(switch_weight, numbers.Real) and not isinstance(switch_weight, bool)
-    if not (real and 0.0 < switch_weight < 1.0):
-        raise ConfigError(f"switch_weight must be a real in (0, 1), got {switch_weight!r}")
-    w = float(switch_weight)
+    num_experts = as_integer(num_experts, "num_experts", 2)
+    w = as_real(switch_weight, "switch_weight", "a real in (0, 1)", lambda w: 0.0 < w < 1.0)
     stay, off = 1.0 - w, w / (num_experts - 1)
     ids = np.arange(num_experts)
     weights = np.full(num_experts * num_experts, off)
@@ -450,19 +449,6 @@ def class_budget(kernel: TransitionKernel, competitor: Sequence[ClassParams]) ->
         log_tau += math.log(tb.adj_w[e])
         a = b
     return 1.0 + _start_charge(init_weight, tb.num_classes) - log_tau
-
-
-def validate_loss_table(kernel: TransitionKernel, losses) -> np.ndarray:
-    table = np.asarray(losses, dtype=float)
-    if table.ndim != 2 or table.shape[0] == 0:
-        raise ValueError(f"loss table must be nonempty and 2-D, got shape {table.shape}")
-    if table.shape[1] != kernel.num_experts:
-        raise ValueError(
-            f"loss table has {table.shape[1]} columns, kernel expects {kernel.num_experts}"
-        )
-    if not np.all(np.isfinite(table)):
-        raise ValueError("loss table contains NaN or infinite entries")
-    return table
 
 
 # (round, class) entries in one block of the structured DPs, which hold at
@@ -631,7 +617,7 @@ def best_competitor(
     Other kernels walk the edge lists round by round, keeping one
     back-pointer per class and round; they are the reference.
     """
-    table = validate_loss_table(kernel, losses)
+    table = as_loss_array(np.atleast_2d(losses), kernel.num_experts)[0]
     tb = kernel.tables
     if tb.permutation:
         path, best_loss = _orbit_path(table, tb)
@@ -658,7 +644,7 @@ def best_prefix_losses(kernel: TransitionKernel, losses) -> np.ndarray:
     a zero minimum, in temporaries of one block; other kernels take that
     loop.
     """
-    table = validate_loss_table(kernel, losses)
+    table = as_loss_array(np.atleast_2d(losses), kernel.num_experts)[0]
     tb = kernel.tables
     if tb.permutation:
         return _orbit_prefix(table, tb)

@@ -21,6 +21,8 @@ from .core import (
     InvariantViolation,
     as_budget,
     as_gamma,
+    as_integer,
+    as_loss_array,
     as_simplex,
     bound_range,
     bound_var,
@@ -29,7 +31,7 @@ from .core import (
     learning_rate,
     round_stats,
 )
-from .kernels import ClassParams, TransitionKernel, validate_loss_table
+from .kernels import ClassParams, TransitionKernel
 
 
 @dataclass(frozen=True)
@@ -74,9 +76,7 @@ def ewa_reference(losses, gamma: float) -> np.ndarray:
     so the last row is the distribution after the final update.
     """
     gamma = as_gamma(gamma)
-    table = np.asarray(losses, dtype=float)
-    if table.ndim != 2 or not np.all(np.isfinite(table)):
-        raise ValueError("loss table must be 2-D and finite")
+    table = as_loss_array(np.atleast_2d(losses))[0]
     rounds, num_experts = table.shape
     out = np.empty((rounds + 1, num_experts))
     cum = np.zeros(num_experts)
@@ -107,7 +107,7 @@ def trajectory_reference(kernel: TransitionKernel, losses, gamma: float) -> np.n
     order; row r is the state used for round r+1.
     """
     gamma = as_gamma(gamma)
-    table = validate_loss_table(kernel, losses)
+    table = as_loss_array(np.atleast_2d(losses), kernel.num_experts)[0]
     tb = kernel.tables
     k = tb.num_classes
     succ = np.empty(k, dtype=np.intp)
@@ -181,7 +181,8 @@ def exhaustive_best(
     minimum, which reproduces the DP's smallest-coordinates tie-break.
     Refuses tables whose in-class path count exceeds ``limit``.
     """
-    table = validate_loss_table(kernel, losses)
+    table = as_loss_array(np.atleast_2d(losses), kernel.num_experts)[0]
+    limit = as_integer(limit, "limit", 1)
     rounds = table.shape[0]
     tb = kernel.tables
     successors = {cls: kernel.successor_items(cls) for cls in tb.classes}
@@ -231,15 +232,11 @@ def bound_report(w_budget: float, probs, losses) -> BoundReport:
     """
     w = as_budget(w_budget)
     p = np.asarray(probs, dtype=float)
-    l = np.asarray(losses, dtype=float)
+    l = as_loss_array(losses, p.shape[-1] if p.ndim else None)[0]
     if p.shape != l.shape or p.ndim != 2:
         raise ValueError(f"probs {p.shape} and losses {l.shape} must be matching 2-D arrays")
     as_simplex(p)
     lo, hi = l.min(axis=1), l.max(axis=1)
-    # a NaN or infinite loss reaches its row's minimum or maximum
-    finite = np.isfinite(lo) & np.isfinite(hi)
-    if not finite.all():
-        raise ValueError(f"round {finite.argmin() + 1}: losses contain NaN or infinite entries")
     mu = np.einsum("tm,tm->t", p, l)
     sq = l - mu[:, None]
     sq *= sq
@@ -249,7 +246,7 @@ def bound_report(w_budget: float, probs, losses) -> BoundReport:
 
     v_star = math.fsum(variances.tolist())
     sum_d_sq = math.fsum((ranges * ranges).tolist())
-    d_top = float(ranges.max()) if ranges.size else 0.0
+    d_top = float(ranges.max())
     if v_star > sum_d_sq / 4.0 + 1e-9 * max(1.0, sum_d_sq):
         raise InvariantViolation(
             f"variance sum {v_star!r} exceeds a quarter of the squared ranges {sum_d_sq!r}"

@@ -96,6 +96,15 @@ def test_sweep_subcommand(tmp_path):
     assert list(columns["seed"]) == [0.0, 1.0, 2.0]
 
 
+def test_sweep_rejects_zero_jobs(tmp_path, capsys):
+    assert main([
+        "sweep", "--experts", "2", "--rounds", "5", "--seeds", "0:2",
+        "--out-dir", str(tmp_path / "sweep"), "--jobs", "0",
+    ]) == 1
+    assert "error: jobs must be >= 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()
+
+
 def test_bounds_subcommand(tmp_path, capsys):
     out = tmp_path / "run.csv"
     main([

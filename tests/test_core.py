@@ -1,16 +1,32 @@
 """Unit and property tests for the scalar round math."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from classhedge import (
+    Aggregator,
+    TransitionKernel,
+    best_competitor,
+    best_prefix_losses,
+    bound_report,
+    class_budget,
+    cyclic_kernel,
+    ewa_reference,
+    exhaustive_best,
+    fixed_kernel,
+    make_kernel,
+    trajectory_reference,
+)
 from classhedge.core import (
     DEGENERATE_ETA,
     TWO_E_MINUS_2,
     ConfigError,
+    as_budget,
     as_loss_array,
     as_simplex,
     center_losses,
@@ -71,6 +87,105 @@ class TestValidation:
         with pytest.raises(ValueError, match=message):
             as_simplex(table)
         np.testing.assert_array_equal(as_simplex(table[:2]), 0.5)
+
+
+def observe_rows(losses):
+    """Play ``losses`` through ``Aggregator.observe``: row by row if it is a
+    table of rounds, else as one round's input."""
+    agg = Aggregator(fixed_kernel(3), 1.0)
+    for row in losses if losses.ndim == 2 and losses.size else [losses]:
+        agg.probabilities()
+        agg.observe(row)
+
+
+# every public entry point that takes losses, for M = 3 experts
+LOSS_ENTRY_POINTS = {
+    "observe": observe_rows,
+    "best_competitor": lambda table: best_competitor(cyclic_kernel(3), table),
+    "best_prefix_losses": lambda table: best_prefix_losses(cyclic_kernel(3), table),
+    "ewa_reference": lambda table: ewa_reference(table, 1.0),
+    "trajectory_reference": lambda table: trajectory_reference(fixed_kernel(3), table, 1.0),
+    "exhaustive_best": lambda table: exhaustive_best(fixed_kernel(3), table),
+    "bound_report": lambda table: bound_report(2.0, np.full((5, 3), 1 / 3), table),
+}
+
+
+class TestLossGate:
+    @pytest.mark.parametrize("entry", LOSS_ENTRY_POINTS)
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_loss_named_by_round(self, entry, value):
+        table = np.zeros((5, 3))
+        table[2, 1] = table[4, 0] = value
+        # observe sees one round at a time, so only a table names the round
+        where = "" if entry == "observe" else "round 3: "
+        with pytest.raises(ValueError, match=f"^{where}losses contain NaN or infinite entries$"):
+            LOSS_ENTRY_POINTS[entry](table)
+
+    @pytest.mark.parametrize(
+        "entry, shape",
+        # ewa_reference has no kernel: any nonempty width is its M
+        [(e, (5, 4)) for e in LOSS_ENTRY_POINTS if e != "ewa_reference"]
+        + [(e, shape) for e in LOSS_ENTRY_POINTS for shape in [(2, 2, 3), (0, 3), (3, 0)]],
+        ids=lambda arg: "x".join(map(str, arg)) if isinstance(arg, tuple) else arg,
+    )
+    def test_bad_shape_has_one_message(self, entry, shape):
+        if shape == (5, 4):
+            message = "losses have 4 columns, expected 3"
+        else:
+            message = f"losses must be a nonempty vector or table, not shape {shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            LOSS_ENTRY_POINTS[entry](np.zeros(shape))
+
+    def test_observe_takes_one_round(self):
+        agg = Aggregator(fixed_kernel(3), 1.0)
+        agg.probabilities()
+        with pytest.raises(ValueError, match=re.escape("one round's losses, not shape (1, 3)")):
+            agg.observe(np.zeros((1, 3)))
+
+    def test_returns_the_least_and_greatest_loss(self):
+        table = np.array([[0.5, -2.0], [7.0, 1.0]])
+        arr, lo, hi = as_loss_array(table, 2)
+        assert arr is table and (lo, hi) == (-2.0, 7.0)
+        assert as_loss_array([3.0, -1.0])[1:] == (-1.0, 3.0)
+
+
+class TestParameterGates:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: as_budget(True),
+            lambda: gamma_from_budget(True),
+            lambda: bound_report(True, np.ones((1, 1)), np.ones((1, 1))),
+            lambda: TransitionKernel("x", 2.5, [(0,)], {(0,): [((0,), 1.0)]}),
+            lambda: fixed_kernel(2.5),
+            lambda: make_kernel("fixed", 2.5),
+            lambda: cyclic_kernel("3"),
+            lambda: class_budget(cyclic_kernel(2), [(1.7, 0.2), (1, 0)]),
+            lambda: cyclic_kernel(2).successor_items((0.9, 1.2)),
+            lambda: cyclic_kernel(2).successor_items((None, 1)),
+            lambda: TransitionKernel("x", 1, [(0,)], {(0,): [((0,), "1.0")]}),
+            lambda: TransitionKernel("x", 1, [(0,)], {(0,): [((0,), "abc")]}),
+            lambda: TransitionKernel.from_dense("x", 1, [(0,)], [["abc"]]),
+            lambda: TransitionKernel.from_dense("x", 1, [(0,)], [[None]]),
+            lambda: TransitionKernel("x", 1, [(0,)], {(0,): [((0,), 1.0)]}, {(0,): math.nan}),
+            lambda: fixed_kernel(3).budget_bound(2.5),
+        ],
+        ids=[
+            "budget-bool", "gamma-from-bool-budget", "bound-report-bool-budget",
+            "kernel-float-experts", "fixed-float-experts", "make-kernel-float-experts",
+            "cyclic-str-experts", "class-budget-float-coordinate", "successor-float-coordinate",
+            "none-coordinate", "mapping-numeric-str-weight", "mapping-str-weight",
+            "dense-str-weight", "dense-none-weight", "nan-initial-weight", "float-rounds",
+        ],
+    )
+    def test_rejected_with_config_error(self, call):
+        with pytest.raises(ConfigError):
+            call()
+
+    def test_numpy_reals_and_integers_accepted(self):
+        assert as_budget(np.float32(2)) == 2.0
+        assert fixed_kernel(np.int64(3)).num_experts == 3
+        assert cyclic_kernel(2).successor_items((np.int8(1), np.int64(1))) == (((0, 1), 1.0),)
 
 
 class TestCenterLosses:

@@ -1,11 +1,13 @@
 """Tests for loss generators, the experiment loop, CSV emission, and sweeps."""
 
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from classhedge import core
 from classhedge.core import ConfigError
 from classhedge.harness import (
     CSV_COLUMNS,
@@ -183,6 +185,24 @@ class TestRunExperiment:
         chosen = report.losses[np.arange(30), report.selections]
         np.testing.assert_array_equal(report.realized_loss, chosen)
 
+
+    @pytest.mark.parametrize("kernel", ["fixed", "cyclic", "switching"])
+    def test_losses_validated_once_per_round_and_once_per_dp(self, monkeypatch, kernel):
+        calls = []
+        original = core.as_loss_array
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        # replace every alias, whichever module looks the gate up
+        for mod_name, module in list(sys.modules.items()):
+            if mod_name == "classhedge" or mod_name.startswith("classhedge."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counting)
+        run_experiment(ExperimentConfig(experts=3, rounds=25, kernel=kernel, seed=2))
+        assert len(calls) == 25 + 2
 
 class TestSystemInvariance:
     def test_offset_scale_config_leaves_prob_columns_identical(self, tmp_path):
@@ -373,6 +393,13 @@ class TestSweep:
             run_sweep(base, [1, 1, 2], tmp_path / "sweep", jobs=1)
         assert not (tmp_path / "sweep").exists()
 
+    @pytest.mark.parametrize("jobs", [-3, 0, True, "2", 2.5])
+    def test_jobs_must_be_a_positive_integer(self, tmp_path, jobs):
+        base = ExperimentConfig(experts=2, rounds=5)
+        with pytest.raises(ConfigError, match="jobs must be"):
+            run_sweep(base, [1, 2], tmp_path / "sweep", jobs=jobs)
+        assert not (tmp_path / "sweep").exists()
+
     def test_parallel_matches_serial(self, tmp_path):
         base = ExperimentConfig(experts=2, rounds=30, kernel="fixed", seed=0)
         serial = run_sweep(base, [4, 5], tmp_path / "serial", jobs=1)
@@ -381,6 +408,11 @@ class TestSweep:
 
 
 class TestVerification:
+    def test_seed_must_be_a_nonnegative_integer(self):
+        for seed in ("x", 1.5, -1):
+            with pytest.raises(ConfigError, match="seed must be"):
+                run_verification(seed=seed, emit=lambda line: None)
+
     def test_desk_scale_suite_passes(self):
         lines = []
         assert run_verification(seed=0, emit=lines.append)

@@ -625,6 +625,21 @@ class TestClosedFormDP:
                 tracemalloc.stop()
             assert peak < 0.5e6, dp.__name__
 
+    @pytest.mark.parametrize(
+        "kernel", [cyclic_kernel(64), switching_kernel(64, 0.1)], ids=["cyclic", "switching"]
+    )
+    def test_prefix_dp_memory_does_not_grow_with_rounds(self, kernel):
+        # a per-entry temporary of the table (a finiteness mask, say) would
+        # take 640 kB here at one byte per entry
+        table = np.random.default_rng(0).random((10_000, kernel.num_experts))
+        tracemalloc.start()
+        try:
+            best_prefix_losses(kernel, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5e6
+
     @given(game=block_games())
     @settings(max_examples=60, deadline=None)
     def test_blocks_match_straight_loop_and_edge_lists(self, game):
