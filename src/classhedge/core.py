@@ -26,6 +26,7 @@ TWO_E_MINUS_2 = 2.0 * (math.e - 2.0)
 #: to eta in that regime, so the engine treats exp(-eta*phi) as 1 and the
 #: ratio eta_t / eta_{t-1} as 1 until a real signal arrives.
 DEGENERATE_ETA = math.inf
+_FLOAT64 = np.dtype(float)
 
 
 class ConfigError(ValueError):
@@ -45,12 +46,16 @@ class InvariantViolation(RuntimeError):
 
 
 def as_loss_array(values, num_experts: int | None = None) -> tuple[np.ndarray, float, float]:
-    """Validate one round's loss vector, or a (T, M) table of them: nonempty,
-    ``num_experts`` wide if given, and finite, not clamped, which would corrupt
-    the range statistic D.  Returns the array with its least and greatest entry,
-    which decide finiteness: NaN reaches both, an infinity one.  A table's first
-    bad row is named as its round, counting from 1."""
-    arr = np.asarray(values, dtype=float)
+    """Validate one round's loss vector, or a (T, M) table of them: real (bool,
+    integer or float, as float64), nonempty, ``num_experts`` wide if given, and
+    finite, not clamped, which would corrupt the range statistic D.  Returns the
+    array with its least and greatest entry, which decide finiteness (NaN reaches
+    both, an infinity one).  A table's first bad row is named as its round, from 1."""
+    arr = np.asarray(values)
+    if arr.dtype is not _FLOAT64:  # native float64 is one dtype object: no test, no copy
+        if arr.dtype.kind not in "biuf":
+            raise ValueError(f"losses must be real numbers, not {arr.dtype}")
+        arr = arr.astype(float)
     if arr.ndim not in (1, 2) or arr.size == 0:
         raise ValueError(f"losses must be a nonempty vector or table, not shape {arr.shape}")
     if num_experts is not None and arr.shape[-1] != num_experts:

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
 
 import numpy as np
 
@@ -26,14 +27,25 @@ ClassParams = tuple[int, ...]
 _ROW_TOL = 1e-12
 
 
+class _Derived(cached_property):
+    """A table derived on first read: the function returns it and its siblings by
+    name, each set as an instance attribute that hides this descriptor from then
+    on, without reading ``__dict__`` (which slows every later attribute read)."""
+
+    def __get__(self, tb, owner=None):
+        if tb is None:
+            return self
+        for name, table in self.func(tb).items():
+            object.__setattr__(tb, name, table)
+        return getattr(tb, self.attrname)
+
+
 @dataclass(frozen=True)
 class KernelTables:
     """Precomputed index structures of a kernel.
 
     Classes are sorted lexicographically, which groups them by expert since
-    the expert index is the first coordinate.  Edge arrays come in two
-    orders: sorted by destination (for the engine's mixing step and the
-    prefix DP) and sorted by source (for the path DP and successor lists).
+    the expert index is the first coordinate.
 
     Two transition structures are read off the edges, not declared:
     ``permutation`` (every class has exactly one successor and no two share
@@ -42,6 +54,12 @@ class KernelTables:
     diagonal and one off it, as in the switching class).  The engine's mixing
     step and both competitor DPs take a closed form for each; every other
     kernel uses the edge lists.
+
+    The edges in (dst, src) order, for the engine's mixing step and the
+    prefix DP (``mix_src``, ``mix_logw``, ``mix_starts``, ``mix_dst_ids`` and
+    ``mix_seg``, all five at once, never on fixed-share kernels), and
+    ``orbit`` (see ``_orbit_block``) are derived on first read and kept as
+    attributes.  A concurrent first read only computes equal arrays twice.
     """
 
     classes: tuple[ClassParams, ...]
@@ -50,12 +68,6 @@ class KernelTables:
     present_experts: np.ndarray = field(repr=False)
     expert_starts: np.ndarray = field(repr=False)
     class_seg: np.ndarray = field(repr=False)
-    # edges sorted by (dst, src)
-    mix_src: np.ndarray = field(repr=False)
-    mix_logw: np.ndarray = field(repr=False)
-    mix_starts: np.ndarray = field(repr=False)
-    mix_dst_ids: np.ndarray = field(repr=False)
-    mix_seg: np.ndarray = field(repr=False)
     # edges sorted by (src, dst), with the raw transition weights
     adj_src: np.ndarray = field(repr=False)
     adj_dst: np.ndarray = field(repr=False)
@@ -64,13 +76,30 @@ class KernelTables:
     init_weights: np.ndarray = field(repr=False)
     permutation: bool
     share: tuple[float, float] | None
+    mix_src, mix_logw, mix_starts, mix_dst_ids, mix_seg = (
+        _Derived(lambda tb: _by_destination(tb)) for _ in range(5)
+    )
+    orbit = _Derived(lambda tb: {"orbit": _orbit_rows(tb)})
 
     @property
     def num_classes(self) -> int:
         return len(self.classes)
 
 
+def _by_destination(tb: KernelTables) -> dict[str, np.ndarray]:
+    """The edges in (dst, src) order: a stable sort by destination of the (src, dst) order."""
+    order = np.argsort(tb.adj_dst, kind="stable")
+    counts = np.bincount(tb.adj_dst, minlength=tb.num_classes)
+    dst_ids = np.flatnonzero(counts)
+    starts = (np.cumsum(counts) - counts)[dst_ids]
+    seg = np.repeat(np.arange(len(dst_ids)), counts[dst_ids])
+    return dict(mix_src=tb.adj_src[order], mix_logw=np.log(tb.adj_w[order]), mix_starts=starts,
+                mix_dst_ids=dst_ids, mix_seg=seg)
+
+
 def _as_class(coords) -> ClassParams:
+    if not isinstance(coords, Iterable):
+        raise ConfigError(f"a class must be a tuple of integers, got {coords!r}")
     cls = tuple(as_integer(c, "class coordinate") for c in coords)
     if not cls:
         raise ConfigError("class parameters must have at least one coordinate")
@@ -107,13 +136,12 @@ class TransitionKernel:
     indices into the sorted class list, and the raw weights.  This
     constructor fills them in one pass over the successor rows, the only
     per-edge Python work of a build; ``from_dense`` and the built-in classes
-    make them with numpy.  One builder then checks them with numpy: every
-    index names a class, every weight is finite and positive, every class
-    has a row, no (source, destination) pair repeats, and every row sums to
-    within 1e-12 of 1, exactly rounded (``math.fsum`` over the row's slice
-    when it has more than one edge).  One stable sort on
-    source*k + destination puts the edges in (source, destination) order;
-    it is skipped when they already are.
+    make them with numpy.  One builder then checks them in O(edges) numpy
+    work: every index names a class, every weight is finite and positive,
+    every class has a row, no (source, destination) pair repeats, and every
+    row sums to within 1e-12 of 1 as ``math.fsum`` rounds it (fsum runs only
+    on rows whose float sum is within its error bound of that edge).  The
+    edges are sorted by source*k + destination only if not in that order.
     """
 
     def __init__(
@@ -172,19 +200,15 @@ class TransitionKernel:
         index = {cls: i for i, cls in enumerate(class_list)}
 
         expert_of = np.array(firsts, dtype=np.intp)
-        has_class = np.zeros(self.num_experts, dtype=bool)
-        has_class[expert_of] = True
-        if not has_class.all():
+        present_experts, expert_starts = np.unique(expert_of, return_index=True)
+        if len(present_experts) < self.num_experts:
             warnings.warn(
                 f"kernel '{self.name}' has no class for experts "
-                f"{np.flatnonzero(~has_class).tolist()}; "
+                f"{np.setdiff1d(np.arange(self.num_experts), present_experts).tolist()}; "
                 "their selection probability will be structurally zero",
                 stacklevel=stacklevel,
             )
-        present_experts, expert_starts = np.unique(expert_of, return_index=True)
-        class_seg = np.repeat(
-            np.arange(len(present_experts)), np.diff(np.append(expert_starts, k))
-        )
+        class_seg = np.cumsum(np.diff(expert_of, prepend=expert_of[0]) != 0)
 
         src = np.asarray(src, dtype=np.intp)
         dst = np.asarray(dst, dtype=np.intp)
@@ -192,13 +216,13 @@ class TransitionKernel:
         if raw_w.dtype.kind not in "iuf":
             raise ConfigError(f"transition weights must be real numbers, not {raw_w.dtype}")
         raw_w = raw_w.astype(float, copy=False)
+        # each check reads a min or a max (NaN fails both); only a failed one finds the offender
         for ids in (src, dst):
-            outside = np.flatnonzero((ids < 0) | (ids >= k))
-            if len(outside):
-                raise ConfigError(f"class index {ids[outside[0]]} is not in the class space 0..{k - 1}")
-        bad = np.flatnonzero(~(np.isfinite(raw_w) & (raw_w > 0.0)))
-        if len(bad):
-            e = bad[0]
+            if ids.min(initial=0) < 0 or ids.max(initial=0) >= k:
+                e = np.flatnonzero((ids < 0) | (ids >= k))[0]
+                raise ConfigError(f"class index {ids[e]} is not in the class space 0..{k - 1}")
+        if not (raw_w.min(initial=1.0) > 0.0 and raw_w.max(initial=1.0) < math.inf):
+            e = np.flatnonzero(~(np.isfinite(raw_w) & (raw_w > 0.0)))[0]
             raise ConfigError(
                 f"transition weight {class_list[src[e]]} -> {class_list[dst[e]]} "
                 f"must be positive, got {raw_w[e]!r}"
@@ -206,7 +230,8 @@ class TransitionKernel:
 
         # edge-sized temporaries are deleted as soon as they are spent: the
         # build's peak memory is the process's peak on large kernels
-        key = src * k + dst
+        key = src * k
+        key += dst
         if not (key[1:] > key[:-1]).all():
             order = np.argsort(key, kind="stable")
             key, src, dst, raw_w = key[order], src[order], dst[order], raw_w[order]
@@ -219,40 +244,37 @@ class TransitionKernel:
                 )
         del key
         # edges are in (src, dst) order with no repeated pair
-        counts = np.bincount(src, minlength=k)
+        adj_starts = np.searchsorted(src, np.arange(k))
+        counts = np.diff(adj_starts, append=len(src))
         if not counts.all():
             raise ConfigError(f"class {class_list[np.argmin(counts)]} has no successor row")
-        adj_starts = np.searchsorted(src, np.arange(k))
-        # a one-edge row's sum is its weight, exactly; longer rows take fsum
-        totals = np.add.reduceat(raw_w, adj_starts)
-        multi = np.flatnonzero(counts > 1)
+        with np.errstate(over="ignore"):
+            totals = np.add.reduceat(raw_w, adj_starts)
+        # A float sum of n positive weights errs by at most (n-1)*2^-53 of the exact
+        # sum, and fsum by 2^-53 of it: only a row whose float sum s lies within
+        # n*2^-52*s of the edge 1 +- _ROW_TOL may be on fsum's other side; it takes fsum.
         view = memoryview(raw_w)  # fsum reads a memoryview twice as fast as an ndarray
-        for i, lo, n in zip(multi.tolist(), adj_starts[multi].tolist(), counts[multi].tolist()):
-            totals[i] = math.fsum(view[lo:lo + n])
+        slack = np.abs(np.abs(totals - 1.0) - _ROW_TOL)
+        for i in np.flatnonzero(slack < counts * 2.0**-52 * totals).tolist():
+            totals[i] = math.fsum(view[adj_starts[i]:adj_starts[i] + counts[i]])
         unsummed = np.flatnonzero(np.abs(totals - 1.0) > _ROW_TOL)
         if len(unsummed):
             i = unsummed[0]
-            raise ConfigError(f"row for {class_list[i]} sums to {float(totals[i])!r}, not 1")
+            try:
+                total = math.fsum(view[adj_starts[i]:adj_starts[i] + counts[i]])
+            except OverflowError:  # the exact sum is past the largest double
+                total = math.inf
+            raise ConfigError(f"row for {class_list[i]} sums to {total!r}, not 1")
 
-        # a stable sort by destination of (src, dst)-ordered edges gives (dst, src) order
-        order = np.argsort(dst, kind="stable")
-        mix_src, mix_dst = src[order], dst[order]
-        mix_logw = np.log(raw_w[order])
-        del order
-        mix_dst_ids, mix_starts = np.unique(mix_dst, return_index=True)
-        del mix_dst
-        mix_seg = np.repeat(
-            np.arange(len(mix_dst_ids)), np.diff(np.append(mix_starts, len(src)))
-        )
-
-        permutation = len(src) == k and len(mix_dst_ids) == k
+        # k edges, one per row: a permutation if every class is a destination
+        permutation = len(src) == k and bool(np.bincount(dst, minlength=k).all())
         share = None
         # with rows in (src, dst) order, k^2 edges are all present iff every
         # row lists the destinations 0..k-1
         if k >= 2 and len(src) == k * k and (dst.reshape(k, k) == np.arange(k)).all():
-            w2 = raw_w.reshape(k, k)
-            stay, off = w2[0, 0], w2[0, 1]
-            if (np.diagonal(w2) == stay).all() and (w2[~np.eye(k, dtype=bool)] == off).all():
+            stay, off = raw_w[0], raw_w[1]
+            # the k^2 - k entries between diagonal ones are the off-diagonal ones
+            if (raw_w[::k + 1] == stay).all() and (raw_w[1:].reshape(k - 1, k + 1)[:, :k] == off).all():
                 share = (float(stay), float(off))
 
         if init_weights is None:
@@ -274,11 +296,6 @@ class TransitionKernel:
             present_experts=present_experts,
             expert_starts=expert_starts,
             class_seg=class_seg,
-            mix_src=mix_src,
-            mix_logw=mix_logw,
-            mix_starts=mix_starts,
-            mix_dst_ids=mix_dst_ids,
-            mix_seg=mix_seg,
             adj_src=src,
             adj_dst=dst,
             adj_w=raw_w,
@@ -464,15 +481,10 @@ def _best_start(tb: KernelTables, suffix: np.ndarray) -> tuple[int, float]:
     return start, float(masked[start])
 
 
-def _orbit_block(tb: KernelTables, rounds: int, num_experts: int):
-    """One block of a permutation kernel's orbits: (orbit, flat, jump).
-
-    ``orbit[j, c]`` is succ^j(c) for the block's B rounds, built by doubling
-    (about log2 B gathers); ``flat[j, c]`` indexes the loss of that class's
-    expert in a block of the flattened loss table; ``jump`` is succ^B.
-    """
+def _orbit_rows(tb: KernelTables) -> np.ndarray:
+    """``orbit[j, c]`` = succ^j(c) for B = max(1, _BLOCK // k) rounds, in about log2 B gathers."""
     k = tb.num_classes
-    width = max(1, min(rounds, _BLOCK // k))
+    width = max(1, _BLOCK // k)
     succ = tb.adj_dst  # adj_src is 0..k-1
     orbit = np.empty((width, k), dtype=np.intp)
     orbit[0] = np.arange(k)
@@ -482,9 +494,22 @@ def _orbit_block(tb: KernelTables, rounds: int, num_experts: int):
         # succ^(filled + j)(c) = succ^j(succ^filled(c))
         orbit[filled:filled + n] = orbit[:n, succ[orbit[filled - 1]]]
         filled += n
+    return orbit
+
+
+def _orbit_block(tb: KernelTables, rounds: int, num_experts: int):
+    """One block of B rounds, the first rows of ``tb.orbit``: (orbit, flat, jump).
+
+    ``flat[j, c]`` indexes the loss of the expert of class ``orbit[j, c]`` in
+    a block of the flattened loss table; ``jump`` is succ^B.
+    """
+    width = max(1, min(rounds, _BLOCK // tb.num_classes))
+    if len(tb.orbit) < width:  # _BLOCK grew since the first read
+        object.__setattr__(tb, "orbit", _orbit_rows(tb))
+    orbit = tb.orbit[:width]
     flat = tb.expert_of[orbit]
     flat += np.arange(0, width * num_experts, num_experts)[:, None]
-    return orbit, flat, succ[orbit[-1]]
+    return orbit, flat, tb.adj_dst[orbit[-1]]
 
 
 def _running_sum(rows: np.ndarray) -> None:
@@ -599,7 +624,7 @@ def best_competitor(
     - a permutation kernel (fixed, cyclic) fixes a path by its first class,
       so suffix_0(c) is a right-to-left running sum along c's orbit.  The
       rounds are cut into blocks of B rounds and k classes, B*k about
-      ``_BLOCK``; ``orbit[j, c]`` = succ^j(c) is built once by doubling.
+      ``_BLOCK``; ``orbit[j, c]`` = succ^j(c) is built once per kernel.
       Each block's losses are one ``take``, last block first, summed by a
       reversed ``np.add.accumulate`` (strictly sequential, like the loop);
       the carry into row c is the later block's first row at succ^B(c).

@@ -142,6 +142,28 @@ class TestLossGate:
         with pytest.raises(ValueError, match=re.escape("one round's losses, not shape (1, 3)")):
             agg.observe(np.zeros((1, 3)))
 
+    @pytest.mark.parametrize("entry", LOSS_ENTRY_POINTS)
+    @pytest.mark.parametrize("dtype", ["<U3", object, complex], ids=["str", "object", "complex"])
+    def test_non_real_losses_refused_before_conversion(self, entry, dtype):
+        table = np.ones((5, 3)).astype(dtype)
+        message = f"losses must be real numbers, not {np.dtype(dtype)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            LOSS_ENTRY_POINTS[entry](table)
+
+    def test_numeric_strings_are_not_losses(self):
+        agg = Aggregator(fixed_kernel(2), 1.0)
+        agg.probabilities()
+        with pytest.raises(ValueError, match="^losses must be real numbers, not <U1$"):
+            agg.observe(["1", "2"])
+        with pytest.raises(ValueError, match="^losses must be real numbers, not <U3$"):
+            best_competitor(fixed_kernel(2), [["abc", "0.5"]])
+
+    @pytest.mark.parametrize("dtype", [bool, np.int8, np.int64, np.uint64, np.float16, np.float32])
+    def test_real_dtypes_convert_to_float64(self, dtype):
+        arr, lo, hi = as_loss_array(np.array([1, 0, 1], dtype=dtype), 3)
+        assert arr.dtype == np.float64 and arr.tolist() == [1.0, 0.0, 1.0] and (lo, hi) == (0.0, 1.0)
+        assert as_loss_array([True, 2, 0.5])[0].tolist() == [1.0, 2.0, 0.5]
+
     def test_returns_the_least_and_greatest_loss(self):
         table = np.array([[0.5, -2.0], [7.0, 1.0]])
         arr, lo, hi = as_loss_array(table, 2)
@@ -169,6 +191,9 @@ class TestParameterGates:
             lambda: TransitionKernel.from_dense("x", 1, [(0,)], [[None]]),
             lambda: TransitionKernel("x", 1, [(0,)], {(0,): [((0,), 1.0)]}, {(0,): math.nan}),
             lambda: fixed_kernel(3).budget_bound(2.5),
+            lambda: TransitionKernel("x", 1, [5], {}),
+            lambda: fixed_kernel(2).successor_items(1),
+            lambda: class_budget(fixed_kernel(2), [0, 1]),
         ],
         ids=[
             "budget-bool", "gamma-from-bool-budget", "bound-report-bool-budget",
@@ -176,6 +201,7 @@ class TestParameterGates:
             "cyclic-str-experts", "class-budget-float-coordinate", "successor-float-coordinate",
             "none-coordinate", "mapping-numeric-str-weight", "mapping-str-weight",
             "dense-str-weight", "dense-none-weight", "nan-initial-weight", "float-rounds",
+            "kernel-int-class", "successor-int-class", "class-budget-int-class",
         ],
     )
     def test_rejected_with_config_error(self, call):

@@ -3,7 +3,11 @@
 import copy
 import dataclasses
 import math
+import re
+import sys
 import tracemalloc
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -14,6 +18,7 @@ from hypothesis import strategies as st
 from classhedge import kernels
 from classhedge.aggregator import Aggregator
 from classhedge.core import ConfigError, OutOfClassError, bound_var, gamma_from_budget
+from classhedge.harness import ExperimentConfig, run_experiment
 from classhedge.kernels import (
     KernelTables,
     TransitionKernel,
@@ -370,14 +375,20 @@ def mapping_form(name, experts, weight=0.1):
     return TransitionKernel(name, experts, reversed(classes), successors)
 
 
+# every table of a kernel: the dataclass fields and the (dst, src) tables derived on first read
+TABLE_NAMES = [f.name for f in dataclasses.fields(KernelTables)] + [
+    "mix_src", "mix_logw", "mix_starts", "mix_dst_ids", "mix_seg"
+]
+
+
 def assert_tables_equal(a, b):
-    for f in dataclasses.fields(KernelTables):
-        x, y = getattr(a, f.name), getattr(b, f.name)
+    for name in TABLE_NAMES:
+        x, y = a[name] if isinstance(a, dict) else getattr(a, name), getattr(b, name)
         if isinstance(x, np.ndarray):
-            assert x.dtype == y.dtype and x.shape == y.shape, f.name
-            assert np.array_equal(x, y), f.name
+            assert x.dtype == y.dtype and x.shape == y.shape, name
+            assert np.array_equal(x, y), name
         else:
-            assert x == y and type(x) is type(y), f.name
+            assert x == y and type(x) is type(y), name
 
 
 BUILT = [("fixed", m) for m in (1, 2, 3, 8, 64)] + [("cyclic", m) for m in (1, 2, 3, 8, 64)] + [
@@ -417,14 +428,224 @@ class TestArrayBuild:
         assert_tables_equal(dense.tables, mapped.tables)
 
     def test_switching_build_peak_memory(self):
-        # the finished M=512 tables hold about 12 MB of edge arrays
+        # the finished M=512 tables hold about 6 MB of edge arrays
         tracemalloc.start()
         try:
-            switching_kernel(512, 0.1)
-            peak = tracemalloc.get_traced_memory()[1]
+            kernel = switching_kernel(512, 0.1)  # held, so that its tables count as retained
+            retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= 26e6
+        assert peak <= 1.5 * retained, (peak, retained)
+
+
+def reference_tables(edges, classes=None, init=None):
+    """Every table of a kernel given as (source, destination, weight) class
+    triples, made independently of the build with np.lexsort and np.unique."""
+    classes = sorted(set(classes or [a for a, _, _ in edges]))
+    index = {c: i for i, c in enumerate(classes)}
+    k = len(classes)
+    src = np.array([index[a] for a, _, _ in edges], dtype=np.intp)
+    dst = np.array([index[b] for _, b, _ in edges], dtype=np.intp)
+    w = np.array([x for _, _, x in edges], dtype=float)
+    by_src, by_dst = np.lexsort((dst, src)), np.lexsort((src, dst))
+    expert_of = np.array([c[0] for c in classes], dtype=np.intp)
+    present, expert_starts, per_expert = np.unique(expert_of, return_index=True, return_counts=True)
+    dst_ids, mix_starts, per_dst = np.unique(dst[by_dst], return_index=True, return_counts=True)
+    share = None
+    if k >= 2 and len(edges) == k * k:  # distinct pairs, so every pair
+        stay, off = ({x for a, b, x in edges if (a == b) == diagonal} for diagonal in (True, False))
+        if len(stay) == len(off) == 1:
+            share = (float(stay.pop()), float(off.pop()))
+    if init is None:
+        init_weights = np.full(k, 1.0 / k)
+    else:
+        init_weights = np.array([init.get(c, 0.0) for c in classes])
+    return {
+        "classes": tuple(classes),
+        "index": index,
+        "expert_of": expert_of,
+        "present_experts": present,
+        "expert_starts": expert_starts,
+        "class_seg": np.repeat(np.arange(len(present)), per_expert),
+        "adj_src": src[by_src],
+        "adj_dst": dst[by_src],
+        "adj_w": w[by_src],
+        "adj_starts": np.unique(src[by_src], return_index=True)[1],
+        "init_weights": init_weights,
+        "permutation": len(edges) == k and len(dst_ids) == k,
+        "share": share,
+        "mix_src": src[by_dst],
+        "mix_logw": np.log(w[by_dst]),
+        "mix_starts": mix_starts,
+        "mix_dst_ids": dst_ids,
+        "mix_seg": np.repeat(np.arange(len(dst_ids)), per_dst),
+    }
+
+
+def builtin_edges(name, experts, weight=0.1):
+    if name == "fixed":
+        return [((m,), (m,), 1.0) for m in range(experts)]
+    if name == "cyclic":
+        return [((m, s), ((m + s) % experts, s), 1.0) for m in range(experts) for s in range(experts)]
+    stay, off = 1.0 - weight, weight / (experts - 1)
+    return [((a,), (b,), stay if a == b else off) for a in range(experts) for b in range(experts)]
+
+
+def user_kernels():
+    """(kernel, reference) pairs of mapping and from_dense kernels: unsorted
+    classes and edges, zero entries, an expert with no class, initial weights."""
+    rng = np.random.default_rng(11)
+    out = []
+    for trial in range(8):
+        k = int(rng.integers(1, 9))
+        experts = k + 1  # expert k has no class
+        classes = [(int(rng.integers(0, k)), i) for i in range(k)]
+        # every fourth kernel a permutation, the others sparse
+        mat = rng.random((k, k)) * (rng.random((k, k)) < 0.5) * (trial % 4 != 0)
+        mat[np.arange(k), rng.permutation(k)] += rng.random(k) + 1e-3
+        mat /= mat.sum(axis=1, keepdims=True)
+        init = None
+        if trial % 2:
+            pi = rng.random(k) * (rng.random(k) < 0.7)
+            pi[0] += 1.0
+            init = dict(zip(classes, (pi / pi.sum()).tolist()))
+        edges = [(classes[i], classes[j], mat[i, j]) for i, j in zip(*np.nonzero(mat))]
+        ref = reference_tables(edges, classes, init)
+        with pytest.warns(UserWarning, match="no class for experts"):
+            out.append((TransitionKernel.from_dense("dense", experts, classes, mat, init), ref))
+        successors = {}
+        for a, b, w in reversed(edges):
+            successors.setdefault(a, []).append((b, w))
+        with pytest.warns(UserWarning, match="no class for experts"):
+            out.append((TransitionKernel("mapping", experts, reversed(classes), successors, init), ref))
+    return out
+
+
+class TestBuildReference:
+    """Every table, the derived ones included, equals one made independently."""
+
+    @pytest.mark.parametrize("name, experts", BUILT)
+    def test_builtins(self, name, experts):
+        made = {"fixed": fixed_kernel, "cyclic": cyclic_kernel}.get(
+            name, lambda m: switching_kernel(m, 0.1)
+        )(experts)
+        assert_tables_equal(reference_tables(builtin_edges(name, experts)), made.tables)
+
+    def test_user_kernels(self):
+        kinds = set()
+        for kernel, ref in user_kernels():
+            assert_tables_equal(ref, kernel.tables)
+            kinds.add((kernel.tables.permutation, kernel.tables.share is not None))
+        assert (True, False) in kinds and (False, False) in kinds
+
+    @pytest.mark.parametrize("upper", [True, False], ids=["above", "below"])
+    @pytest.mark.parametrize("fsum_rejects", [True, False], ids=["fsum-rejects", "fsum-accepts"])
+    def test_row_sum_decided_as_fsum_decides(self, upper, fsum_rejects):
+        # a row of 1,000 weights whose float sum and exact sum fall on
+        # opposite sides of the edge 1 +- 1e-12
+        n, edge = 1000, 1.0 + 1e-12 if upper else 1.0 - 1e-12
+        rng = np.random.default_rng(0)
+        for _ in range(10_000):
+            w = rng.random(n) ** 4
+            w *= (edge + rng.uniform(-8e-16, 8e-16)) / math.fsum(w)
+            exact, floated = math.fsum(w), np.add.reduceat(w, [0])[0]
+            if (abs(exact - 1.0) > 1e-12) == fsum_rejects != (abs(floated - 1.0) > 1e-12):
+                break
+        else:
+            pytest.fail("no row straddles the edge")
+        classes = [(0, j) for j in range(n)]
+        successors = {c: [(c, 1.0)] for c in classes[1:]}
+        successors[classes[0]] = list(zip(classes, w.tolist()))
+        if fsum_rejects:
+            with pytest.raises(ConfigError, match=re.escape(f"row for (0, 0) sums to {exact!r}, not 1")):
+                TransitionKernel("edge", 1, classes, successors)
+        else:
+            assert TransitionKernel("edge", 1, classes, successors).tables.num_classes == n
+
+    @pytest.mark.parametrize("dense", [True, False], ids=["from_dense", "mapping"])
+    def test_overflowing_row_sums_to_inf(self, dense):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=re.escape("row for (0,) sums to inf, not 1")):
+                if dense:
+                    TransitionKernel.from_dense("x", 2, TWO, [[1e308, 1e308], [0.5, 0.5]])
+                else:
+                    TransitionKernel(
+                        "x", 2, TWO, {(0,): [((0,), 1e308), ((1,), 1e308)], (1,): [((1,), 1.0)]}
+                    )
+
+    def test_finite_failing_sum_is_exactly_rounded(self):
+        weights = [0.1] * 10 + [1e-3]
+        classes = [(0, j) for j in range(len(weights))]
+        successors = {c: [(c, 1.0)] for c in classes[1:]}
+        successors[classes[0]] = list(zip(classes, weights))
+        total = math.fsum(weights)
+        assert total != sum(weights)
+        with pytest.raises(ConfigError, match=re.escape(f"sums to {total!r}, not 1")):
+            TransitionKernel("x", 1, classes, successors)
+
+
+class TestDerivedTables:
+    """The (dst, src) tables and the orbit block are derived on first read, once."""
+
+    def test_fixed_share_never_builds_destination_tables(self):
+        with mock.patch.object(kernels, "_by_destination", wraps=kernels._by_destination) as derive:
+            run_experiment(ExperimentConfig(experts=8, rounds=50, kernel="switching"))
+            kernel = switching_kernel(8, 0.1)
+            table = np.random.default_rng(0).random((50, 8))
+            best_competitor(kernel, table)
+            best_prefix_losses(kernel, table)
+        derive.assert_not_called()
+        assert "mix_src" not in vars(kernel.tables)
+
+    def test_destination_tables_built_once(self):
+        kernel = TransitionKernel.from_dense("lazy-walk", 3, [(0,), (1,), (2,)], LAZY_WALK)
+        with mock.patch.object(kernels, "_by_destination", wraps=kernels._by_destination) as derive:
+            agg = Aggregator(kernel, 1.0)
+            for losses in np.random.default_rng(0).random((5, 3)):
+                agg.probabilities()
+                agg.observe(losses)
+            best_prefix_losses(kernel, np.ones((4, 3)))
+        derive.assert_called_once()
+        assert set(TABLE_NAMES[-5:]) <= set(vars(kernel.tables))
+        with pytest.raises(AttributeError, match="no attribute 'mix_dst'"):
+            kernel.tables.mix_dst
+
+    def test_concurrent_first_reads_agree(self):
+        # kernels are shared across threads: racing first reads may each derive the tables
+        def read_all(tb):
+            return [getattr(tb, name) for name in TABLE_NAMES[-5:] + ["orbit"]]
+
+        want = read_all(cyclic_kernel(8).tables)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                for _ in range(10):
+                    tb = cyclic_kernel(8).tables
+                    reads = [pool.submit(read_all, tb) for _ in range(8)]
+                    for read in reads:
+                        for got, expected in zip(read.result(timeout=10), want):
+                            np.testing.assert_array_equal(got, expected)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_orbit_block_built_once_per_kernel(self):
+        kernel = cyclic_kernel(8)
+        table = np.random.default_rng(0).random((300, 8))
+        with mock.patch.object(kernels, "_orbit_rows", wraps=kernels._orbit_rows) as derive:
+            path, loss = best_competitor(kernel, table)
+            prefix = best_prefix_losses(kernel, table)
+            best_competitor(kernel, table[:5])
+        derive.assert_called_once()
+        assert kernel.tables.orbit.shape == (kernels._BLOCK // 64, 64)
+        # a block narrower than the cached one reads its first rows; a wider one rebuilds it
+        for block in (64, 50 * 64, 700 * 64):
+            with mock.patch.object(kernels, "_BLOCK", block):
+                assert best_competitor(kernel, table) == (path, loss)
+                np.testing.assert_array_equal(best_prefix_losses(kernel, table), prefix)
+                assert len(kernel.tables.orbit) >= min(300, block // 64)
 
 
 TWO = [(0,), (1,)]
