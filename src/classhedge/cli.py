@@ -161,7 +161,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_bounds(args: argparse.Namespace) -> int:
     if args.w_budget is not None:
         w_budget = core.as_budget(args.w_budget)
-    elif args.kernel and args.experts and args.rounds:
+    elif None not in (args.kernel, args.experts, args.rounds):
         kernel = harness.make_kernel(args.kernel, args.experts, _kv_pairs(args.kernel_param, "--kernel-param"))
         w_budget = kernel.budget_bound(args.rounds)
     else:

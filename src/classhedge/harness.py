@@ -411,6 +411,28 @@ def run_sweep(
 # --- desk-scale verification (CLI `verify`) --------------------------------
 
 
+def _random_kernel(kind: int, experts: int, rng: np.random.Generator) -> TransitionKernel:
+    """Kind 0 to 3 of the oracle checks: a fixed, a cyclic, a switching kernel (w from
+    1e-3 to 0.9), or a dense one with two classes per expert and about half its entries 0."""
+    if kind < 2:
+        return (fixed_kernel, cyclic_kernel)[kind](experts)
+    if kind == 2:
+        return switching_kernel(experts, float(rng.uniform(1e-3, 0.9)))
+    classes = [(e, c) for e in range(experts) for c in (0, 1)]
+    k = len(classes)
+    matrix = rng.random((k, k)) * (rng.random((k, k)) < 0.5)
+    matrix[np.arange(k), rng.integers(0, k, k)] += 1.0  # no row all zero
+    return TransitionKernel.from_dense("dense", experts, classes, matrix / matrix.sum(axis=1)[:, None])
+
+
+def _log_dev(got: np.ndarray, want: np.ndarray) -> float:
+    """Largest |got - want| over finite log weights; inf unless both are finite at the same places."""
+    finite = np.isfinite(got)
+    if not np.array_equal(finite, np.isfinite(want)):
+        return np.inf
+    return float(np.abs(got[finite] - want[finite]).max(initial=0.0))
+
+
 def run_verification(seed: int = 0, emit=print) -> bool:
     """Cross-check the engine against the independent oracles at desk scale.
 
@@ -424,39 +446,33 @@ def run_verification(seed: int = 0, emit=print) -> bool:
         ok = ok and passed
         emit(f"{'PASS' if passed else 'FAIL'}  {label}")
 
-    worst = 0.0
-    for _ in range(20):
-        experts = int(rng.integers(2, 6))
+    worst_p = worst_w = 0.0
+    for run in range(80):
+        kind = run % 4
+        experts = int(rng.integers(2 if kind == 2 else 1, 6))
         rounds = int(rng.integers(1, 51))
-        table = rng.random((rounds, experts))
+        table = rng.standard_normal((rounds, experts)) * float(rng.uniform(0.2, 5.0))
         gamma = float(rng.uniform(0.3, 3.0))
-        reference = oracle.ewa_reference(table, gamma)
-        agg = Aggregator(fixed_kernel(experts), gamma)
-        for t in range(rounds):
-            p = agg.probabilities()
-            worst = max(worst, float(np.abs(p - reference[t]).max()))
-            agg.observe(table[t])
-        worst = max(worst, float(np.abs(agg.probabilities() - reference[rounds]).max()))
-    check(
-        f"fixed kernel + adaptive rate matches closed-form weighting (max dev {worst:.2e})",
-        worst <= 1e-9,
-    )
-
-    worst = 0.0
-    for _ in range(20):
-        experts = int(rng.integers(1, 5))
-        rounds = int(rng.integers(1, 33))
-        table = rng.standard_normal((rounds, experts))
-        gamma = float(rng.uniform(0.3, 3.0))
-        kernel = cyclic_kernel(experts)
+        kernel = _random_kernel(kind, experts, rng)
+        probs = oracle.ewa_reference(table, gamma) if kind == 0 else None
         reference = oracle.trajectory_reference(kernel, table, gamma)
         agg = Aggregator(kernel, gamma)
-        for t in range(rounds):
-            agg.probabilities()
-            worst = max(worst, float(np.abs(agg.log_weights() - reference[t]).max()))
-            agg.observe(table[t])
-        worst = max(worst, float(np.abs(agg.log_weights() - reference[rounds]).max()))
-    check(f"cyclic kernel matches per-trajectory recursion (max dev {worst:.2e})", worst <= 1e-9)
+        for t in range(rounds + 1):
+            p = agg.probabilities()
+            if kind == 0:
+                worst_p = max(worst_p, float(np.abs(p - probs[t]).max()))
+            worst_w = max(worst_w, _log_dev(agg.log_weights(), reference[t]))
+            if t < rounds:
+                agg.observe(table[t])
+    check(
+        f"fixed kernel + adaptive rate matches closed-form weighting (max dev {worst_p:.2e})",
+        worst_p <= 1e-9,
+    )
+    check(
+        f"fixed, cyclic, switching and dense kernels match the forward recursion "
+        f"(max dev {worst_w:.2e})",
+        worst_w <= 1e-9,
+    )
 
     agree = True
     for _ in range(30):

@@ -2,11 +2,12 @@
 
 Each oracle recomputes a quantity the engine or the DP produces, along a
 deliberately different code path: the closed form of adaptive exponential
-weights over fixed experts, a per-trajectory weight recursion for
-permutation kernels, and exhaustive path enumeration.  They share only the
-scalar centering, statistics, learning-rate and bound formulas with the core
-module, never the engine's grouped log-sum-exp machinery.  ``bound_report``
-evaluates the second-order regret bounds from run telemetry.
+weights over fixed experts, the forward recursion on a dense transition
+matrix for every kind of kernel, and exhaustive path enumeration.  They
+share only the scalar centering, statistics, learning-rate and bound
+formulas with the core module, never the engine's grouped log-sum-exp
+machinery.  ``bound_report`` evaluates the second-order regret bounds
+from run telemetry.
 """
 
 from __future__ import annotations
@@ -97,48 +98,34 @@ def ewa_reference(losses, gamma: float) -> np.ndarray:
 
 
 def trajectory_reference(kernel: TransitionKernel, losses, gamma: float) -> np.ndarray:
-    """Per-trajectory weight recursion for permutation kernels.
+    """Expert-HMM forward recursion over any kernel, on a dense matrix.
 
-    When every class has exactly one successor and the successor map is a
-    bijection, each initial class spawns one trajectory and class weights
-    never merge, so the engine's update can be followed one trajectory at a
-    time with plain scalar arithmetic (no grouped log-sum-exp).  Returns a
-    (T+1, K) array of max-normalized log class weights in kernel class
-    order; row r is the state used for round r+1.
+    Fills a K x K log-transition matrix from ``successor_items`` (-inf where
+    there is no edge) and runs the engine's update through it: each
+    destination's log-sum-exp is taken from its own maximum over all K
+    sources, with no edge lists and no closed form.  Returns a (T+1, K)
+    array of max-normalized log class weights in kernel class order; row r
+    is the state used for round r+1.
     """
     gamma = as_gamma(gamma)
     table = as_loss_array(np.atleast_2d(losses), kernel.num_experts)[0]
     tb = kernel.tables
-    k = tb.num_classes
-    succ = np.empty(k, dtype=np.intp)
-    for i, cls in enumerate(tb.classes):
-        items = kernel.successor_items(cls)
-        if len(items) != 1:
-            raise ValueError(
-                f"kernel '{kernel.name}' is not deterministic: {cls} has {len(items)} successors"
-            )
-        succ[i] = tb.index[items[0][0]]
-    if len(set(succ.tolist())) != k:
-        raise ValueError(
-            f"kernel '{kernel.name}' merges trajectories; per-trajectory weights "
-            "would not match the class weights"
-        )
+    log_t = np.full((tb.num_classes, tb.num_classes), -np.inf)  # [destination, source]
+    for src, cls in enumerate(tb.classes):
+        for dst, weight in kernel.successor_items(cls):
+            log_t[tb.index[dst], src] = math.log(weight)
 
     rounds = table.shape[0]
-    out = np.empty((rounds + 1, k))
-    cur = np.arange(k)
+    out = np.empty((rounds + 1, tb.num_classes))
     with np.errstate(divide="ignore"):
-        log_u = np.log(tb.init_weights)
-    # row 0 is the raw initial distribution, matching the engine's init state;
-    # later rows are max-normalized like the engine's post-mixing state
-    out[0][cur] = log_u
+        # row 0 is the raw initial distribution, matching the engine's init state;
+        # later rows are max-normalized like the engine's post-mixing state
+        out[0] = log_u = np.log(tb.init_weights)
 
     prev = DEGENERATE_ETA
     d_max = v_sum = carry = 0.0
     for t in range(rounds):
-        shifted = np.exp(log_u - log_u.max())
-        by_expert = np.zeros(kernel.num_experts)
-        np.add.at(by_expert, tb.expert_of[cur], shifted)
+        by_expert = np.bincount(tb.expert_of, np.exp(log_u - log_u.max()), kernel.num_experts)
         p = by_expert / by_expert.sum()
 
         phi = center_losses(table[t], p)
@@ -150,26 +137,16 @@ def trajectory_reference(kernel: TransitionKernel, losses, gamma: float) -> np.n
         exponent = 0.0 if math.isinf(prev_eff) else prev_eff
         ratio = eta_ratio(eta_t, prev_eff)
 
-        log_u = ratio * (log_u - exponent * phi[tb.expert_of[cur]])
+        terms = ratio * (log_u - exponent * phi[tb.expert_of]) + log_t
+        top = terms.max(axis=1)
+        # a destination whose every term is -inf stays -inf: shift it by 0, not by -inf
+        top[np.isneginf(top)] = 0.0
+        with np.errstate(divide="ignore"):
+            log_u = top + np.log(np.exp(terms - top[:, None]).sum(axis=1))
         log_u -= log_u.max()
-        cur = succ[cur]
-        out[t + 1][cur] = log_u
+        out[t + 1] = log_u
         prev = eta_t
     return out
-
-
-def _count_paths(kernel: TransitionKernel, rounds: int, successors: dict) -> int:
-    tb = kernel.tables
-    counts = {cls: 1 for cls in tb.classes}
-    for _ in range(rounds - 1):
-        counts = {
-            cls: sum(counts[dst] for dst, _ in successors[cls]) for cls in tb.classes
-        }
-    return sum(
-        counts[cls]
-        for i, cls in enumerate(tb.classes)
-        if tb.init_weights[i] > 0.0
-    )
 
 
 def exhaustive_best(
@@ -186,32 +163,32 @@ def exhaustive_best(
     rounds = table.shape[0]
     tb = kernel.tables
     successors = {cls: kernel.successor_items(cls) for cls in tb.classes}
-    total = _count_paths(kernel, rounds, successors)
+    starts = [cls for i, cls in enumerate(tb.classes) if tb.init_weights[i] > 0.0]
+    counts = dict.fromkeys(tb.classes, 1)  # paths of each length so far, by first class
+    for _ in range(rounds - 1):
+        counts = {cls: sum(counts[dst] for dst, _ in successors[cls]) for cls in tb.classes}
+    total = sum(counts[cls] for cls in starts)
     if total > limit:
         raise ValueError(f"{total} in-class paths exceed the enumeration limit {limit}")
 
     best_cost = math.inf
     best: list[ClassParams] | None = None
     path: list[ClassParams] = []
-
-    def walk(cls: ClassParams, t: int) -> None:
-        nonlocal best_cost, best
+    # depth-first on an explicit stack, pushed in reverse so paths pop in lexicographic order
+    stack = [(cls, 1) for cls in reversed(starts)]
+    while stack:
+        cls, t = stack.pop()
+        del path[t - 1:]
         path.append(cls)
-        if t == rounds:
-            cost = 0.0
-            for back, step in zip(range(rounds - 1, -1, -1), reversed(path)):
-                cost = table[back][step[0]] + cost
-            if cost < best_cost:
-                best_cost = cost
-                best = list(path)
-        else:
-            for dst, _ in successors[cls]:
-                walk(dst, t + 1)
-        path.pop()
-
-    for i, cls in enumerate(tb.classes):
-        if tb.init_weights[i] > 0.0:
-            walk(cls, 1)
+        if t < rounds:
+            stack.extend((dst, t + 1) for dst, _ in reversed(successors[cls]))
+            continue
+        cost = 0.0
+        for back in range(rounds - 1, -1, -1):
+            cost = table[back][path[back][0]] + cost
+        if cost < best_cost:
+            best_cost = cost
+            best = list(path)
 
     assert best is not None
     return StrategyPath(

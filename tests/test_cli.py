@@ -289,3 +289,14 @@ def test_bounds_rejects_invalid_budget(tmp_path, capsys, value):
         captured = capsys.readouterr()
         assert "class budget must be a finite real >= 1" in captured.err
         assert "bound_var" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "experts, rounds, message",
+    [("0", "5", "num_experts must be >= 1, got 0"), ("3", "-1", "rounds must be >= 0, got -1")],
+)
+def test_bounds_kernel_gate_names_a_bad_integer(tmp_path, capsys, experts, rounds, message):
+    budget = ["--kernel", "fixed", "--experts", experts, "--rounds", rounds]
+    assert main(["bounds", "--csv", str(tmp_path / "run.csv"), *budget]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "provide --w-budget" not in err

@@ -7,6 +7,7 @@ import pytest
 
 from classhedge.aggregator import Aggregator
 from classhedge.core import ConfigError
+from classhedge.harness import _log_dev
 from classhedge.kernels import TransitionKernel, best_competitor, cyclic_kernel, fixed_kernel, switching_kernel
 from classhedge.oracle import (
     bound_report,
@@ -36,6 +37,19 @@ def straight_loop_ewa(table: np.ndarray, gamma: float) -> np.ndarray:
         total = sum(weights)
         out.append(np.array([w / total for w in weights]))
     return np.array(out)
+
+
+def assert_matches_engine(kernel, table, gamma) -> np.ndarray:
+    """Run the engine beside trajectory_reference: the same -inf entries, the
+    finite ones within 1e-9, before every round and after the last."""
+    logs = trajectory_reference(kernel, table, gamma)
+    agg = Aggregator(kernel, gamma)
+    for t in range(len(table) + 1):
+        assert _log_dev(agg.log_weights(), logs[t]) <= 1e-9, f"round {t + 1}"
+        if t < len(table):
+            agg.probabilities()
+            agg.observe(table[t])
+    return logs
 
 
 class TestEwaReference:
@@ -107,18 +121,31 @@ class TestTrajectoryReference:
                 # no rounds: the check must not wait for the first rate
                 trajectory_reference(cyclic_kernel(2), np.zeros((0, 2)), gamma)
 
-    def test_rejects_stochastic_kernel(self):
-        with pytest.raises(ValueError, match="not deterministic"):
-            trajectory_reference(switching_kernel(2, 0.3), np.zeros((2, 2)), 1.0)
+    def test_matches_engine_on_switching_kernel(self):
+        # several successors per class: the weights of different classes merge
+        table = np.random.default_rng(32).standard_normal((12, 2))
+        assert_matches_engine(switching_kernel(2, 0.3), table, 1.0)
 
-    def test_rejects_merging_deterministic_kernel(self):
-        # both classes hop to (0,): deterministic but not a bijection
+    def test_matches_engine_on_merging_deterministic_kernel(self):
+        # both classes hop to (0,): deterministic but not a bijection, so (1,) gets no weight
         kernel = TransitionKernel(
             "funnel", 2, [(0,), (1,)],
             {(0,): [((0,), 1.0)], (1,): [((0,), 1.0)]},
         )
-        with pytest.raises(ValueError, match="merges"):
-            trajectory_reference(kernel, np.zeros((2, 2)), 1.0)
+        logs = assert_matches_engine(kernel, np.array([[0.0, 1.0], [2.0, -1.0], [0.5, 0.5]]), 1.0)
+        assert np.isneginf(logs[1:, 1]).all() and np.isfinite(logs[:, 0]).all()
+
+    def test_destination_whose_predecessors_all_start_at_zero(self):
+        # (1, 0) is reached only from (1,), which starts at zero weight: after round 1
+        # its every incoming term is -inf, and from round 2 on it has weight again
+        classes = [(0,), (1,), (1, 0)]
+        matrix = [[0.5, 0.5, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]
+        kernel = TransitionKernel.from_dense(
+            "late", 2, classes, matrix, init_weights={(0,): 1.0, (1,): 0.0, (1, 0): 0.0}
+        )
+        logs = assert_matches_engine(kernel, np.random.default_rng(33).random((5, 2)), 0.8)
+        assert np.isneginf(logs[1]).tolist() == [False, False, True]
+        assert np.isfinite(logs[2:]).all()
 
 
 class TestExhaustiveBest:
@@ -141,6 +168,15 @@ class TestExhaustiveBest:
         truth = exhaustive_best(kernel, table)
         path, loss = best_competitor(kernel, table)
         assert truth.classes == path and truth.cum_loss == loss
+
+    @pytest.mark.parametrize("experts", [1, 2])
+    def test_long_table_with_few_paths(self, experts):
+        # 1200 rounds but only `experts` paths: depth must not be bounded by the call stack
+        table = np.random.default_rng(11).random((1200, experts))
+        truth = exhaustive_best(fixed_kernel(experts), table)
+        path, loss = best_competitor(fixed_kernel(experts), table)
+        assert truth.classes == path and truth.cum_loss == loss
+        assert exhaustive_best(fixed_kernel(experts), np.zeros((1200, experts))).selections == (0,) * 1200
 
     def test_refuses_past_limit(self):
         with pytest.raises(ValueError, match="16 in-class paths exceed"):
