@@ -12,21 +12,8 @@ through the kernel's transition map with the rate-ratio exponent:
 
 All sums are grouped log-sum-exp; weights are renormalized to max-log 0
 every round.  The resulting probability sequence is invariant to per-round
-translations and global positive scalings of the losses.
-
-The mixing sum runs over the kernel's edge list, except for the two
-structures the kernel tables read off their edges:
-
-* a permutation has one edge per destination, so the log-sum-exp of each
-  one-edge segment is the edge term itself, ratio*log z[src] + log T;
-* a fixed-share map with weights (stay, off) gives, with y = ratio*log z and
-  e = exp(y - max y),  w'[j] = max y + log(stay*e[j] + off*sum_{i != j} e[i]).
-  The sum over i != j is an exclusive prefix plus an exclusive suffix sum,
-  never the total minus e[j], which cancels when stay << off; nor a
-  diagonal-plus-rank-one form, whose coefficient stay - off may be negative.
-
-Both give the generic path's result (the permutation bit for bit, fixed
-share within rounding) in O(k) work instead of O(edges).
+translations and global positive scalings of the losses.  The kernel's
+transition structure computes the mixing sum.
 """
 
 from __future__ import annotations
@@ -47,56 +34,10 @@ from .core import (
     learning_rate,
     round_stats,
 )
-from .kernels import KernelTables, TransitionKernel
+from .kernels import TransitionKernel
 
 _SIMPLEX_TOL = 1e-12
 _RATE_TOL = 1e-12
-
-
-def _segment_logsumexp(values: np.ndarray, starts: np.ndarray, seg: np.ndarray) -> np.ndarray:
-    """Log-sum-exp of each contiguous segment; -inf where a segment is all -inf.
-
-    Works in place on ``values``; its only input-sized temporary is the
-    gathered segment maxima, which keeps large mixing steps off the allocator.
-    """
-    seg_max = np.maximum.reduceat(values, starts)
-    if seg_max.min() == -np.inf:  # rare: an all -inf segment shifts to NaN, reported as -inf
-        with np.errstate(invalid="ignore"):
-            values -= seg_max[seg]
-        sums = np.add.reduceat(np.exp(values, out=values), starts)
-        return np.where(np.isneginf(seg_max), -np.inf, seg_max + np.log(sums))
-    values -= seg_max[seg]
-    return seg_max + np.log(np.add.reduceat(np.exp(values, out=values), starts))
-
-
-def _mix_edges(tb: KernelTables, log_z: np.ndarray, ratio: float) -> np.ndarray:
-    """Generic mixing: grouped log-sum-exp over the destination-sorted edges."""
-    contrib = ratio * log_z[tb.mix_src] + tb.mix_logw
-    new_lw = np.full(tb.num_classes, -np.inf)
-    new_lw[tb.mix_dst_ids] = _segment_logsumexp(contrib, tb.mix_starts, tb.mix_seg)
-    return new_lw
-
-
-def _mix(tb: KernelTables, log_z: np.ndarray, ratio: float) -> np.ndarray:
-    """Mixing step: log sum_c T(c' | c) * z[c] ** ratio for every class c'.
-
-    Closed form for a permutation or a fixed-share map (see the module
-    docstring), the edge lists otherwise.
-    """
-    if tb.permutation:
-        # every class is a destination exactly once, so mix_dst_ids is 0..k-1
-        return ratio * log_z[tb.mix_src] + tb.mix_logw
-    if tb.share is None:
-        return _mix_edges(tb, log_z, ratio)
-    stay, off = tb.share
-    y = ratio * log_z
-    # finite: the log weights peak at 0, the exponent term is finite and ratio is in (0, 1]
-    top = y.max()
-    e = np.exp(y - top)
-    others = np.zeros_like(e)
-    np.cumsum(e[:-1], out=others[1:])
-    others[:-1] += np.cumsum(e[:0:-1])[::-1]
-    return top + np.log(stay * e + off * others)
 
 
 class RoundDiagnostics(NamedTuple):
@@ -128,7 +69,8 @@ class Aggregator:
     """Algorithmic engine over one transition kernel.
 
     A single instance is single-writer: ``observe`` mutates, ``probabilities``
-    is read-only.  Distinct instances share nothing and may run in parallel.
+    is read-only.  Distinct instances hold no common mutable state and may run
+    in parallel.
 
     The running statistics are plain floats: the range D, the variance sum V
     with its compensation carry, and the last rate eta (DEGENERATE_ETA until
@@ -148,9 +90,6 @@ class Aggregator:
         self._tables = tb = kernel.tables
         with np.errstate(divide="ignore"):
             self._log_w = np.log(tb.init_weights)
-        # one class per expert: the grouped weights are the class weights
-        self._one_class_per_expert = np.array_equal(tb.expert_of, np.arange(self.num_experts))
-        self._every_expert_has_class = tb.present_experts.size == self.num_experts
         self.t = 0
         self._D = self._V = self._carry = 0.0
         self._eta = DEGENERATE_ETA
@@ -173,14 +112,7 @@ class Aggregator:
         """The round's probability vector, computed once and cached until ``observe``."""
         if self._cached_p is not None:
             return self._cached_p
-        tb = self._tables
-        if self._one_class_per_expert:
-            log_wm = self._log_w
-        else:
-            log_wm = _segment_logsumexp(self._log_w.copy(), tb.expert_starts, tb.class_seg)
-            if not self._every_expert_has_class:
-                grouped, log_wm = log_wm, np.full(self.num_experts, -np.inf)
-                log_wm[tb.present_experts] = grouped
+        log_wm = self._tables.expert_log_weights(self._log_w)
         top = log_wm.max()
         if not math.isfinite(top):
             raise InvariantViolation("total class weight vanished")
@@ -247,7 +179,7 @@ class Aggregator:
             raise InvariantViolation(f"round {t}: -eta*phi reached {max_neg_eta_phi!r} > 1")
 
         tb = self._tables
-        new_lw = _mix(tb, self._log_w - exponent * phi[tb.expert_of], ratio)
+        new_lw = tb.structure.mix(self._log_w - exponent * phi[tb.expert_of], ratio)
         top = new_lw.max()
         if not math.isfinite(top):
             raise InvariantViolation(f"round {t}: class weights collapsed")

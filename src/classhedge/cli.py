@@ -209,7 +209,7 @@ def main(argv: list[str] | None = None) -> int:
     _add_run_flags(p_sweep)
     p_sweep.add_argument("--seeds", required=True, help="range lo:hi or comma list")
     p_sweep.add_argument("--out-dir", required=True, help="directory for per-seed CSVs")
-    p_sweep.add_argument("--jobs", type=int, help="parallel workers (default: cpu count)")
+    p_sweep.add_argument("--jobs", type=int, help="worker processes (default: min(seeds, cpu count))")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="desk-scale oracle cross-checks")

@@ -380,14 +380,16 @@ def run_sweep(
 
     Each seed runs on its own engine state and writes its own per-round CSV;
     the merge is a single-threaded final step.  Returns the summary path.
+    ``jobs`` (default: the CPU count) caps the worker processes, of which
+    there are never more than seeds; one worker runs the seeds in-process.
     """
     if not seeds:
         raise ConfigError("sweep needs at least one seed")
     if len(set(seeds)) != len(seeds):
         raise ConfigError(f"sweep seeds must be distinct, got {list(seeds)}")
-    if jobs is None:
-        jobs = min(len(seeds), os.cpu_count() or 1)
-    workers = as_integer(jobs, "jobs", 1)
+    workers = (os.cpu_count() or 1) if jobs is None else as_integer(jobs, "jobs", 1)
+    # a process pool starts all of its workers up front, busy or not
+    workers = min(workers, len(seeds))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     tasks = [replace(base, seed=s, out=out_dir / f"seed_{s}.csv", debug_probs=False) for s in seeds]

@@ -4,10 +4,12 @@ A competition class is described by a finite set of equivalence classes
 (tuples of small integers whose first coordinate is the current expert) and a
 row-stochastic transition map between consecutive rounds.  Built-ins cover
 the fixed-expert class, the cyclic moving-rate class, and a fixed-share style
-switching class.  The module also provides the class budget
-W = 1 + log(max |Omega|) - log(product of transition weights), its bound
-read off each kernel's own tables (which chooses gamma), and the
-dynamic-programming search for the best in-class competitor.
+switching class.  Each kernel's transition structure (edge list,
+permutation or fixed share) mixes the engine's weights and runs the
+dynamic-programming search for the best in-class competitor.  The module
+also provides the class budget W = 1 + log(max |Omega|) - log(product of
+transition weights) and its bound read off each kernel's own tables (which
+chooses gamma).
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import math
 import warnings
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -27,17 +28,20 @@ ClassParams = tuple[int, ...]
 _ROW_TOL = 1e-12
 
 
-class _Derived(cached_property):
-    """A table derived on first read: the function returns it and its siblings by
-    name, each set as an instance attribute that hides this descriptor from then
-    on, without reading ``__dict__`` (which slows every later attribute read)."""
+def _segment_logsumexp(values: np.ndarray, starts: np.ndarray, seg: np.ndarray) -> np.ndarray:
+    """Log-sum-exp of each contiguous segment; -inf where a segment is all -inf.
 
-    def __get__(self, tb, owner=None):
-        if tb is None:
-            return self
-        for name, table in self.func(tb).items():
-            object.__setattr__(tb, name, table)
-        return getattr(tb, self.attrname)
+    Works in place on ``values``; its only input-sized temporary is the
+    gathered segment maxima, which keeps large mixing steps off the allocator.
+    """
+    seg_max = np.maximum.reduceat(values, starts)
+    if seg_max.min() == -np.inf:  # rare: an all -inf segment shifts to NaN, reported as -inf
+        with np.errstate(invalid="ignore"):
+            values -= seg_max[seg]
+        sums = np.add.reduceat(np.exp(values, out=values), starts)
+        return np.where(np.isneginf(seg_max), -np.inf, seg_max + np.log(sums))
+    values -= seg_max[seg]
+    return seg_max + np.log(np.add.reduceat(np.exp(values, out=values), starts))
 
 
 @dataclass(frozen=True)
@@ -45,56 +49,44 @@ class KernelTables:
     """Precomputed index structures of a kernel.
 
     Classes are sorted lexicographically, which groups them by expert since
-    the expert index is the first coordinate.
-
-    Two transition structures are read off the edges, not declared:
-    ``permutation`` (every class has exactly one successor and no two share
-    it, as in the fixed and cyclic classes) and ``share``, the (stay, off)
-    weights of a fixed-share map (k >= 2, all k^2 edges, one weight on the
-    diagonal and one off it, as in the switching class).  The engine's mixing
-    step and both competitor DPs take a closed form for each; every other
-    kernel uses the edge lists.
-
-    The edges in (dst, src) order, for the engine's mixing step and the
-    prefix DP (``mix_src``, ``mix_logw``, ``mix_starts``, ``mix_dst_ids`` and
-    ``mix_seg``, all five at once, never on fixed-share kernels), and
-    ``orbit`` (see ``_orbit_block``) are derived on first read and kept as
-    attributes.  A concurrent first read only computes equal arrays twice.
+    the expert index is the first coordinate.  The edges are kept in
+    (source, destination) order with their raw weights.  ``structure`` is the
+    kernel's transition structure (``EdgeList``, ``Permutation`` or
+    ``FixedShare``), read off the edges when the kernel is built: it mixes
+    the engine's weights and runs both competitor DPs.
     """
 
     classes: tuple[ClassParams, ...]
     index: dict[ClassParams, int] = field(repr=False)
+    num_experts: int
     expert_of: np.ndarray = field(repr=False)
     present_experts: np.ndarray = field(repr=False)
     expert_starts: np.ndarray = field(repr=False)
     class_seg: np.ndarray = field(repr=False)
-    # edges sorted by (src, dst), with the raw transition weights
     adj_src: np.ndarray = field(repr=False)
     adj_dst: np.ndarray = field(repr=False)
     adj_w: np.ndarray = field(repr=False)
     adj_starts: np.ndarray = field(repr=False)
     init_weights: np.ndarray = field(repr=False)
-    permutation: bool
-    share: tuple[float, float] | None
-    mix_src, mix_logw, mix_starts, mix_dst_ids, mix_seg = (
-        _Derived(lambda tb: _by_destination(tb)) for _ in range(5)
-    )
-    orbit = _Derived(lambda tb: {"orbit": _orbit_rows(tb)})
+    structure: EdgeList | Permutation | FixedShare = field(repr=False)
 
     @property
     def num_classes(self) -> int:
         return len(self.classes)
 
+    def expert_log_weights(self, log_w: np.ndarray) -> np.ndarray:
+        """Log of each expert's total class weight, -inf for an expert with no class.
 
-def _by_destination(tb: KernelTables) -> dict[str, np.ndarray]:
-    """The edges in (dst, src) order: a stable sort by destination of the (src, dst) order."""
-    order = np.argsort(tb.adj_dst, kind="stable")
-    counts = np.bincount(tb.adj_dst, minlength=tb.num_classes)
-    dst_ids = np.flatnonzero(counts)
-    starts = (np.cumsum(counts) - counts)[dst_ids]
-    seg = np.repeat(np.arange(len(dst_ids)), counts[dst_ids])
-    return dict(mix_src=tb.adj_src[order], mix_logw=np.log(tb.adj_w[order]), mix_starts=starts,
-                mix_dst_ids=dst_ids, mix_seg=seg)
+        With one class per expert this is ``log_w`` itself, not a copy.
+        """
+        if len(log_w) == len(self.present_experts) == self.num_experts:
+            return log_w
+        grouped = _segment_logsumexp(log_w.copy(), self.expert_starts, self.class_seg)
+        if len(grouped) == self.num_experts:
+            return grouped
+        out = np.full(self.num_experts, -np.inf)
+        out[self.present_experts] = grouped
+        return out
 
 
 def _as_class(coords) -> ClassParams:
@@ -266,17 +258,6 @@ class TransitionKernel:
                 total = math.inf
             raise ConfigError(f"row for {class_list[i]} sums to {total!r}, not 1")
 
-        # k edges, one per row: a permutation if every class is a destination
-        permutation = len(src) == k and bool(np.bincount(dst, minlength=k).all())
-        share = None
-        # with rows in (src, dst) order, k^2 edges are all present iff every
-        # row lists the destinations 0..k-1
-        if k >= 2 and len(src) == k * k and (dst.reshape(k, k) == np.arange(k)).all():
-            stay, off = raw_w[0], raw_w[1]
-            # the k^2 - k entries between diagonal ones are the off-diagonal ones
-            if (raw_w[::k + 1] == stay).all() and (raw_w[1:].reshape(k - 1, k + 1)[:, :k] == off).all():
-                share = (float(stay), float(off))
-
         if init_weights is None:
             init = np.full(k, 1.0 / k)
         else:
@@ -292,6 +273,7 @@ class TransitionKernel:
         return KernelTables(
             classes=tuple(class_list),
             index=index,
+            num_experts=self.num_experts,
             expert_of=expert_of,
             present_experts=present_experts,
             expert_starts=expert_starts,
@@ -301,8 +283,7 @@ class TransitionKernel:
             adj_w=raw_w,
             adj_starts=adj_starts,
             init_weights=init,
-            permutation=permutation,
-            share=share,
+            structure=_structure(src, dst, raw_w, k),
         )
 
     @classmethod
@@ -468,9 +449,9 @@ def class_budget(kernel: TransitionKernel, competitor: Sequence[ClassParams]) ->
     return 1.0 + _start_charge(init_weight, tb.num_classes) - log_tau
 
 
-# (round, class) entries in one block of the structured DPs, which hold at
-# least one round: their temporaries, a few arrays of this size (about 0.3 MB
-# in all), do not grow with the number of rounds.
+# (round, class) entries in one block of the permutation and fixed-share DPs,
+# which hold at least one round: their temporaries, a few arrays of this size
+# (about 0.3 MB in all), do not grow with the number of rounds.
 _BLOCK = 8192
 
 
@@ -479,6 +460,87 @@ def _best_start(tb: KernelTables, suffix: np.ndarray) -> tuple[int, float]:
     masked = np.where(tb.init_weights > 0.0, suffix, np.inf)
     start = int(np.argmin(masked))  # first minimum = lex-smallest class
     return start, float(masked[start])
+
+
+def _structure(src, dst, w, k) -> EdgeList | Permutation | FixedShare:
+    """The transition structure of edges in (source, destination) order, read off them."""
+    # k edges, one per row: a permutation if every class is a destination
+    if len(src) == k and np.bincount(dst, minlength=k).all():
+        return Permutation.of(dst, w)
+    # with rows in (src, dst) order, k^2 edges are all present iff every
+    # row lists the destinations 0..k-1
+    if k >= 2 and len(src) == k * k and (dst.reshape(k, k) == np.arange(k)).all():
+        stay, off = w[0], w[1]
+        # the k^2 - k entries between diagonal ones are the off-diagonal ones
+        if (w[::k + 1] == stay).all() and (w[1:].reshape(k - 1, k + 1)[:, :k] == off).all():
+            return FixedShare(float(stay), float(off))
+    return EdgeList.of(src, dst, w, k)
+
+
+@dataclass(frozen=True, eq=False)
+class EdgeList:
+    """Any kernel: the reference the other two structures are tested against.
+
+    Mixing and the prefix DP read the edges in (destination, source) order:
+    each edge's source ``src`` and log weight ``logw``, the destinations that
+    have an edge ``dst_ids``, the first edge of each ``starts``, and each
+    edge's rank among them ``seg``.  The path DP walks the tables' (source,
+    destination) edges round by round, keeping one back-pointer per class
+    and round.
+    """
+
+    src: np.ndarray
+    logw: np.ndarray
+    starts: np.ndarray
+    dst_ids: np.ndarray
+    seg: np.ndarray
+
+    @classmethod
+    def of(cls, src, dst, w, k) -> EdgeList:
+        """From edges in (source, destination) order: a stable sort by destination."""
+        order = np.argsort(dst, kind="stable")
+        counts = np.bincount(dst, minlength=k)
+        dst_ids = np.flatnonzero(counts)
+        starts = (np.cumsum(counts) - counts)[dst_ids]
+        seg = np.repeat(np.arange(len(dst_ids)), counts[dst_ids])
+        return cls(src[order], np.log(w[order]), starts, dst_ids, seg)
+
+    def mix(self, log_z: np.ndarray, ratio: float) -> np.ndarray:
+        """log sum_c T(c' | c) * z[c] ** ratio for every class c': a grouped log-sum-exp."""
+        contrib = ratio * log_z[self.src] + self.logw
+        new_lw = np.full(len(log_z), -np.inf)
+        new_lw[self.dst_ids] = _segment_logsumexp(contrib, self.starts, self.seg)
+        return new_lw
+
+    def path_dp(self, table: np.ndarray, tb: KernelTables) -> tuple[list[int], float]:
+        rounds = len(table)
+        nnz = len(tb.adj_dst)
+        back = np.empty((max(rounds - 1, 0), tb.num_classes), dtype=np.intp)
+        edge_pos = np.arange(nnz)
+        suffix = table[rounds - 1][tb.expert_of]
+        for t in range(rounds - 2, -1, -1):
+            cand = suffix[tb.adj_dst]
+            seg_min = np.minimum.reduceat(cand, tb.adj_starts)
+            # first minimal edge in each segment = lex-smallest successor
+            marked = np.where(cand == seg_min[tb.adj_src], edge_pos, nnz)
+            back[t] = tb.adj_dst[np.minimum.reduceat(marked, tb.adj_starts)]
+            suffix = table[t][tb.expert_of] + seg_min
+        start, best_loss = _best_start(tb, suffix)
+        path = [start]
+        for t in range(rounds - 1):
+            path.append(int(back[t][path[-1]]))
+        return path, best_loss
+
+    def prefix_dp(self, table: np.ndarray, tb: KernelTables) -> np.ndarray:
+        dp = np.where(tb.init_weights > 0.0, table[0][tb.expert_of], np.inf)
+        out = np.empty(len(table))
+        out[0] = dp.min()
+        for t in range(1, len(table)):
+            carried = np.full(tb.num_classes, np.inf)
+            carried[self.dst_ids] = np.minimum.reduceat(dp[self.src], self.starts)
+            dp = carried + table[t][tb.expert_of]
+            out[t] = dp.min()
+        return out
 
 
 def _orbit_rows(tb: KernelTables) -> np.ndarray:
@@ -497,21 +559,6 @@ def _orbit_rows(tb: KernelTables) -> np.ndarray:
     return orbit
 
 
-def _orbit_block(tb: KernelTables, rounds: int, num_experts: int):
-    """One block of B rounds, the first rows of ``tb.orbit``: (orbit, flat, jump).
-
-    ``flat[j, c]`` indexes the loss of the expert of class ``orbit[j, c]`` in
-    a block of the flattened loss table; ``jump`` is succ^B.
-    """
-    width = max(1, min(rounds, _BLOCK // tb.num_classes))
-    if len(tb.orbit) < width:  # _BLOCK grew since the first read
-        object.__setattr__(tb, "orbit", _orbit_rows(tb))
-    orbit = tb.orbit[:width]
-    flat = tb.expert_of[orbit]
-    flat += np.arange(0, width * num_experts, num_experts)[:, None]
-    return orbit, flat, tb.adj_dst[orbit[-1]]
-
-
 def _running_sum(rows: np.ndarray) -> None:
     """Sum down the rows in place, each entry fl(entry above + entry), strictly in order.
 
@@ -525,43 +572,92 @@ def _running_sum(rows: np.ndarray) -> None:
             np.add(rows[j - 1], rows[j], out=rows[j])
 
 
-def _orbit_path(table: np.ndarray, tb: KernelTables) -> tuple[list[int], float]:
-    rounds = len(table)
-    orbit, flat, jump = _orbit_block(tb, rounds, table.shape[1])
-    width = len(orbit)
-    # -0.0 is the exact identity of addition, the sign of a zero included
-    carry = np.full(tb.num_classes, -0.0)
-    for lo in range((rounds - 1) // width * width, -1, -width):
-        # row j, column c: the loss of the class j steps on from c at round lo
-        block = table[lo:lo + width].ravel().take(flat[:rounds - lo])
-        block[-1] += carry
-        _running_sum(block[::-1])
-        # the class after a row's last round is succ^B of its first
-        carry = block[0].take(jump)
-    start, best_loss = _best_start(tb, block[0])
-    heads = [start]  # the path's class at the first round of each block
-    for _ in range((rounds - 1) // width):
-        heads.append(int(jump[heads[-1]]))
-    path = orbit[:, heads].T.ravel()[:rounds]
-    return path.tolist(), best_loss
+@dataclass(eq=False)
+class Permutation:
+    """Every class has one successor and no two share it: the fixed and cyclic classes.
 
+    Mixing: each class has the one predecessor ``pred``, so the log-sum-exp
+    of its one edge is the edge term itself, ratio*log z[pred] + logw, the
+    edge list's result bit for bit in O(k).
 
-def _orbit_prefix(table: np.ndarray, tb: KernelTables) -> np.ndarray:
-    rounds = len(table)
-    _, flat, jump = _orbit_block(tb, rounds, table.shape[1])
-    width = len(flat)
-    before = np.empty_like(jump)
-    before[jump] = np.arange(len(jump))  # the class whose row ends one round before c's
-    # -0.0 leaves a start's loss as it is; inf bars the classes no path starts in
-    carry = np.where(tb.init_weights > 0.0, -0.0, np.inf)
-    out = np.empty(rounds)
-    for lo in range(0, rounds, width):
-        block = table[lo:lo + width].ravel().take(flat[:rounds - lo])
-        block[0] += carry
-        _running_sum(block)
-        block.min(axis=1, out=out[lo:lo + len(block)])
-        carry = block[-1].take(before)
-    return out
+    DPs: a path is fixed by its first class, so a class's DP value is a
+    running sum of its expert's losses along its orbit.  The rounds are cut
+    into blocks of B rounds by k classes, B*k about ``_BLOCK`` (at least one
+    round); ``orbit[j, c]`` = succ^j(c) is built once, by the first DP call,
+    and each block's losses are one ``take`` from the flattened loss table,
+    summed by ``_running_sum`` (strictly sequential, the loop's bits).  The
+    prefix DP first adds to a block's first row the carry of the row whose
+    block ended one round before, then takes ``min`` over the classes.  The
+    path DP runs the reversed blocks, last block first, carrying the later
+    block's first row at succ^B, and reads the path off ``orbit``: no
+    back-pointers.
+    """
+
+    pred: np.ndarray
+    logw: np.ndarray
+    orbit: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    @classmethod
+    def of(cls, dst, w) -> Permutation:
+        """From one edge per source, in source order: ``dst`` is the successor map."""
+        pred = np.empty_like(dst)
+        pred[dst] = np.arange(len(dst))
+        return cls(pred, np.log(w[pred]))
+
+    def mix(self, log_z: np.ndarray, ratio: float) -> np.ndarray:
+        return ratio * log_z[self.pred] + self.logw
+
+    def _block(self, tb: KernelTables, rounds: int):
+        """One block of B rounds, the first rows of ``orbit``: (orbit, flat, jump).
+
+        ``flat[j, c]`` indexes the loss of the expert of class ``orbit[j, c]`` in
+        a block of the flattened loss table; ``jump`` is succ^B.  A concurrent
+        first call only computes equal orbits twice.
+        """
+        width = max(1, min(rounds, _BLOCK // tb.num_classes))
+        if self.orbit is None or len(self.orbit) < width:  # first call, or _BLOCK grew since
+            self.orbit = _orbit_rows(tb)
+        orbit = self.orbit[:width]
+        flat = tb.expert_of[orbit]
+        flat += np.arange(0, width * tb.num_experts, tb.num_experts)[:, None]
+        return orbit, flat, tb.adj_dst[orbit[-1]]
+
+    def path_dp(self, table: np.ndarray, tb: KernelTables) -> tuple[list[int], float]:
+        rounds = len(table)
+        orbit, flat, jump = self._block(tb, rounds)
+        width = len(orbit)
+        # -0.0 is the exact identity of addition, the sign of a zero included
+        carry = np.full(tb.num_classes, -0.0)
+        for lo in range((rounds - 1) // width * width, -1, -width):
+            # row j, column c: the loss of the class j steps on from c at round lo
+            block = table[lo:lo + width].ravel().take(flat[:rounds - lo])
+            block[-1] += carry
+            _running_sum(block[::-1])
+            # the class after a row's last round is succ^B of its first
+            carry = block[0].take(jump)
+        start, best_loss = _best_start(tb, block[0])
+        heads = [start]  # the path's class at the first round of each block
+        for _ in range((rounds - 1) // width):
+            heads.append(int(jump[heads[-1]]))
+        path = orbit[:, heads].T.ravel()[:rounds]
+        return path.tolist(), best_loss
+
+    def prefix_dp(self, table: np.ndarray, tb: KernelTables) -> np.ndarray:
+        rounds = len(table)
+        _, flat, jump = self._block(tb, rounds)
+        width = len(flat)
+        before = np.empty_like(jump)
+        before[jump] = np.arange(len(jump))  # the class whose row ends one round before c's
+        # -0.0 leaves a start's loss as it is; inf bars the classes no path starts in
+        carry = np.where(tb.init_weights > 0.0, -0.0, np.inf)
+        out = np.empty(rounds)
+        for lo in range(0, rounds, width):
+            block = table[lo:lo + width].ravel().take(flat[:rounds - lo])
+            block[0] += carry
+            _running_sum(block)
+            block.min(axis=1, out=out[lo:lo + len(block)])
+            carry = block[-1].take(before)
+        return out
 
 
 def _round_minima(table: np.ndarray, tb: KernelTables) -> np.ndarray:
@@ -575,38 +671,55 @@ def _round_minima(table: np.ndarray, tb: KernelTables) -> np.ndarray:
     )
 
 
-def _share_path(table: np.ndarray, tb: KernelTables) -> tuple[list[int], float]:
-    rounds = len(table)
-    # best[t]: the least suffix value from round t on, fl(minima[t] + best[t+1]); best[T] = -0.0
-    best = np.add.accumulate(np.append(_round_minima(table, tb), -0.0)[::-1])[::-1]
-    firsts = np.empty(rounds, dtype=np.intp)
-    width = max(1, _BLOCK // tb.num_classes)
-    for lo in range(0, rounds, width):
-        suffix = table[lo:lo + width, tb.expert_of]
-        suffix += best[lo + 1:lo + width + 1, None]
-        suffix.argmin(axis=1, out=firsts[lo:lo + len(suffix)])
-    start, best_loss = _best_start(tb, table[0][tb.expert_of] + best[1])
-    return [start] + firsts[1:].tolist(), best_loss
+@dataclass(frozen=True)
+class FixedShare:
+    """All k^2 edges (k >= 2), ``stay`` on the diagonal and ``off`` off it: the switching class.
 
+    Mixing: with y = ratio*log z and e = exp(y - max y),
+    w'[j] = max y + log(stay*e[j] + off*sum_{i != j} e[i]), in O(k) where the
+    edge list takes O(k^2).  The sum over i != j is an exclusive prefix plus
+    an exclusive suffix sum, never the total minus e[j], which cancels when
+    stay << off; nor a diagonal-plus-rank-one form, whose coefficient
+    stay - off may be negative.  It agrees with the edge list within rounding.
 
-def _edge_list_path(table: np.ndarray, tb: KernelTables) -> tuple[list[int], float]:
-    rounds = len(table)
-    nnz = len(tb.adj_dst)
-    back = np.empty((max(rounds - 1, 0), tb.num_classes), dtype=np.intp)
-    edge_pos = np.arange(nnz)
-    suffix = table[rounds - 1][tb.expert_of]
-    for t in range(rounds - 2, -1, -1):
-        cand = suffix[tb.adj_dst]
-        seg_min = np.minimum.reduceat(cand, tb.adj_starts)
-        # first minimal edge in each segment = lex-smallest successor
-        marked = np.where(cand == seg_min[tb.adj_src], edge_pos, nnz)
-        back[t] = tb.adj_dst[np.minimum.reduceat(marked, tb.adj_starts)]
-        suffix = table[t][tb.expert_of] + seg_min
-    start, best_loss = _best_start(tb, suffix)
-    path = [start]
-    for t in range(rounds - 1):
-        path.append(int(back[t][path[-1]]))
-    return path, best_loss
+    DPs: every class succeeds every class, and rounding is monotone, so
+    min_c fl(x_c + a) = fl(min_c x_c + a).  The prefix DP is one
+    ``np.add.accumulate`` of the rounds' minima; the path DP's least suffixes
+    are a reverse accumulate of the same minima, and the back-pointer of
+    round t is the first minimum of fl(x_t+1 + least suffix from t+2), one
+    ``argmin`` per block.  No destination tables are built.
+    """
+
+    stay: float
+    off: float
+
+    def mix(self, log_z: np.ndarray, ratio: float) -> np.ndarray:
+        y = ratio * log_z
+        # finite: the log weights peak at 0, the exponent term is finite and ratio is in (0, 1]
+        top = y.max()
+        e = np.exp(y - top)
+        others = np.zeros_like(e)
+        np.cumsum(e[:-1], out=others[1:])
+        others[:-1] += np.cumsum(e[:0:-1])[::-1]
+        return top + np.log(self.stay * e + self.off * others)
+
+    def path_dp(self, table: np.ndarray, tb: KernelTables) -> tuple[list[int], float]:
+        rounds = len(table)
+        # best[t]: the least suffix value from round t on, fl(minima[t] + best[t+1]); best[T] = -0.0
+        best = np.add.accumulate(np.append(_round_minima(table, tb), -0.0)[::-1])[::-1]
+        firsts = np.empty(rounds, dtype=np.intp)
+        width = max(1, _BLOCK // tb.num_classes)
+        for lo in range(0, rounds, width):
+            suffix = table[lo:lo + width, tb.expert_of]
+            suffix += best[lo + 1:lo + width + 1, None]
+            suffix.argmin(axis=1, out=firsts[lo:lo + len(suffix)])
+        start, best_loss = _best_start(tb, table[0][tb.expert_of] + best[1])
+        return [start] + firsts[1:].tolist(), best_loss
+
+    def prefix_dp(self, table: np.ndarray, tb: KernelTables) -> np.ndarray:
+        minima = _round_minima(table, tb)
+        minima[0] = np.where(tb.init_weights > 0.0, table[0][tb.expert_of], np.inf).min()
+        return np.add.accumulate(minima)
 
 
 def best_competitor(
@@ -615,75 +728,28 @@ def best_competitor(
     """Minimum-cumulative-loss in-class path, by dynamic programming.
 
     A path's cost is the sum over rounds of the loss of the expert its class
-    selects.  Ties are broken toward the lexicographically smallest class
-    sequence.  Returns (path, cumulative loss).  Every kernel has the same
-    backward recursion, suffix_t(c) = x_t(c) + min over successors b of
-    suffix_t+1(b), where x_t(c) is the loss of c's expert at round t; two
-    structures take it without a per-round loop:
-
-    - a permutation kernel (fixed, cyclic) fixes a path by its first class,
-      so suffix_0(c) is a right-to-left running sum along c's orbit.  The
-      rounds are cut into blocks of B rounds and k classes, B*k about
-      ``_BLOCK``; ``orbit[j, c]`` = succ^j(c) is built once per kernel.
-      Each block's losses are one ``take``, last block first, summed by a
-      reversed ``np.add.accumulate`` (strictly sequential, like the loop);
-      the carry into row c is the later block's first row at succ^B(c).
-      The path is read off ``orbit`` from its first class.
-    - on a fixed-share kernel (switching) every class succeeds every class,
-      and rounding is monotone, so min_c fl(x_c + a) = fl(min_c x_c + a):
-      the least suffix from each round on is one reverse accumulate of the
-      rounds' minima, and the back-pointer of round t is the first minimum
-      of fl(x_t+1 + least suffix from t+2), one ``argmin`` per block.
-
-    Both give the loop's path and bits, save the sign of a zero loss: numpy's
-    ``min`` does not fix which of -0.0 and +0.0 it returns, and neither did
-    the loop.  Their temporaries are a few arrays of one block (at least one
-    round) plus a few numbers per round, whatever the number of rounds.
-    Other kernels walk the edge lists round by round, keeping one
-    back-pointer per class and round; they are the reference.
+    selects, and it must start in a class of positive initial weight.  Ties
+    are broken toward the lexicographically smallest class sequence.
+    Returns (path, cumulative loss).  The kernel's transition structure runs
+    the backward recursion suffix_t(c) = x_t(c) + min over successors b of
+    suffix_t+1(b), where x_t(c) is the loss of c's expert at round t; every
+    structure gives the edge-list DP's path and bits, save the sign of a zero
+    loss, which numpy's ``min`` does not fix.
     """
     table = as_loss_array(np.atleast_2d(losses), kernel.num_experts)[0]
     tb = kernel.tables
-    if tb.permutation:
-        path, best_loss = _orbit_path(table, tb)
-    elif tb.share is not None:
-        path, best_loss = _share_path(table, tb)
-    else:
-        path, best_loss = _edge_list_path(table, tb)
+    path, best_loss = tb.structure.path_dp(table, tb)
     return tuple(tb.classes[i] for i in path), best_loss
 
 
 def best_prefix_losses(kernel: TransitionKernel, losses) -> np.ndarray:
     """Minimum in-class cumulative loss for every prefix of the loss table.
 
-    One forward DP pass; entry t-1 is the best competitor loss over rounds
-    1..t.  The final entry matches best_competitor's cumulative loss.  On a
-    permutation kernel each class's value is a running sum along its orbit:
-    each block of rounds (see ``best_competitor``) is one ``take``, summed
-    down its rows by ``np.add.accumulate`` (strictly sequential, the loop's
-    bits) after its first row takes the carry of the row whose block ends
-    one round before, then reduced by a ``min`` over the classes.  On a
-    fixed-share kernel every class is carried the previous best, so by
-    monotone rounding the entries are an ``np.add.accumulate`` of the
-    rounds' minima.  Both keep the edge-list loop's values, save the sign of
-    a zero minimum, in temporaries of one block; other kernels take that
-    loop.
+    Entry t-1 is the best competitor loss over rounds 1..t, by the forward
+    recursion of the kernel's transition structure; the final entry matches
+    ``best_competitor``'s cumulative loss.  Every structure gives the
+    edge-list DP's values, save the sign of a zero minimum.
     """
     table = as_loss_array(np.atleast_2d(losses), kernel.num_experts)[0]
     tb = kernel.tables
-    if tb.permutation:
-        return _orbit_prefix(table, tb)
-    first = np.where(tb.init_weights > 0.0, table[0][tb.expert_of], np.inf)
-    if tb.share is not None:
-        minima = _round_minima(table, tb)
-        minima[0] = first.min()
-        return np.add.accumulate(minima)
-    dp = first
-    out = np.empty(len(table))
-    out[0] = dp.min()
-    for t in range(1, len(table)):
-        carried = np.full(tb.num_classes, np.inf)
-        carried[tb.mix_dst_ids] = np.minimum.reduceat(dp[tb.mix_src], tb.mix_starts)
-        dp = carried + table[t][tb.expert_of]
-        out[t] = dp.min()
-    return out
+    return tb.structure.prefix_dp(table, tb)

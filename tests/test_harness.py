@@ -23,6 +23,7 @@ from classhedge.harness import (
     run_sweep,
     run_verification,
 )
+from classhedge.kernels import FixedShare
 
 
 def take(stream, n):
@@ -130,7 +131,9 @@ class TestConfig:
             make_kernel("switching", 3, {"switch_weight": weight})
 
     def test_switch_weight_accepts_numpy_reals(self):
-        assert make_kernel("switching", 3, {"switch_weight": np.float32(0.25)}).tables.share is not None
+        assert isinstance(
+            make_kernel("switching", 3, {"switch_weight": np.float32(0.25)}).tables.structure, FixedShare
+        )
 
     @pytest.mark.parametrize("params", [[1], "switch_weight", 0.1])
     def test_parameters_must_be_a_mapping(self, params):
@@ -399,6 +402,35 @@ class TestSweep:
         with pytest.raises(ConfigError, match="jobs must be"):
             run_sweep(base, [1, 2], tmp_path / "sweep", jobs=jobs)
         assert not (tmp_path / "sweep").exists()
+
+    @pytest.mark.parametrize(
+        "jobs, seeds, cpus, pools",
+        [(64, [1, 2], 1, [2]), (4, [1], 1, []), (None, [1, 2], 64, [2]), (None, [1, 2, 3], 2, [2])],
+    )
+    def test_workers_capped_at_seed_count(self, tmp_path, monkeypatch, jobs, seeds, cpus, pools):
+        made = []
+
+        class RecordingPool:
+            """Records the workers asked for and runs the tasks in this process."""
+
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr("os.cpu_count", lambda: cpus)
+        base = ExperimentConfig(experts=2, rounds=5)
+        summary = run_sweep(base, seeds, tmp_path / "sweep", jobs=jobs)
+        assert made == pools
+        assert len(read_csv_columns(summary)["seed"]) == len(seeds)
 
     def test_parallel_matches_serial(self, tmp_path):
         base = ExperimentConfig(experts=2, rounds=30, kernel="fixed", seed=0)

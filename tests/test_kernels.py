@@ -20,7 +20,10 @@ from classhedge.aggregator import Aggregator
 from classhedge.core import ConfigError, OutOfClassError, bound_var, gamma_from_budget
 from classhedge.harness import ExperimentConfig, run_experiment
 from classhedge.kernels import (
+    EdgeList,
+    FixedShare,
     KernelTables,
+    Permutation,
     TransitionKernel,
     best_competitor,
     best_prefix_losses,
@@ -308,30 +311,29 @@ class TestTransitionStructure:
 
     @pytest.mark.parametrize("kernel", [fixed_kernel(1), fixed_kernel(4), cyclic_kernel(1), cyclic_kernel(3)])
     def test_fixed_and_cyclic_are_permutations(self, kernel):
-        assert kernel.tables.permutation and kernel.tables.share is None
+        assert isinstance(kernel.tables.structure, Permutation)
 
     @pytest.mark.parametrize("experts, weight", [(2, 0.5), (2, 0.1), (3, 0.2), (8, 1 - 1e-9)])
     def test_switching_is_fixed_share(self, experts, weight):
         tb = switching_kernel(experts, weight).tables
-        assert not tb.permutation
-        assert tb.share == (1.0 - weight, weight / (experts - 1))
+        assert tb.structure == FixedShare(1.0 - weight, weight / (experts - 1))
 
     def test_dense_fixed_share_detected(self):
         matrix = np.full((3, 3), 0.25) + np.eye(3) * 0.25
         kernel = TransitionKernel.from_dense("dense-share", 3, [(0,), (1,), (2,)], matrix)
-        assert kernel.tables.share == (0.5, 0.25) and not kernel.tables.permutation
+        assert kernel.tables.structure == FixedShare(0.5, 0.25)
 
     def test_dense_permutation_detected(self):
         matrix = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]
         kernel = TransitionKernel.from_dense("rotate", 3, [(0,), (1,), (2,)], matrix)
-        assert kernel.tables.permutation and kernel.tables.share is None
+        assert isinstance(kernel.tables.structure, Permutation)
 
     def test_other_kernels_have_no_structure(self):
         lazy = TransitionKernel.from_dense("lazy-walk", 3, [(0,), (1,), (2,)], LAZY_WALK)
         drifty = TransitionKernel.from_dense("drifty", 2, [(0,), (1,)], [[0.7, 0.3], [0.4, 0.6]])
         many_to_one = TransitionKernel("merge", 2, [(0,), (1,)], {(0,): [((0,), 1.0)], (1,): [((0,), 1.0)]})
         for kernel in (lazy, drifty, many_to_one):
-            assert not kernel.tables.permutation and kernel.tables.share is None
+            assert isinstance(kernel.tables.structure, EdgeList)
 
 
 class TestStructuredDP:
@@ -343,7 +345,7 @@ class TestStructuredDP:
 
     def kernels(self):
         generic = TransitionKernel.from_dense("complete", 3, [(0,), (1,), (2,)], self.MATRIX)
-        assert generic.tables.share is None and not generic.tables.permutation
+        assert isinstance(generic.tables.structure, EdgeList)
         return generic, switching_kernel(3, 0.2)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -375,20 +377,27 @@ def mapping_form(name, experts, weight=0.1):
     return TransitionKernel(name, experts, reversed(classes), successors)
 
 
-# every table of a kernel: the dataclass fields and the (dst, src) tables derived on first read
-TABLE_NAMES = [f.name for f in dataclasses.fields(KernelTables)] + [
-    "mix_src", "mix_logw", "mix_starts", "mix_dst_ids", "mix_seg"
-]
+# every table of a kernel, the transition structure and its own tables included
+TABLE_NAMES = [f.name for f in dataclasses.fields(KernelTables)]
+
+
+def assert_same_table(x, y, name):
+    if isinstance(x, np.ndarray):
+        assert x.dtype == y.dtype and x.shape == y.shape, name
+        assert np.array_equal(x, y), name
+    elif dataclasses.is_dataclass(x):  # the structure: its kind and every table it compares
+        assert type(x) is type(y), name
+        for f in dataclasses.fields(x):
+            if f.compare:
+                assert_same_table(getattr(x, f.name), getattr(y, f.name), f"{name}.{f.name}")
+    else:
+        assert x == y and type(x) is type(y), name
 
 
 def assert_tables_equal(a, b):
     for name in TABLE_NAMES:
-        x, y = a[name] if isinstance(a, dict) else getattr(a, name), getattr(b, name)
-        if isinstance(x, np.ndarray):
-            assert x.dtype == y.dtype and x.shape == y.shape, name
-            assert np.array_equal(x, y), name
-        else:
-            assert x == y and type(x) is type(y), name
+        x = a[name] if isinstance(a, dict) else getattr(a, name)
+        assert_same_table(x, getattr(b, name), name)
 
 
 BUILT = [("fixed", m) for m in (1, 2, 3, 8, 64)] + [("cyclic", m) for m in (1, 2, 3, 8, 64)] + [
@@ -439,9 +448,10 @@ class TestArrayBuild:
         assert peak <= 1.5 * retained, (peak, retained)
 
 
-def reference_tables(edges, classes=None, init=None):
-    """Every table of a kernel given as (source, destination, weight) class
-    triples, made independently of the build with np.lexsort and np.unique."""
+def reference_tables(edges, experts, classes=None, init=None):
+    """Every table of a kernel of ``experts`` experts given as (source,
+    destination, weight) class triples, made independently of the build with
+    np.lexsort and np.unique."""
     classes = sorted(set(classes or [a for a, _, _ in edges]))
     index = {c: i for i, c in enumerate(classes)}
     k = len(classes)
@@ -451,12 +461,16 @@ def reference_tables(edges, classes=None, init=None):
     by_src, by_dst = np.lexsort((dst, src)), np.lexsort((src, dst))
     expert_of = np.array([c[0] for c in classes], dtype=np.intp)
     present, expert_starts, per_expert = np.unique(expert_of, return_index=True, return_counts=True)
-    dst_ids, mix_starts, per_dst = np.unique(dst[by_dst], return_index=True, return_counts=True)
-    share = None
+    dst_ids, starts, per_dst = np.unique(dst[by_dst], return_index=True, return_counts=True)
+    if len(edges) == k and len(dst_ids) == k:
+        structure = Permutation(src[by_dst], np.log(w[by_dst]))
+    else:
+        structure = EdgeList(src[by_dst], np.log(w[by_dst]), starts, dst_ids,
+                             np.repeat(np.arange(len(dst_ids)), per_dst))
     if k >= 2 and len(edges) == k * k:  # distinct pairs, so every pair
         stay, off = ({x for a, b, x in edges if (a == b) == diagonal} for diagonal in (True, False))
         if len(stay) == len(off) == 1:
-            share = (float(stay.pop()), float(off.pop()))
+            structure = FixedShare(float(stay.pop()), float(off.pop()))
     if init is None:
         init_weights = np.full(k, 1.0 / k)
     else:
@@ -464,6 +478,7 @@ def reference_tables(edges, classes=None, init=None):
     return {
         "classes": tuple(classes),
         "index": index,
+        "num_experts": experts,
         "expert_of": expert_of,
         "present_experts": present,
         "expert_starts": expert_starts,
@@ -473,13 +488,7 @@ def reference_tables(edges, classes=None, init=None):
         "adj_w": w[by_src],
         "adj_starts": np.unique(src[by_src], return_index=True)[1],
         "init_weights": init_weights,
-        "permutation": len(edges) == k and len(dst_ids) == k,
-        "share": share,
-        "mix_src": src[by_dst],
-        "mix_logw": np.log(w[by_dst]),
-        "mix_starts": mix_starts,
-        "mix_dst_ids": dst_ids,
-        "mix_seg": np.repeat(np.arange(len(dst_ids)), per_dst),
+        "structure": structure,
     }
 
 
@@ -511,7 +520,7 @@ def user_kernels():
             pi[0] += 1.0
             init = dict(zip(classes, (pi / pi.sum()).tolist()))
         edges = [(classes[i], classes[j], mat[i, j]) for i, j in zip(*np.nonzero(mat))]
-        ref = reference_tables(edges, classes, init)
+        ref = reference_tables(edges, experts, classes, init)
         with pytest.warns(UserWarning, match="no class for experts"):
             out.append((TransitionKernel.from_dense("dense", experts, classes, mat, init), ref))
         successors = {}
@@ -530,14 +539,14 @@ class TestBuildReference:
         made = {"fixed": fixed_kernel, "cyclic": cyclic_kernel}.get(
             name, lambda m: switching_kernel(m, 0.1)
         )(experts)
-        assert_tables_equal(reference_tables(builtin_edges(name, experts)), made.tables)
+        assert_tables_equal(reference_tables(builtin_edges(name, experts), experts), made.tables)
 
     def test_user_kernels(self):
         kinds = set()
         for kernel, ref in user_kernels():
             assert_tables_equal(ref, kernel.tables)
-            kinds.add((kernel.tables.permutation, kernel.tables.share is not None))
-        assert (True, False) in kinds and (False, False) in kinds
+            kinds.add(type(kernel.tables.structure))
+        assert {Permutation, EdgeList} <= kinds
 
     @pytest.mark.parametrize("upper", [True, False], ids=["above", "below"])
     @pytest.mark.parametrize("fsum_rejects", [True, False], ids=["fsum-rejects", "fsum-accepts"])
@@ -587,47 +596,48 @@ class TestBuildReference:
 
 
 class TestDerivedTables:
-    """The (dst, src) tables and the orbit block are derived on first read, once."""
+    """Each structure builds only its own tables: the edge list its (dst, src)
+    tables with the kernel, the permutation its orbit block on first use."""
 
     def test_fixed_share_never_builds_destination_tables(self):
-        with mock.patch.object(kernels, "_by_destination", wraps=kernels._by_destination) as derive:
+        with mock.patch.object(EdgeList, "of", wraps=EdgeList.of) as derive:
             run_experiment(ExperimentConfig(experts=8, rounds=50, kernel="switching"))
             kernel = switching_kernel(8, 0.1)
             table = np.random.default_rng(0).random((50, 8))
             best_competitor(kernel, table)
             best_prefix_losses(kernel, table)
         derive.assert_not_called()
-        assert "mix_src" not in vars(kernel.tables)
+        assert dataclasses.astuple(kernel.tables.structure) == (0.9, 0.1 / 7)
 
     def test_destination_tables_built_once(self):
-        kernel = TransitionKernel.from_dense("lazy-walk", 3, [(0,), (1,), (2,)], LAZY_WALK)
-        with mock.patch.object(kernels, "_by_destination", wraps=kernels._by_destination) as derive:
+        with mock.patch.object(EdgeList, "of", wraps=EdgeList.of) as derive:
+            kernel = TransitionKernel.from_dense("lazy-walk", 3, [(0,), (1,), (2,)], LAZY_WALK)
             agg = Aggregator(kernel, 1.0)
             for losses in np.random.default_rng(0).random((5, 3)):
                 agg.probabilities()
                 agg.observe(losses)
             best_prefix_losses(kernel, np.ones((4, 3)))
+            best_competitor(kernel, np.ones((4, 3)))
         derive.assert_called_once()
-        assert set(TABLE_NAMES[-5:]) <= set(vars(kernel.tables))
-        with pytest.raises(AttributeError, match="no attribute 'mix_dst'"):
-            kernel.tables.mix_dst
+        assert isinstance(kernel.tables.structure, EdgeList)
 
     def test_concurrent_first_reads_agree(self):
-        # kernels are shared across threads: racing first reads may each derive the tables
-        def read_all(tb):
-            return [getattr(tb, name) for name in TABLE_NAMES[-5:] + ["orbit"]]
+        # kernels are shared across threads: racing first DP calls may each derive the orbit block
+        table = np.random.default_rng(0).random((40, 8))
 
-        want = read_all(cyclic_kernel(8).tables)
+        def read_all(kernel):
+            return best_competitor(kernel, table), best_prefix_losses(kernel, table).tolist()
+
+        want = read_all(cyclic_kernel(8))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(8) as pool:
                 for _ in range(10):
-                    tb = cyclic_kernel(8).tables
-                    reads = [pool.submit(read_all, tb) for _ in range(8)]
+                    kernel = cyclic_kernel(8)
+                    reads = [pool.submit(read_all, kernel) for _ in range(8)]
                     for read in reads:
-                        for got, expected in zip(read.result(timeout=10), want):
-                            np.testing.assert_array_equal(got, expected)
+                        assert read.result(timeout=10) == want
         finally:
             sys.setswitchinterval(interval)
 
@@ -639,13 +649,13 @@ class TestDerivedTables:
             prefix = best_prefix_losses(kernel, table)
             best_competitor(kernel, table[:5])
         derive.assert_called_once()
-        assert kernel.tables.orbit.shape == (kernels._BLOCK // 64, 64)
+        assert kernel.tables.structure.orbit.shape == (kernels._BLOCK // 64, 64)
         # a block narrower than the cached one reads its first rows; a wider one rebuilds it
         for block in (64, 50 * 64, 700 * 64):
             with mock.patch.object(kernels, "_BLOCK", block):
                 assert best_competitor(kernel, table) == (path, loss)
                 np.testing.assert_array_equal(best_prefix_losses(kernel, table), prefix)
-                assert len(kernel.tables.orbit) >= min(300, block // 64)
+                assert len(kernel.tables.structure.orbit) >= min(300, block // 64)
 
 
 TWO = [(0,), (1,)]
@@ -705,7 +715,7 @@ class TestBuildErrors:
 
     def test_zero_dense_entries_are_dropped(self):
         kernel = TransitionKernel.from_dense("ok", 2, TWO, [[1.0, 0.0], [0.0, 1.0]])
-        assert kernel.tables.permutation and len(kernel.tables.adj_w) == 2
+        assert isinstance(kernel.tables.structure, Permutation) and len(kernel.tables.adj_w) == 2
 
     @pytest.mark.parametrize(
         "src, dst, match",
@@ -746,9 +756,12 @@ def straight_loop_dp(kernel, table):
 
 
 def edge_list_twin(kernel):
-    """The same kernel with its structure flags cleared, so the DPs take the edge lists."""
+    """The same kernel, its tables the same but with the edge-list structure."""
+    tb = kernel.tables
     twin = copy.copy(kernel)
-    twin.tables = dataclasses.replace(kernel.tables, permutation=False, share=None)
+    twin.tables = dataclasses.replace(
+        tb, structure=EdgeList.of(tb.adj_src, tb.adj_dst, tb.adj_w, tb.num_classes)
+    )
     return twin
 
 
