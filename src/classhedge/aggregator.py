@@ -113,14 +113,16 @@ class Aggregator:
         if self._cached_p is not None:
             return self._cached_p
         log_wm = self._tables.expert_log_weights(self._log_w)
-        top = log_wm.max()
+        # each reduction on the round path is picked by position (x.item(x.argmax()))
+        # or called as a ufunc method: the same bits without numpy's Python wrappers
+        top = log_wm.item(log_wm.argmax())
         if not math.isfinite(top):
             raise InvariantViolation("total class weight vanished")
         p = log_wm - top
         np.exp(p, out=p)
-        p /= p.sum()
+        p /= np.add.reduce(p)
         # exp >= 0, so only the sum can leave the simplex; NaN fails this test
-        if not abs(float(p.sum()) - 1.0) <= _SIMPLEX_TOL:
+        if not abs(float(np.add.reduce(p)) - 1.0) <= _SIMPLEX_TOL:
             raise InvariantViolation("selection probabilities left the simplex")
         self._cached_p = p
         return p
@@ -130,8 +132,8 @@ class Aggregator:
 
         The final bucket absorbs any rounding residue of the cumulative sums.
         """
-        cdf = np.cumsum(self._declared())
-        idx = int(cdf.searchsorted(float(rng.random()), side="right"))
+        cdf = np.add.accumulate(self._declared())
+        idx = int(cdf.searchsorted(rng.random(), side="right"))
         return min(idx, self.num_experts - 1)
 
     def observe(self, losses) -> None:
@@ -180,7 +182,7 @@ class Aggregator:
 
         tb = self._tables
         new_lw = tb.structure.mix(self._log_w - exponent * phi[tb.expert_of], ratio)
-        top = new_lw.max()
+        top = new_lw.item(new_lw.argmax())
         if not math.isfinite(top):
             raise InvariantViolation(f"round {t}: class weights collapsed")
         new_lw -= top
@@ -195,8 +197,12 @@ class Aggregator:
         self._cached_p = None
 
     def run_round(self, losses, rng: np.random.Generator) -> tuple[np.ndarray, int]:
-        """Declare probabilities, sample one expert, observe the losses."""
-        p = self.probabilities()
+        """Declare probabilities, sample one expert, observe the losses.
+
+        Returns the declared vector itself, not a copy: the engine drops it at
+        ``observe`` and never writes it again.
+        """
+        p = self._declared()
         choice = self.sample(rng)
         self.observe(losses)
         return p, choice

@@ -49,8 +49,9 @@ def as_loss_array(values, num_experts: int | None = None) -> tuple[np.ndarray, f
     """Validate one round's loss vector, or a (T, M) table of them: real (bool,
     integer or float, as float64), nonempty, ``num_experts`` wide if given, and
     finite, not clamped, which would corrupt the range statistic D.  Returns the
-    array with its least and greatest entry, which decide finiteness (NaN reaches
-    both, an infinity one).  A table's first bad row is named as its round, from 1."""
+    array with its first least and first greatest entry, which decide finiteness
+    (``argmin`` and ``argmax`` stop at the first NaN, an infinity is one of them).
+    A table's first bad row is named as its round, from 1."""
     arr = np.asarray(values)
     if arr.dtype is not _FLOAT64:  # native float64 is one dtype object: no test, no copy
         if arr.dtype.kind not in "biuf":
@@ -60,7 +61,8 @@ def as_loss_array(values, num_experts: int | None = None) -> tuple[np.ndarray, f
         raise ValueError(f"losses must be a nonempty vector or table, not shape {arr.shape}")
     if num_experts is not None and arr.shape[-1] != num_experts:
         raise ValueError(f"losses have {arr.shape[-1]} columns, expected {num_experts}")
-    lo, hi = float(arr.min()), float(arr.max())
+    # by position: cheaper than min() and max(), and a tie of -0.0 and 0.0 goes to the first
+    lo, hi = arr.item(arr.argmin()), arr.item(arr.argmax())
     if not (-math.inf < lo and hi < math.inf):
         where = f"round {np.isfinite(arr).all(axis=1).argmin() + 1}: " if arr.ndim == 2 else ""
         raise ValueError(f"{where}losses contain NaN or infinite entries")

@@ -35,7 +35,8 @@ def _segment_logsumexp(values: np.ndarray, starts: np.ndarray, seg: np.ndarray) 
     gathered segment maxima, which keeps large mixing steps off the allocator.
     """
     seg_max = np.maximum.reduceat(values, starts)
-    if seg_max.min() == -np.inf:  # rare: an all -inf segment shifts to NaN, reported as -inf
+    # rare: an all -inf segment shifts to NaN, reported as -inf
+    if seg_max.item(seg_max.argmin()) == -np.inf:
         with np.errstate(invalid="ignore"):
             values -= seg_max[seg]
         sums = np.add.reduceat(np.exp(values, out=values), starts)
@@ -49,11 +50,11 @@ class KernelTables:
     """Precomputed index structures of a kernel.
 
     Classes are sorted lexicographically, which groups them by expert since
-    the expert index is the first coordinate.  The edges are kept in
-    (source, destination) order with their raw weights.  ``structure`` is the
-    kernel's transition structure (``EdgeList``, ``Permutation`` or
-    ``FixedShare``), read off the edges when the kernel is built: it mixes
-    the engine's weights and runs both competitor DPs.
+    the expert index is the first coordinate.  ``structure`` is the kernel's
+    transition structure (``EdgeList``, ``Permutation`` or ``FixedShare``),
+    chosen when the kernel is built: it holds the transitions, answers for a
+    class's row and the least weight, mixes the engine's weights and runs
+    both competitor DPs.
     """
 
     classes: tuple[ClassParams, ...]
@@ -63,10 +64,6 @@ class KernelTables:
     present_experts: np.ndarray = field(repr=False)
     expert_starts: np.ndarray = field(repr=False)
     class_seg: np.ndarray = field(repr=False)
-    adj_src: np.ndarray = field(repr=False)
-    adj_dst: np.ndarray = field(repr=False)
-    adj_w: np.ndarray = field(repr=False)
-    adj_starts: np.ndarray = field(repr=False)
     init_weights: np.ndarray = field(repr=False)
     structure: EdgeList | Permutation | FixedShare = field(repr=False)
 
@@ -98,6 +95,79 @@ def _as_class(coords) -> ClassParams:
     return cls
 
 
+def _check_positive(class_list, src, dst, w) -> None:
+    """Every weight finite and positive, read off a min and a max (NaN fails both);
+    only a failed check finds the offender, the first in the arrays' order."""
+    if not (w.min(initial=1.0) > 0.0 and w.max(initial=1.0) < math.inf):
+        e = np.flatnonzero(~(np.isfinite(w) & (w > 0.0)))[0]
+        raise ConfigError(
+            f"transition weight {class_list[src[e]]} -> {class_list[dst[e]]} "
+            f"must be positive, got {w[e]!r}"
+        )
+
+
+def _check_row_sums(class_list, w, starts, counts) -> None:
+    """Each row ``w[starts[i]:starts[i] + counts[i]]`` of positive weights sums to
+    within _ROW_TOL of 1 as ``math.fsum`` rounds it; a failing row is named as
+    ``class_list[i]``."""
+    with np.errstate(over="ignore"):
+        totals = np.add.reduceat(w, starts)
+    # A float sum of n positive weights errs by at most (n-1)*2^-53 of the exact
+    # sum, and fsum by 2^-53 of it: only a row whose float sum s lies within
+    # n*2^-52*s of the edge 1 +- _ROW_TOL may be on fsum's other side; it takes fsum.
+    view = memoryview(w)  # fsum reads a memoryview twice as fast as an ndarray
+    slack = np.abs(np.abs(totals - 1.0) - _ROW_TOL)
+    for i in np.flatnonzero(slack < counts * 2.0**-52 * totals).tolist():
+        totals[i] = math.fsum(view[starts[i]:starts[i] + counts[i]])
+    unsummed = np.flatnonzero(np.abs(totals - 1.0) > _ROW_TOL)
+    if len(unsummed):
+        i = unsummed[0]
+        try:
+            total = math.fsum(view[starts[i]:starts[i] + counts[i]])
+        except OverflowError:  # the exact sum is past the largest double
+            total = math.inf
+        raise ConfigError(f"row for {class_list[i]} sums to {total!r}, not 1")
+
+
+def _checked_edges(class_list, src, dst, weights):
+    """The edges over ``class_list``, checked and in (source, destination) order:
+    (source, destination, weight, first edge of each source's row)."""
+    k = len(class_list)
+    src = np.asarray(src, dtype=np.intp)
+    dst = np.asarray(dst, dtype=np.intp)
+    raw_w = np.asarray(weights)
+    if raw_w.dtype.kind not in "iuf":
+        raise ConfigError(f"transition weights must be real numbers, not {raw_w.dtype}")
+    raw_w = raw_w.astype(float, copy=False)
+    for ids in (src, dst):
+        if ids.min(initial=0) < 0 or ids.max(initial=0) >= k:
+            e = np.flatnonzero((ids < 0) | (ids >= k))[0]
+            raise ConfigError(f"class index {ids[e]} is not in the class space 0..{k - 1}")
+    _check_positive(class_list, src, dst, raw_w)
+
+    # edge-sized temporaries are deleted as soon as they are spent: the
+    # build's peak memory is the process's peak on large kernels
+    key = src * k
+    key += dst
+    if not (key[1:] > key[:-1]).all():
+        order = np.argsort(key, kind="stable")
+        key, src, dst, raw_w = key[order], src[order], dst[order], raw_w[order]
+        del order
+        repeat = np.flatnonzero(key[1:] == key[:-1])
+        if len(repeat):
+            e = repeat[0]
+            raise ConfigError(
+                f"class {class_list[src[e]]} lists successor {class_list[dst[e]]} more than once"
+            )
+    del key
+    starts = np.searchsorted(src, np.arange(k))
+    counts = np.diff(starts, append=len(src))
+    if not counts.all():
+        raise ConfigError(f"class {class_list[np.argmin(counts)]} has no successor row")
+    _check_row_sums(class_list, raw_w, starts, counts)
+    return src, dst, raw_w, starts
+
+
 class TransitionKernel:
     """A competition class: equivalence classes plus a stochastic transition map.
 
@@ -124,16 +194,20 @@ class TransitionKernel:
     read.  No budget is declared: ``budget_bound`` reads it off the tables,
     so every kernel, built-in or not, can choose gamma from it.
 
-    The tables are built from three edge arrays: source and destination
-    indices into the sorted class list, and the raw weights.  This
-    constructor fills them in one pass over the successor rows, the only
-    per-edge Python work of a build; ``from_dense`` and the built-in classes
-    make them with numpy.  One builder then checks them in O(edges) numpy
-    work: every index names a class, every weight is finite and positive,
-    every class has a row, no (source, destination) pair repeats, and every
-    row sums to within 1e-12 of 1 as ``math.fsum`` rounds it (fsum runs only
-    on rows whose float sum is within its error bound of that edge).  The
-    edges are sorted by source*k + destination only if not in that order.
+    A kernel is given by three edge arrays: source and destination indices
+    into the sorted class list, and the raw weights.  This constructor fills
+    them in one pass over the successor rows, the only per-edge Python work
+    of a build; ``from_dense``, ``fixed_kernel`` and ``cyclic_kernel`` make
+    them with numpy.  ``_checked_edges`` checks them in O(edges) numpy work:
+    every index names a class, every weight is finite and positive, every
+    class has a row, no (source, destination) pair repeats, and every row
+    sums to within 1e-12 of 1 as ``math.fsum`` rounds it (fsum runs only on
+    rows whose float sum is within its error bound of that edge).  The edges
+    are sorted by source*k + destination only if not in that order.  The
+    structure read off them keeps the arrays it uses, and a fixed share none.
+    ``switching_kernel`` builds its ``FixedShare`` directly and checks one
+    row of k weights, not k^2 edges: every other row is that row with two
+    entries swapped.
     """
 
     def __init__(
@@ -162,26 +236,27 @@ class TransitionKernel:
                 src.append(i)
                 dst.append(index[b])
                 weights.append(w)
-        self.tables = self._build_tables(class_list, src, dst, weights, init_weights)
+        self.tables = self._build_tables(class_list, (src, dst, weights), init_weights)
 
     @classmethod
-    def _from_edges(
-        cls, name, num_experts, class_list, src, dst, weights, init_weights=None
+    def _from_transitions(
+        cls, name, num_experts, class_list, transitions, init_weights=None
     ) -> "TransitionKernel":
-        """Kernel from edge arrays over ``class_list``, which must be sorted and distinct."""
+        """Kernel over ``class_list``, which must be sorted and distinct, with
+        ``transitions`` as ``_build_tables`` takes them."""
         kernel = cls.__new__(cls)
         kernel._setup(name, num_experts)
         # one frame deeper than __init__, so warnings skip one more to reach the caller
-        kernel.tables = kernel._build_tables(class_list, src, dst, weights, init_weights, 4)
+        kernel.tables = kernel._build_tables(class_list, transitions, init_weights, 4)
         return kernel
 
     def _setup(self, name, num_experts) -> None:
         self.name = str(name)
         self.num_experts = as_integer(num_experts, "num_experts", 1)
 
-    def _build_tables(
-        self, class_list, src, dst, weights, init_weights, stacklevel=3
-    ) -> KernelTables:
+    def _build_tables(self, class_list, transitions, init_weights, stacklevel=3) -> KernelTables:
+        """Tables over ``class_list``: ``transitions`` is (source, destination,
+        weight) edge arrays, or a ``FixedShare`` whose row the caller checked."""
         if not class_list:
             raise ConfigError("kernel needs at least one class")
         k = len(class_list)
@@ -201,62 +276,10 @@ class TransitionKernel:
                 stacklevel=stacklevel,
             )
         class_seg = np.cumsum(np.diff(expert_of, prepend=expert_of[0]) != 0)
-
-        src = np.asarray(src, dtype=np.intp)
-        dst = np.asarray(dst, dtype=np.intp)
-        raw_w = np.asarray(weights)
-        if raw_w.dtype.kind not in "iuf":
-            raise ConfigError(f"transition weights must be real numbers, not {raw_w.dtype}")
-        raw_w = raw_w.astype(float, copy=False)
-        # each check reads a min or a max (NaN fails both); only a failed one finds the offender
-        for ids in (src, dst):
-            if ids.min(initial=0) < 0 or ids.max(initial=0) >= k:
-                e = np.flatnonzero((ids < 0) | (ids >= k))[0]
-                raise ConfigError(f"class index {ids[e]} is not in the class space 0..{k - 1}")
-        if not (raw_w.min(initial=1.0) > 0.0 and raw_w.max(initial=1.0) < math.inf):
-            e = np.flatnonzero(~(np.isfinite(raw_w) & (raw_w > 0.0)))[0]
-            raise ConfigError(
-                f"transition weight {class_list[src[e]]} -> {class_list[dst[e]]} "
-                f"must be positive, got {raw_w[e]!r}"
-            )
-
-        # edge-sized temporaries are deleted as soon as they are spent: the
-        # build's peak memory is the process's peak on large kernels
-        key = src * k
-        key += dst
-        if not (key[1:] > key[:-1]).all():
-            order = np.argsort(key, kind="stable")
-            key, src, dst, raw_w = key[order], src[order], dst[order], raw_w[order]
-            del order
-            repeat = np.flatnonzero(key[1:] == key[:-1])
-            if len(repeat):
-                e = repeat[0]
-                raise ConfigError(
-                    f"class {class_list[src[e]]} lists successor {class_list[dst[e]]} more than once"
-                )
-        del key
-        # edges are in (src, dst) order with no repeated pair
-        adj_starts = np.searchsorted(src, np.arange(k))
-        counts = np.diff(adj_starts, append=len(src))
-        if not counts.all():
-            raise ConfigError(f"class {class_list[np.argmin(counts)]} has no successor row")
-        with np.errstate(over="ignore"):
-            totals = np.add.reduceat(raw_w, adj_starts)
-        # A float sum of n positive weights errs by at most (n-1)*2^-53 of the exact
-        # sum, and fsum by 2^-53 of it: only a row whose float sum s lies within
-        # n*2^-52*s of the edge 1 +- _ROW_TOL may be on fsum's other side; it takes fsum.
-        view = memoryview(raw_w)  # fsum reads a memoryview twice as fast as an ndarray
-        slack = np.abs(np.abs(totals - 1.0) - _ROW_TOL)
-        for i in np.flatnonzero(slack < counts * 2.0**-52 * totals).tolist():
-            totals[i] = math.fsum(view[adj_starts[i]:adj_starts[i] + counts[i]])
-        unsummed = np.flatnonzero(np.abs(totals - 1.0) > _ROW_TOL)
-        if len(unsummed):
-            i = unsummed[0]
-            try:
-                total = math.fsum(view[adj_starts[i]:adj_starts[i] + counts[i]])
-            except OverflowError:  # the exact sum is past the largest double
-                total = math.inf
-            raise ConfigError(f"row for {class_list[i]} sums to {total!r}, not 1")
+        if isinstance(transitions, FixedShare):
+            structure = transitions
+        else:
+            structure = _structure(*_checked_edges(class_list, *transitions), k)
 
         if init_weights is None:
             init = np.full(k, 1.0 / k)
@@ -278,12 +301,8 @@ class TransitionKernel:
             present_experts=present_experts,
             expert_starts=expert_starts,
             class_seg=class_seg,
-            adj_src=src,
-            adj_dst=dst,
-            adj_w=raw_w,
-            adj_starts=adj_starts,
             init_weights=init,
-            structure=_structure(src, dst, raw_w, k),
+            structure=structure,
         )
 
     @classmethod
@@ -311,7 +330,7 @@ class TransitionKernel:
                 raise ConfigError(f"class {a} is listed more than once")
         mat = mat[np.ix_(order, order)]
         src, dst = np.nonzero(mat)
-        return cls._from_edges(name, num_experts, class_list, src, dst, mat[src, dst], init_weights)
+        return cls._from_transitions(name, num_experts, class_list, (src, dst, mat[src, dst]), init_weights)
 
     def class_list(self) -> tuple[ClassParams, ...]:
         return self.tables.classes
@@ -322,9 +341,8 @@ class TransitionKernel:
         cls = _as_class(coords)
         if cls not in tb.index:
             raise KeyError(f"{cls} is not a class of kernel '{self.name}'")
-        lo, hi = np.searchsorted(tb.adj_src, [tb.index[cls], tb.index[cls] + 1])
-        dsts, weights = tb.adj_dst[lo:hi].tolist(), tb.adj_w[lo:hi].tolist()
-        return tuple((tb.classes[d], w) for d, w in zip(dsts, weights))
+        dsts, weights = tb.structure.row(tb.index[cls], tb.num_classes)
+        return tuple((tb.classes[d], w) for d, w in zip(dsts.tolist(), weights.tolist()))
 
     def initial_weights(self) -> np.ndarray:
         return self.tables.init_weights.copy()
@@ -340,7 +358,7 @@ class TransitionKernel:
         tb = self.tables
         start = _start_charge(float(tb.init_weights[tb.init_weights > 0.0].min()), tb.num_classes)
         steps = max(as_integer(rounds, "rounds", 0) - 1, 0)
-        return 1.0 + start + steps * -math.log(float(tb.adj_w.min()))
+        return 1.0 + start + steps * -math.log(tb.structure.least_weight())
 
     def __repr__(self) -> str:
         return (
@@ -353,13 +371,8 @@ def fixed_kernel(num_experts: int) -> TransitionKernel:
     """One class per expert, each a self-loop: the classic fixed-expert class."""
     num_experts = as_integer(num_experts, "num_experts", 1)
     ids = np.arange(num_experts)
-    return TransitionKernel._from_edges(
-        "fixed",
-        num_experts,
-        [(m,) for m in range(num_experts)],
-        ids,
-        ids,
-        np.ones(num_experts),
+    return TransitionKernel._from_transitions(
+        "fixed", num_experts, [(m,) for m in range(num_experts)], (ids, ids, np.ones(num_experts))
     )
 
 
@@ -374,13 +387,9 @@ def cyclic_kernel(num_experts: int) -> TransitionKernel:
     # class (m, s) sits at index m*M + s of the sorted class list
     ids = np.arange(num_experts * num_experts)
     expert, sigma = np.divmod(ids, num_experts)
-    return TransitionKernel._from_edges(
-        "cyclic",
-        num_experts,
-        [(m, s) for m in m_range for s in m_range],
-        ids,
-        (expert + sigma) % num_experts * num_experts + sigma,
-        np.ones(len(ids)),
+    succ = (expert + sigma) % num_experts * num_experts + sigma
+    return TransitionKernel._from_transitions(
+        "cyclic", num_experts, [(m, s) for m in m_range for s in m_range], (ids, succ, np.ones(len(ids)))
     )
 
 
@@ -394,17 +403,13 @@ def switching_kernel(num_experts: int, switch_weight: float) -> TransitionKernel
     num_experts = as_integer(num_experts, "num_experts", 2)
     w = as_real(switch_weight, "switch_weight", "a real in (0, 1)", lambda w: 0.0 < w < 1.0)
     stay, off = 1.0 - w, w / (num_experts - 1)
-    ids = np.arange(num_experts)
-    weights = np.full(num_experts * num_experts, off)
-    weights[:: num_experts + 1] = stay  # the diagonal of the row-major M x M matrix
-    return TransitionKernel._from_edges(
-        "switching",
-        num_experts,
-        [(m,) for m in range(num_experts)],
-        np.repeat(ids, num_experts),
-        np.tile(ids, num_experts),
-        weights,
-    )
+    classes = [(m,) for m in range(num_experts)]
+    # row m is row 0 with entries 0 and m swapped, so row 0's checks stand for every row
+    row = np.full(num_experts, off)
+    row[0] = stay
+    _check_positive(classes, np.zeros(num_experts, dtype=np.intp), np.arange(num_experts), row)
+    _check_row_sums(classes, row, np.zeros(1, dtype=np.intp), np.array([num_experts]))
+    return TransitionKernel._from_transitions("switching", num_experts, classes, FixedShare(stay, off))
 
 
 def _start_charge(init_weight: float, num_classes: int) -> float:
@@ -436,15 +441,15 @@ def class_budget(kernel: TransitionKernel, competitor: Sequence[ClassParams]) ->
         raise OutOfClassError(f"{first} has zero initial weight")
     if len(path) == 1:
         return 1.0
-    row_end = np.append(tb.adj_starts[1:], len(tb.adj_dst))
     log_tau = 0.0
     for t, (prev, cls) in enumerate(zip(path, path[1:]), start=1):
-        # each row lists its destinations in sorted order: search the row's slice
-        lo, hi, b = tb.adj_starts[a], row_end[a], tb.index.get(cls, -1)
-        e = lo + np.searchsorted(tb.adj_dst[lo:hi], b)
-        if e == hi or tb.adj_dst[e] != b:
+        # each row lists its destinations in sorted order
+        dsts, weights = tb.structure.row(a, tb.num_classes)
+        b = tb.index.get(cls, -1)
+        e = np.searchsorted(dsts, b)
+        if e == len(dsts) or dsts[e] != b:
             raise OutOfClassError(f"transition {prev} -> {cls} at step {t} has zero weight")
-        log_tau += math.log(tb.adj_w[e])
+        log_tau += math.log(weights[e])
         a = b
     return 1.0 + _start_charge(init_weight, tb.num_classes) - log_tau
 
@@ -462,8 +467,8 @@ def _best_start(tb: KernelTables, suffix: np.ndarray) -> tuple[int, float]:
     return start, float(masked[start])
 
 
-def _structure(src, dst, w, k) -> EdgeList | Permutation | FixedShare:
-    """The transition structure of edges in (source, destination) order, read off them."""
+def _structure(src, dst, w, starts, k) -> EdgeList | Permutation | FixedShare:
+    """The transition structure of checked edges, read off them; a fixed share keeps none."""
     # k edges, one per row: a permutation if every class is a destination
     if len(src) == k and np.bincount(dst, minlength=k).all():
         return Permutation.of(dst, w)
@@ -474,21 +479,27 @@ def _structure(src, dst, w, k) -> EdgeList | Permutation | FixedShare:
         # the k^2 - k entries between diagonal ones are the off-diagonal ones
         if (w[::k + 1] == stay).all() and (w[1:].reshape(k - 1, k + 1)[:, :k] == off).all():
             return FixedShare(float(stay), float(off))
-    return EdgeList.of(src, dst, w, k)
+    return EdgeList.of(src, dst, w, starts, k)
 
 
 @dataclass(frozen=True, eq=False)
 class EdgeList:
     """Any kernel: the reference the other two structures are tested against.
 
-    Mixing and the prefix DP read the edges in (destination, source) order:
-    each edge's source ``src`` and log weight ``logw``, the destinations that
-    have an edge ``dst_ids``, the first edge of each ``starts``, and each
-    edge's rank among them ``seg``.  The path DP walks the tables' (source,
-    destination) edges round by round, keeping one back-pointer per class
-    and round.
+    The edges as the build checked them, in (source, destination) order:
+    each edge's ``row_src``, ``row_dst`` and raw weight ``row_w``, and the
+    first edge of each source's row ``row_starts``.  A class's row and the
+    path DP read these; the path DP walks them round by round, keeping one
+    back-pointer per class and round.  Mixing and the prefix DP read the
+    edges in (destination, source) order: each edge's source ``src`` and log
+    weight ``logw``, the destinations that have an edge ``dst_ids``, the
+    first edge of each ``starts``, and each edge's rank among them ``seg``.
     """
 
+    row_src: np.ndarray
+    row_dst: np.ndarray
+    row_w: np.ndarray
+    row_starts: np.ndarray
     src: np.ndarray
     logw: np.ndarray
     starts: np.ndarray
@@ -496,14 +507,22 @@ class EdgeList:
     seg: np.ndarray
 
     @classmethod
-    def of(cls, src, dst, w, k) -> EdgeList:
+    def of(cls, src, dst, w, row_starts, k) -> EdgeList:
         """From edges in (source, destination) order: a stable sort by destination."""
         order = np.argsort(dst, kind="stable")
         counts = np.bincount(dst, minlength=k)
         dst_ids = np.flatnonzero(counts)
         starts = (np.cumsum(counts) - counts)[dst_ids]
         seg = np.repeat(np.arange(len(dst_ids)), counts[dst_ids])
-        return cls(src[order], np.log(w[order]), starts, dst_ids, seg)
+        return cls(src, dst, w, row_starts, src[order], np.log(w[order]), starts, dst_ids, seg)
+
+    def row(self, i: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Destinations of class ``i``, in order, and their weights."""
+        lo, hi = np.searchsorted(self.row_src, [i, i + 1])
+        return self.row_dst[lo:hi], self.row_w[lo:hi]
+
+    def least_weight(self) -> float:
+        return float(self.row_w.min())
 
     def mix(self, log_z: np.ndarray, ratio: float) -> np.ndarray:
         """log sum_c T(c' | c) * z[c] ** ratio for every class c': a grouped log-sum-exp."""
@@ -514,16 +533,16 @@ class EdgeList:
 
     def path_dp(self, table: np.ndarray, tb: KernelTables) -> tuple[list[int], float]:
         rounds = len(table)
-        nnz = len(tb.adj_dst)
+        nnz = len(self.row_dst)
         back = np.empty((max(rounds - 1, 0), tb.num_classes), dtype=np.intp)
         edge_pos = np.arange(nnz)
         suffix = table[rounds - 1][tb.expert_of]
         for t in range(rounds - 2, -1, -1):
-            cand = suffix[tb.adj_dst]
-            seg_min = np.minimum.reduceat(cand, tb.adj_starts)
+            cand = suffix[self.row_dst]
+            seg_min = np.minimum.reduceat(cand, self.row_starts)
             # first minimal edge in each segment = lex-smallest successor
-            marked = np.where(cand == seg_min[tb.adj_src], edge_pos, nnz)
-            back[t] = tb.adj_dst[np.minimum.reduceat(marked, tb.adj_starts)]
+            marked = np.where(cand == seg_min[self.row_src], edge_pos, nnz)
+            back[t] = self.row_dst[np.minimum.reduceat(marked, self.row_starts)]
             suffix = table[t][tb.expert_of] + seg_min
         start, best_loss = _best_start(tb, suffix)
         path = [start]
@@ -543,11 +562,10 @@ class EdgeList:
         return out
 
 
-def _orbit_rows(tb: KernelTables) -> np.ndarray:
+def _orbit_rows(succ: np.ndarray) -> np.ndarray:
     """``orbit[j, c]`` = succ^j(c) for B = max(1, _BLOCK // k) rounds, in about log2 B gathers."""
-    k = tb.num_classes
+    k = len(succ)
     width = max(1, _BLOCK // k)
-    succ = tb.adj_dst  # adj_src is 0..k-1
     orbit = np.empty((width, k), dtype=np.intp)
     orbit[0] = np.arange(k)
     filled = 1
@@ -576,6 +594,7 @@ def _running_sum(rows: np.ndarray) -> None:
 class Permutation:
     """Every class has one successor and no two share it: the fixed and cyclic classes.
 
+    Each class has the one successor ``succ``, reached with weight ``w``.
     Mixing: each class has the one predecessor ``pred``, so the log-sum-exp
     of its one edge is the edge term itself, ratio*log z[pred] + logw, the
     edge list's result bit for bit in O(k).
@@ -593,16 +612,24 @@ class Permutation:
     back-pointers.
     """
 
+    succ: np.ndarray
+    w: np.ndarray
     pred: np.ndarray
     logw: np.ndarray
     orbit: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @classmethod
-    def of(cls, dst, w) -> Permutation:
-        """From one edge per source, in source order: ``dst`` is the successor map."""
-        pred = np.empty_like(dst)
-        pred[dst] = np.arange(len(dst))
-        return cls(pred, np.log(w[pred]))
+    def of(cls, succ, w) -> Permutation:
+        """From one edge per source, in source order: ``succ`` is the successor map."""
+        pred = np.empty_like(succ)
+        pred[succ] = np.arange(len(succ))
+        return cls(succ, w, pred, np.log(w[pred]))
+
+    def row(self, i: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+        return self.succ[i:i + 1], self.w[i:i + 1]
+
+    def least_weight(self) -> float:
+        return float(self.w.min())
 
     def mix(self, log_z: np.ndarray, ratio: float) -> np.ndarray:
         return ratio * log_z[self.pred] + self.logw
@@ -616,11 +643,11 @@ class Permutation:
         """
         width = max(1, min(rounds, _BLOCK // tb.num_classes))
         if self.orbit is None or len(self.orbit) < width:  # first call, or _BLOCK grew since
-            self.orbit = _orbit_rows(tb)
+            self.orbit = _orbit_rows(self.succ)
         orbit = self.orbit[:width]
         flat = tb.expert_of[orbit]
         flat += np.arange(0, width * tb.num_experts, tb.num_experts)[:, None]
-        return orbit, flat, tb.adj_dst[orbit[-1]]
+        return orbit, flat, self.succ[orbit[-1]]
 
     def path_dp(self, table: np.ndarray, tb: KernelTables) -> tuple[list[int], float]:
         rounds = len(table)
@@ -675,6 +702,9 @@ def _round_minima(table: np.ndarray, tb: KernelTables) -> np.ndarray:
 class FixedShare:
     """All k^2 edges (k >= 2), ``stay`` on the diagonal and ``off`` off it: the switching class.
 
+    It holds no arrays: row i, its k weights, and the least weight are
+    answered in closed form, with the floats the edge arrays held.
+
     Mixing: with y = ratio*log z and e = exp(y - max y),
     w'[j] = max y + log(stay*e[j] + off*sum_{i != j} e[i]), in O(k) where the
     edge list takes O(k^2).  The sum over i != j is an exclusive prefix plus
@@ -693,14 +723,22 @@ class FixedShare:
     stay: float
     off: float
 
+    def row(self, i: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+        w = np.full(k, self.off)
+        w[i] = self.stay
+        return np.arange(k), w
+
+    def least_weight(self) -> float:
+        return min(self.stay, self.off)
+
     def mix(self, log_z: np.ndarray, ratio: float) -> np.ndarray:
         y = ratio * log_z
         # finite: the log weights peak at 0, the exponent term is finite and ratio is in (0, 1]
-        top = y.max()
+        top = y.item(y.argmax())
         e = np.exp(y - top)
         others = np.zeros_like(e)
-        np.cumsum(e[:-1], out=others[1:])
-        others[:-1] += np.cumsum(e[:0:-1])[::-1]
+        np.add.accumulate(e[:-1], out=others[1:])
+        others[:-1] += np.add.accumulate(e[:0:-1])[::-1]
         return top + np.log(self.stay * e + self.off * others)
 
     def path_dp(self, table: np.ndarray, tb: KernelTables) -> tuple[list[int], float]:

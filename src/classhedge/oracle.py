@@ -32,7 +32,7 @@ from .core import (
     learning_rate,
     round_stats,
 )
-from .kernels import ClassParams, TransitionKernel
+from .kernels import _BLOCK, ClassParams, TransitionKernel
 
 
 @dataclass(frozen=True)
@@ -215,9 +215,19 @@ def bound_report(w_budget: float, probs, losses) -> BoundReport:
     as_simplex(p)
     lo, hi = l.min(axis=1), l.max(axis=1)
     mu = np.einsum("tm,tm->t", p, l)
-    sq = l - mu[:, None]
-    sq *= sq
-    variances = np.einsum("tm,tm->t", p, sq)
+    # Squared deviations a block of rows at a time: a (T, M) temporary can be
+    # a fresh mapping, its pages faulted in on every call.  einsum sums a lone
+    # row of over 8,192 entries in another order than the same row in a
+    # taller block, so only a one-round table has a block of one row; a last
+    # block that would be one row takes the row before it again.
+    rounds = len(l)
+    variances = np.empty(rounds)
+    width = max(2, _BLOCK // l.shape[1])
+    for a in range(0, rounds, width):
+        a = max(0, min(a, rounds - width))
+        sq = l[a:a + width] - mu[a:a + width, None]
+        sq *= sq
+        np.einsum("tm,tm->t", p[a:a + width], sq, out=variances[a:a + width])
     # x -> fl(x - mu) is monotone, so these are the row ranges of phi, bit for bit
     ranges = (hi - mu) - (lo - mu)
 

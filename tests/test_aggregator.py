@@ -378,6 +378,34 @@ class TestRunRound:
             np.testing.assert_array_equal(p1, p2)
             assert i1 == i2
 
+    @pytest.mark.parametrize("kernel", [fixed_kernel(3), cyclic_kernel(3), switching_kernel(3, 0.2)],
+                             ids=lambda k: k.name)
+    def test_returned_vector_is_not_a_live_buffer(self, kernel):
+        table = np.random.default_rng(8).standard_normal((12, 3))
+        agg = Aggregator(kernel, 0.8)
+        rng = np.random.default_rng(1)
+        for losses in table[:4]:
+            agg.run_round(losses, rng)
+        declared = agg.probabilities()
+        kept, _ = agg.run_round(table[4], rng)
+        bits = kept.tobytes()
+        assert bits == declared.tobytes()
+        for losses in table[5:10]:
+            agg.run_round(losses, rng)
+        assert kept.tobytes() == bits
+
+    def test_writing_into_probabilities_leaves_the_centering_mean(self):
+        losses = np.array([0.3, -1.2, 2.5])
+        means = []
+        for scribble in (False, True):
+            agg = Aggregator(cyclic_kernel(3), 0.8)
+            declared = agg.probabilities()
+            if scribble:
+                declared[:] = [1.0, 0.0, 0.0]
+            agg.observe(losses)
+            means.append(agg.last_round.expected_loss)
+        assert means[0] == means[1] == float(Aggregator(cyclic_kernel(3), 0.8).probabilities() @ losses)
+
 
 class TestInvariances:
     def run_probs(self, kernel, table, gamma):

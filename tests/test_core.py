@@ -170,6 +170,30 @@ class TestLossGate:
         assert arr is table and (lo, hi) == (-2.0, 7.0)
         assert as_loss_array([3.0, -1.0])[1:] == (-1.0, 3.0)
 
+    @pytest.mark.parametrize(
+        "values, lo, hi",
+        [([-0.0, 0.0], -0.0, -0.0), ([0.0, -0.0], 0.0, 0.0), ([[0.0, 1.0], [-0.0, 1.0]], 0.0, 1.0),
+         ([[2.0, -0.0], [0.0, 2.0]], -0.0, 2.0)],
+        ids=["neg-first", "pos-first", "table-pos-first", "table-neg-first"],
+    )
+    def test_least_and_greatest_are_the_first_by_position(self, values, lo, hi):
+        # a tie of -0.0 and 0.0 goes to the entry that comes first (row-major for a table)
+        _, got_lo, got_hi = as_loss_array(values)
+        assert type(got_lo) is float and type(got_hi) is float
+        assert math.copysign(1.0, got_lo) == math.copysign(1.0, lo) and got_lo == lo
+        assert math.copysign(1.0, got_hi) == math.copysign(1.0, hi) and got_hi == hi
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["first", "last", "only"])
+    def test_nonfinite_entry_anywhere_raises(self, bad, where):
+        vector = {"first": [bad, 1.0, 2.0], "last": [1.0, 2.0, bad], "only": [bad]}[where]
+        with pytest.raises(ValueError, match="^losses contain NaN or infinite entries$"):
+            as_loss_array(vector)
+        table = np.ones((4, len(vector)))
+        table[2] = vector
+        with pytest.raises(ValueError, match="^round 3: losses contain NaN or infinite entries$"):
+            as_loss_array(table)
+
 
 class TestParameterGates:
     @pytest.mark.parametrize(

@@ -336,6 +336,47 @@ class TestTransitionStructure:
             assert isinstance(kernel.tables.structure, EdgeList)
 
 
+class TestFixedShareKeepsNoEdges:
+    """A switching kernel holds no k^2 edge arrays, yet answers for its rows,
+    budgets and least weight with the bits of an edge list over the same matrix."""
+
+    def test_no_array_grows_with_the_edges(self):
+        tb = switching_kernel(512, 0.1).tables
+        arrays = [getattr(tb, f.name) for f in dataclasses.fields(tb)]
+        arrays += [getattr(tb.structure, f.name) for f in dataclasses.fields(tb.structure)]
+        assert all(x.size <= 512 for x in arrays if isinstance(x, np.ndarray))
+
+    @pytest.mark.parametrize("experts", [2, 3, 8])
+    @pytest.mark.parametrize("weight", [1e-3, 0.1, 0.9])
+    def test_rows_and_budgets_match_a_dense_edge_list(self, experts, weight):
+        kernel = switching_kernel(experts, weight)
+        matrix = np.full((experts, experts), weight / (experts - 1))
+        np.fill_diagonal(matrix, 1.0 - weight)
+        twin = TransitionKernel.from_dense("dense", experts, kernel.class_list(), matrix)
+        src, dst = np.nonzero(matrix)
+        starts = np.searchsorted(src, np.arange(experts))
+        twin.tables = dataclasses.replace(
+            twin.tables, structure=EdgeList.of(src, dst, matrix[src, dst], starts, experts)
+        )
+        assert isinstance(kernel.tables.structure, FixedShare)
+        assert_rows_equal(twin, kernel)
+        for rounds in (0, 1, 2, 100, 10_000):
+            assert kernel.budget_bound(rounds) == twin.budget_bound(rounds)
+        rng = np.random.default_rng(experts)
+        for rounds in (1, 2, 7, 40):
+            path = random_in_class_path(kernel, rounds, rng)
+            assert class_budget(kernel, path) == class_budget(twin, path)
+        for bad in ([(0,), (experts,)], [(experts,)]):
+            for made in (kernel, twin):
+                with pytest.raises(OutOfClassError):
+                    class_budget(made, bad)
+
+    def test_switch_weight_that_underflows_is_refused(self):
+        # w / (M - 1) rounds to 0.0: one checked row stands for all of them
+        with pytest.raises(ConfigError, match=re.escape("transition weight (0,) -> (1,) must be positive")):
+            switching_kernel(3, 5e-324)
+
+
 class TestStructuredDP:
     """A complete kernel with unequal weights takes the generic DP; the DPs
     depend only on the edge set, so it must agree bit for bit with the
@@ -400,6 +441,16 @@ def assert_tables_equal(a, b):
         assert_same_table(x, getattr(b, name), name)
 
 
+def assert_rows_equal(rows, kernel):
+    """Every class's successor list, classes and weights bit for bit: ``rows``
+    maps each class to its list, or is a second kernel."""
+    for cls in kernel.tables.classes:
+        want = rows.successor_items(cls) if isinstance(rows, TransitionKernel) else rows[cls]
+        got = kernel.successor_items(cls)
+        assert [b for b, _ in got] == [b for b, _ in want], cls
+        assert np.array([w for _, w in got]).tobytes() == np.array([w for _, w in want]).tobytes(), cls
+
+
 BUILT = [("fixed", m) for m in (1, 2, 3, 8, 64)] + [("cyclic", m) for m in (1, 2, 3, 8, 64)] + [
     ("switching", m) for m in (2, 3, 8, 64)
 ]
@@ -414,7 +465,9 @@ class TestArrayBuild:
         made = {"fixed": fixed_kernel, "cyclic": cyclic_kernel}.get(
             name, lambda m: switching_kernel(m, 0.1)
         )(experts)
-        assert_tables_equal(made.tables, mapping_form(name, experts).tables)
+        mapped = mapping_form(name, experts)
+        assert_tables_equal(made.tables, mapped.tables)
+        assert_rows_equal(mapped, made)
 
     @pytest.mark.parametrize(
         "classes, matrix",
@@ -435,9 +488,10 @@ class TestArrayBuild:
         mapped = TransitionKernel("m", experts, classes, successors)
         dense = TransitionKernel.from_dense("m", experts, classes, matrix)
         assert_tables_equal(dense.tables, mapped.tables)
+        assert_rows_equal(mapped, dense)
 
     def test_switching_build_peak_memory(self):
-        # the finished M=512 tables hold about 6 MB of edge arrays
+        # the finished M=512 tables hold no edge arrays: about 90 kB of class tables
         tracemalloc.start()
         try:
             kernel = switching_kernel(512, 0.1)  # held, so that its tables count as retained
@@ -463,14 +517,19 @@ def reference_tables(edges, experts, classes=None, init=None):
     present, expert_starts, per_expert = np.unique(expert_of, return_index=True, return_counts=True)
     dst_ids, starts, per_dst = np.unique(dst[by_dst], return_index=True, return_counts=True)
     if len(edges) == k and len(dst_ids) == k:
-        structure = Permutation(src[by_dst], np.log(w[by_dst]))
+        structure = Permutation(dst[by_src], w[by_src], src[by_dst], np.log(w[by_dst]))
     else:
-        structure = EdgeList(src[by_dst], np.log(w[by_dst]), starts, dst_ids,
+        row_starts = np.unique(src[by_src], return_index=True)[1]
+        structure = EdgeList(src[by_src], dst[by_src], w[by_src], row_starts,
+                             src[by_dst], np.log(w[by_dst]), starts, dst_ids,
                              np.repeat(np.arange(len(dst_ids)), per_dst))
     if k >= 2 and len(edges) == k * k:  # distinct pairs, so every pair
         stay, off = ({x for a, b, x in edges if (a == b) == diagonal} for diagonal in (True, False))
         if len(stay) == len(off) == 1:
             structure = FixedShare(float(stay.pop()), float(off.pop()))
+    rows = {c: [] for c in classes}
+    for e in by_src.tolist():
+        rows[classes[src[e]]].append((classes[dst[e]], w[e]))
     if init is None:
         init_weights = np.full(k, 1.0 / k)
     else:
@@ -483,12 +542,10 @@ def reference_tables(edges, experts, classes=None, init=None):
         "present_experts": present,
         "expert_starts": expert_starts,
         "class_seg": np.repeat(np.arange(len(present)), per_expert),
-        "adj_src": src[by_src],
-        "adj_dst": dst[by_src],
-        "adj_w": w[by_src],
-        "adj_starts": np.unique(src[by_src], return_index=True)[1],
         "init_weights": init_weights,
         "structure": structure,
+        # each class's successor list, for kernels whose structure keeps no edges
+        "rows": rows,
     }
 
 
@@ -539,12 +596,15 @@ class TestBuildReference:
         made = {"fixed": fixed_kernel, "cyclic": cyclic_kernel}.get(
             name, lambda m: switching_kernel(m, 0.1)
         )(experts)
-        assert_tables_equal(reference_tables(builtin_edges(name, experts), experts), made.tables)
+        ref = reference_tables(builtin_edges(name, experts), experts)
+        assert_tables_equal(ref, made.tables)
+        assert_rows_equal(ref["rows"], made)
 
     def test_user_kernels(self):
         kinds = set()
         for kernel, ref in user_kernels():
             assert_tables_equal(ref, kernel.tables)
+            assert_rows_equal(ref["rows"], kernel)
             kinds.add(type(kernel.tables.structure))
         assert {Permutation, EdgeList} <= kinds
 
@@ -715,7 +775,7 @@ class TestBuildErrors:
 
     def test_zero_dense_entries_are_dropped(self):
         kernel = TransitionKernel.from_dense("ok", 2, TWO, [[1.0, 0.0], [0.0, 1.0]])
-        assert isinstance(kernel.tables.structure, Permutation) and len(kernel.tables.adj_w) == 2
+        assert isinstance(kernel.tables.structure, Permutation) and len(kernel.tables.structure.w) == 2
 
     @pytest.mark.parametrize(
         "src, dst, match",
@@ -724,7 +784,7 @@ class TestBuildErrors:
     )
     def test_edge_arrays(self, src, dst, match):
         with pytest.raises(ConfigError, match=match):
-            TransitionKernel._from_edges("bad", 2, TWO, src, dst, np.full(len(src), 1.0))
+            TransitionKernel._from_transitions("bad", 2, TWO, (src, dst, np.full(len(src), 1.0)))
 
 
 def straight_loop_dp(kernel, table):
@@ -756,11 +816,16 @@ def straight_loop_dp(kernel, table):
 
 
 def edge_list_twin(kernel):
-    """The same kernel, its tables the same but with the edge-list structure."""
+    """The same kernel, its tables the same but with the edge-list structure,
+    built from its successor lists."""
     tb = kernel.tables
+    edges = [(i, tb.index[b], w) for i, a in enumerate(tb.classes) for b, w in kernel.successor_items(a)]
+    src, dst = (np.array([e[j] for e in edges], dtype=np.intp) for j in (0, 1))
+    weights = np.array([e[2] for e in edges])
+    starts = np.searchsorted(src, np.arange(tb.num_classes))
     twin = copy.copy(kernel)
     twin.tables = dataclasses.replace(
-        tb, structure=EdgeList.of(tb.adj_src, tb.adj_dst, tb.adj_w, tb.num_classes)
+        tb, structure=EdgeList.of(src, dst, weights, starts, tb.num_classes)
     )
     return twin
 

@@ -211,6 +211,18 @@ class TestBoundReport:
             w * report.D + 2.4 * math.sqrt(w * report.v_star), rel=1e-14
         )
 
+    @pytest.mark.parametrize("rounds, experts", [(1, 9000), (3, 9000), (5, 8193), (100, 512), (2049, 8), (7, 4097)])
+    def test_blockwise_variances_match_the_whole_table(self, rounds, experts):
+        # bound_report squares the deviations a block of rows at a time
+        rng = np.random.default_rng(rounds * experts)
+        probs = rng.random((rounds, experts))
+        probs /= probs.sum(axis=1, keepdims=True)
+        losses = rng.standard_normal((rounds, experts)) * 10.0 ** rng.uniform(-50, 50, (rounds, 1))
+        sq = losses - np.einsum("tm,tm->t", probs, losses)[:, None]
+        sq *= sq
+        want = math.fsum(np.einsum("tm,tm->t", probs, sq).tolist())
+        assert bound_report(2.0, probs, losses).v_star == want
+
     def test_variance_never_exceeds_quarter_ranges(self):
         rng = np.random.default_rng(13)
         for _ in range(25):
