@@ -149,7 +149,7 @@ class Aggregator:
             raise ValueError(f"observe() takes one round's losses, not shape {values.shape}")
         t = self.t + 1
 
-        mean = clamped_mean(float(p @ values), lo, hi)
+        mean = clamped_mean(float(p.dot(values)), lo, hi)  # p @ x's cblas_ddot, less set-up
         phi = values - mean
         # x -> fl(x - mean) is monotone, so these are exactly phi.min() and phi.max()
         phi_min = lo - mean
@@ -157,7 +157,7 @@ class Aggregator:
         if not math.isfinite(d * d):
             # centered |phi_m| <= d: checked before phi is squared
             raise InvariantViolation(f"round {t}: score range {d!r} overflows when squared")
-        v = float(p @ (phi * phi))
+        v = float(p.dot(phi * phi))
         D, V, self._carry = round_stats(d, v, self._D, self._V, self._carry)
         eta = learning_rate(D, V, self.gamma, t)
 
@@ -181,17 +181,18 @@ class Aggregator:
             raise InvariantViolation(f"round {t}: -eta*phi reached {max_neg_eta_phi!r} > 1")
 
         tb = self._tables
-        new_lw = tb.structure.mix(self._log_w - exponent * phi[tb.expert_of], ratio)
+        scores = phi if tb.one_per_expert else phi[tb.expert_of]
+        new_lw = tb.structure.mix(self._log_w - exponent * scores, ratio)
         top = new_lw.item(new_lw.argmax())
         if not math.isfinite(top):
             raise InvariantViolation(f"round {t}: class weights collapsed")
         new_lw -= top
         self._log_w = new_lw
 
-        # positional: a keyword call costs about 1 us more per round
-        self.last_round = RoundDiagnostics(
+        # tuple.__new__ skips the NamedTuple's own __new__, a Python call of about 0.5 us
+        self.last_round = tuple.__new__(RoundDiagnostics, (
             t, eta, exponent, ratio, d, v, D, V, max_neg_eta_phi, -exponent * phi_min, mean
-        )
+        ))
         self._D, self._V, self._eta = D, V, eta
         self.t = t
         self._cached_p = None

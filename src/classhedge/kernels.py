@@ -28,21 +28,21 @@ ClassParams = tuple[int, ...]
 _ROW_TOL = 1e-12
 
 
-def _segment_logsumexp(values: np.ndarray, starts: np.ndarray, seg: np.ndarray) -> np.ndarray:
+def _segment_logsumexp(values: np.ndarray, starts: np.ndarray, seg: np.ndarray, out=None) -> np.ndarray:
     """Log-sum-exp of each contiguous segment; -inf where a segment is all -inf.
 
-    Works in place on ``values``; its only input-sized temporary is the
-    gathered segment maxima, which keeps large mixing steps off the allocator.
+    The shifted values go to ``out``: a fresh array, or ``values`` itself if
+    the caller owns it, which keeps large mixing steps off the allocator.
     """
     seg_max = np.maximum.reduceat(values, starts)
     # rare: an all -inf segment shifts to NaN, reported as -inf
     if seg_max.item(seg_max.argmin()) == -np.inf:
         with np.errstate(invalid="ignore"):
-            values -= seg_max[seg]
-        sums = np.add.reduceat(np.exp(values, out=values), starts)
+            shifted = np.subtract(values, seg_max[seg], out=out)
+        sums = np.add.reduceat(np.exp(shifted, out=shifted), starts)
         return np.where(np.isneginf(seg_max), -np.inf, seg_max + np.log(sums))
-    values -= seg_max[seg]
-    return seg_max + np.log(np.add.reduceat(np.exp(values, out=values), starts))
+    shifted = np.subtract(values, seg_max[seg], out=out)
+    return seg_max + np.log(np.add.reduceat(np.exp(shifted, out=shifted), starts))
 
 
 @dataclass(frozen=True)
@@ -65,6 +65,7 @@ class KernelTables:
     expert_starts: np.ndarray = field(repr=False)
     class_seg: np.ndarray = field(repr=False)
     init_weights: np.ndarray = field(repr=False)
+    one_per_expert: bool  # class c is expert c: the engine neither gathers nor groups
     structure: EdgeList | Permutation | FixedShare = field(repr=False)
 
     @property
@@ -76,9 +77,9 @@ class KernelTables:
 
         With one class per expert this is ``log_w`` itself, not a copy.
         """
-        if len(log_w) == len(self.present_experts) == self.num_experts:
+        if self.one_per_expert:
             return log_w
-        grouped = _segment_logsumexp(log_w.copy(), self.expert_starts, self.class_seg)
+        grouped = _segment_logsumexp(log_w, self.expert_starts, self.class_seg)
         if len(grouped) == self.num_experts:
             return grouped
         out = np.full(self.num_experts, -np.inf)
@@ -302,6 +303,7 @@ class TransitionKernel:
             expert_starts=expert_starts,
             class_seg=class_seg,
             init_weights=init,
+            one_per_expert=k == len(present_experts) == self.num_experts,
             structure=structure,
         )
 
@@ -528,7 +530,7 @@ class EdgeList:
         """log sum_c T(c' | c) * z[c] ** ratio for every class c': a grouped log-sum-exp."""
         contrib = ratio * log_z[self.src] + self.logw
         new_lw = np.full(len(log_z), -np.inf)
-        new_lw[self.dst_ids] = _segment_logsumexp(contrib, self.starts, self.seg)
+        new_lw[self.dst_ids] = _segment_logsumexp(contrib, self.starts, self.seg, contrib)
         return new_lw
 
     def path_dp(self, table: np.ndarray, tb: KernelTables) -> tuple[list[int], float]:
@@ -597,7 +599,7 @@ class Permutation:
     Each class has the one successor ``succ``, reached with weight ``w``.
     Mixing: each class has the one predecessor ``pred``, so the log-sum-exp
     of its one edge is the edge term itself, ratio*log z[pred] + logw, the
-    edge list's result bit for bit in O(k).
+    edge list's result bit for bit in O(k); ``unit`` kernels skip the + 0.0.
 
     DPs: a path is fixed by its first class, so a class's DP value is a
     running sum of its expert's losses along its orbit.  The rounds are cut
@@ -618,6 +620,9 @@ class Permutation:
     logw: np.ndarray
     orbit: np.ndarray | None = field(default=None, repr=False, compare=False)
 
+    def __post_init__(self):
+        self.unit = not np.count_nonzero(self.logw)  # every weight 1 (fixed, cyclic): log weights 0
+
     @classmethod
     def of(cls, succ, w) -> Permutation:
         """From one edge per source, in source order: ``succ`` is the successor map."""
@@ -632,7 +637,11 @@ class Permutation:
         return float(self.w.min())
 
     def mix(self, log_z: np.ndarray, ratio: float) -> np.ndarray:
-        return ratio * log_z[self.pred] + self.logw
+        new_lw = log_z[self.pred]
+        new_lw *= ratio
+        # fl(ratio*x) + 0.0 is fl(ratio*x) save where that is -0.0 (the product of a subnormal
+        # x underflows): the skip moves only a zero's sign, alike to exp, max and argmax
+        return new_lw if self.unit else np.add(new_lw, self.logw, out=new_lw)
 
     def _block(self, tb: KernelTables, rounds: int):
         """One block of B rounds, the first rows of ``orbit``: (orbit, flat, jump).
@@ -732,14 +741,17 @@ class FixedShare:
         return min(self.stay, self.off)
 
     def mix(self, log_z: np.ndarray, ratio: float) -> np.ndarray:
-        y = ratio * log_z
+        e = ratio * log_z  # y = ratio*log z, then e, then the result: one k-sized buffer
         # finite: the log weights peak at 0, the exponent term is finite and ratio is in (0, 1]
-        top = y.item(y.argmax())
-        e = np.exp(y - top)
-        others = np.zeros_like(e)
+        top = e.item(e.argmax())
+        np.exp(np.subtract(e, top, out=e), out=e)
+        others = np.zeros(len(e))
         np.add.accumulate(e[:-1], out=others[1:])
         others[:-1] += np.add.accumulate(e[:0:-1])[::-1]
-        return top + np.log(self.stay * e + self.off * others)
+        others *= self.off
+        e *= self.stay
+        e += others
+        return np.add(np.log(e, out=e), top, out=e)
 
     def path_dp(self, table: np.ndarray, tb: KernelTables) -> tuple[list[int], float]:
         rounds = len(table)

@@ -213,7 +213,9 @@ def bound_report(w_budget: float, probs, losses) -> BoundReport:
     if p.shape != l.shape or p.ndim != 2:
         raise ValueError(f"probs {p.shape} and losses {l.shape} must be matching 2-D arrays")
     as_simplex(p)
-    lo, hi = l.min(axis=1), l.max(axis=1)
+    # row extremes by reduceat: min(axis=1) sets up a reduce per row (a zero's sign may differ)
+    flat, starts = l.ravel(), np.arange(0, l.size, l.shape[1])
+    lo, hi = np.minimum.reduceat(flat, starts), np.maximum.reduceat(flat, starts)
     mu = np.einsum("tm,tm->t", p, l)
     # Squared deviations a block of rows at a time: a (T, M) temporary can be
     # a fresh mapping, its pages faulted in on every call.  einsum sums a lone

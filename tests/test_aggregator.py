@@ -2,6 +2,7 @@
 
 import math
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -290,6 +291,13 @@ class TestObserve:
         assert diag.max_neg_eta_phi <= 1.0 + 1e-12
 
 
+# a rotation whose weights are 1 - 4e-13: within the 1e-12 row check, yet its log
+# weights are not 0.0, so its mixing must keep the add of the edge weights
+NEAR_UNIT = TransitionKernel.from_dense(
+    "near-unit", 3, [(0,), (1,), (2,)], (1.0 - 4e-13) * np.roll(np.eye(3), 1, axis=1)
+)
+
+
 class TestStructuredMixing:
     """Each structure's closed-form mix against the edge-list structure of the same tables."""
 
@@ -321,16 +329,120 @@ class TestStructuredMixing:
         self.check_fixed_share(SHARE_WITH_GAP, np.random.default_rng(seed))
 
     @pytest.mark.parametrize(
-        "kernel", [fixed_kernel(1), fixed_kernel(5), cyclic_kernel(2), cyclic_kernel(4), ROTATE_WITH_INIT]
+        "kernel",
+        [fixed_kernel(1), fixed_kernel(5), cyclic_kernel(2), cyclic_kernel(4), ROTATE_WITH_INIT, NEAR_UNIT],
     )
     def test_permutation_matches_edge_list_exactly(self, kernel):
         tb = kernel.tables
         assert isinstance(tb.structure, Permutation)
+        # unit weights skip the add of the log weights; NEAR_UNIT's must keep it
+        assert tb.structure.unit == bool((tb.structure.w == 1.0).all()) == (kernel is not NEAR_UNIT)
         twin = edge_list_twin(kernel).tables.structure
         rng = np.random.default_rng(tb.num_classes)
-        for ratio in [1.0, *rng.uniform(1e-3, 1.0, 10)]:
+        for ratio in [1.0, 1e-6, *rng.uniform(1e-3, 1.0, 10)]:
             log_z = self.random_log_z(rng, tb.num_classes)
-            assert np.array_equal(tb.structure.mix(log_z, ratio), twin.mix(log_z, ratio))
+            assert tb.structure.mix(log_z, ratio).tobytes() == twin.mix(log_z, ratio).tobytes()
+
+
+def play(kernel, table, gamma=0.8):
+    """The declared vectors, the draws, the diagnostics and the final log weights of one run."""
+    agg = Aggregator(kernel, gamma)
+    rng = np.random.default_rng(3)
+    probs, choices, diags = [], [], []
+    for losses in table:
+        p, choice = agg.run_round(losses, rng)
+        probs.append(p)
+        choices.append(choice)
+        diags.append(agg.last_round)
+    return np.array(probs), choices, np.array(diags, dtype=float), agg.log_weights()
+
+
+def lean_round_streams(experts, rounds=80):
+    """Signed zeros, exact ties, and losses of subnormal and mixed scales."""
+    rng = np.random.default_rng(experts * rounds)
+    shape = (rounds, experts)
+    zeros = rng.choice([-0.0, 0.0, 0.0, 1.0, -1.0], shape)
+    ties = rng.integers(0, 3, shape).astype(float)
+    subnormal = rng.random(shape) * 10.0 ** rng.choice([-320, -310, -300, 0], (rounds, 1))
+    return {"signed-zeros": zeros, "ties": ties, "subnormal": subnormal}
+
+
+class TestLeanRound:
+    """The round's in-place work and skipped steps change no bit of what the engine reports."""
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [fixed_kernel(3), cyclic_kernel(3), switching_kernel(4, 0.3), NEAR_UNIT, SHARE_WITH_GAP,
+         TransitionKernel.from_dense("lazy-walk", 3, [(0,), (1,), (2,)], LAZY_WALK)],
+        ids=lambda k: f"{k.name}-{k.tables.num_classes}",
+    )
+    def test_mix_and_grouping_leave_their_inputs(self, kernel):
+        tb = kernel.tables
+        k = tb.num_classes
+        rng = np.random.default_rng(k)
+        for structure in (tb.structure, edge_list_twin(kernel).tables.structure):
+            for ratio in (1.0, 0.3):
+                log_z = TestStructuredMixing.random_log_z(rng, k)
+                before = log_z.tobytes()
+                structure.mix(log_z, ratio)
+                assert log_z.tobytes() == before, type(structure).__name__
+        for log_w in (TestStructuredMixing.random_log_z(rng, k), np.where(tb.expert_of == 0, -np.inf, 0.0)):
+            before = log_w.tobytes()
+            tb.expert_log_weights(log_w)
+            assert log_w.tobytes() == before
+
+    @pytest.mark.parametrize("stream", ["signed-zeros", "ties", "subnormal"])
+    @pytest.mark.parametrize(
+        "kernel",
+        [fixed_kernel(1), fixed_kernel(3), cyclic_kernel(3), NEAR_UNIT, switching_kernel(3, 0.2),
+         switching_kernel(3, 0.9)],
+        ids=lambda k: f"{k.name}-{k.tables.num_classes}",
+    )
+    def test_engine_matches_its_edge_list_twin(self, kernel, stream):
+        table = lean_round_streams(kernel.num_experts)[stream]
+        probs, choices, diags, log_w = play(kernel, table)
+        twin_probs, twin_choices, twin_diags, twin_log_w = play(edge_list_twin(kernel), table)
+        assert choices == twin_choices
+        if isinstance(kernel.tables.structure, Permutation):
+            assert probs.tobytes() == twin_probs.tobytes()
+            assert diags.tobytes() == twin_diags.tobytes()
+            np.testing.assert_array_equal(log_w, twin_log_w)  # a zero's sign may differ
+        else:
+            np.testing.assert_allclose(probs, twin_probs, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(diags, twin_diags, rtol=1e-12, atol=0.0)
+
+    def test_unit_weight_skip_on_a_subnormal_log_weight_stream(self):
+        # expert 3 starts weightless, so the mean ignores its loss: round 1 fixes eta = 1,
+        # round 2 puts expert 1 a subnormal 5e-324 behind, and round 3's range jump gives
+        # ratio 1e-3, where ratio * -5e-324 underflows to -0.0 in place of the add's +0.0
+        kernel = TransitionKernel.from_dense(
+            "fixed-prior", 4, [(m,) for m in range(4)], np.eye(4),
+            init_weights={(0,): 1 / 3, (1,): 1 / 3, (2,): 1 / 3},
+        )
+        assert kernel.tables.structure.unit
+        opening = [[0.0, 0.0, 0.0, 1.0], [0.0, 5e-324, 0.0, 0.0], [0.0, 0.0, 0.0, 1e3]]
+        rest = np.random.default_rng(2).integers(0, 2, (30, 4)) * 10.0 ** np.repeat([-320, 0], 15)[:, None]
+        table = np.vstack([opening, rest])
+        negative_zeros = []
+        real_mix = Permutation.mix
+
+        def spy(structure, log_z, ratio):
+            new_lw = real_mix(structure, log_z, ratio)
+            negative_zeros.append(int(np.count_nonzero((new_lw == 0.0) & np.signbit(new_lw))))
+            return new_lw
+
+        with mock.patch.object(Permutation, "mix", spy):
+            probs, choices, diags, log_w = play(kernel, table, gamma=1.0)
+        assert negative_zeros[2] == 1  # the skipped add would have changed this bit
+        twin_probs, twin_choices, twin_diags, twin_log_w = play(edge_list_twin(kernel), table, gamma=1.0)
+        assert probs.tobytes() == twin_probs.tobytes()
+        assert choices == twin_choices
+        assert diags.tobytes() == twin_diags.tobytes()
+        np.testing.assert_array_equal(log_w, twin_log_w)
+        # after round 3 the engine's log weights differ from the twin's in one zero's sign
+        after, twin_after = play(kernel, opening, 1.0)[3], play(edge_list_twin(kernel), opening, 1.0)[3]
+        assert after.tolist() == twin_after.tolist() == [0.0, 0.0, 0.0, -math.inf]
+        assert np.signbit(after[1]) and not np.signbit(twin_after[1])
 
 
 class TestAgainstStraightLoop:

@@ -12,6 +12,7 @@ from classhedge.core import ConfigError
 from classhedge.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
+    _write_csv,
     emit_csv,
     emit_probs_csv,
     loss_generator,
@@ -340,6 +341,41 @@ class TestCsv:
         header = ["t"] + [f"p_{m}" for m in range(experts)] + [f"l_{m}" for m in range(experts)]
         telemetry = np.hstack([report.probs, report.losses])
         assert probs_csv_path(out).read_bytes() == _per_cell_csv(header, telemetry)
+
+    def test_write_csv_matches_savetxt(self, tmp_path):
+        # np.savetxt is the reference only here: the writer must give its bytes
+        def savetxt_bytes(header, table, fmt):
+            ref = tmp_path / "ref.csv"
+            with open(ref, "w", newline="") as fh:
+                np.savetxt(fh, table, fmt=fmt, delimiter=",", header=",".join(header), comments="")
+            return ref.read_bytes()
+
+        edge = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, -5e-324,
+                1.7976931348623157e308, -1.7976931348623157e308, 3.0, -2.0, 1e16, 2.0**53, 1 / 3]
+        rng = np.random.default_rng(4)
+        tables = [
+            np.array([edge]),
+            rng.choice(edge, (2000, 11)),  # three blocks of rows
+            rng.choice(edge, (70, 129)),  # a probabilities file of M=64: blocks of 63 rows
+            rng.standard_normal((3, 1)),
+            np.empty((0, 11)),
+        ]
+        for table in tables:
+            header = [f"c{j}" for j in range(table.shape[1])]
+            out = tmp_path / "out.csv"
+            _write_csv(out, header, table)
+            assert out.read_bytes() == savetxt_bytes(header, table, "%.17g"), table.shape
+        # the sweep summary: an object table, each seed exact up to 2^64 - 1
+        fmt = ("%d", "%.17g", "%.17g", "%.17g", "%d")
+        summary = np.array(
+            [(0, -0.0, math.inf, math.nan, 0), (2**60 + 1, 1e300, 5e-324, 3.0, 1), (2**64 - 1, 0.5, 1.0, 2.0, 1)],
+            dtype=object,
+        )
+        header = ["seed", "exp_regret", "bound_var", "bound_range", "within_bound"]
+        _write_csv(tmp_path / "summary.csv", header, summary, fmt=fmt)
+        written = (tmp_path / "summary.csv").read_bytes()
+        assert written == savetxt_bytes(header, summary, fmt)
+        assert written.splitlines()[-1].startswith(b"18446744073709551615,")
 
     def test_identical_config_byte_identical_csv(self, tmp_path):
         config = ExperimentConfig(

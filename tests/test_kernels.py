@@ -543,6 +543,7 @@ def reference_tables(edges, experts, classes=None, init=None):
         "expert_starts": expert_starts,
         "class_seg": np.repeat(np.arange(len(present)), per_expert),
         "init_weights": init_weights,
+        "one_per_expert": expert_of.tolist() == list(range(experts)),
         "structure": structure,
         # each class's successor list, for kernels whose structure keeps no edges
         "rows": rows,

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from classhedge.aggregator import Aggregator
-from classhedge.core import ConfigError
+from classhedge.core import ConfigError, bound_range, bound_var
 from classhedge.harness import _log_dev
 from classhedge.kernels import TransitionKernel, best_competitor, cyclic_kernel, fixed_kernel, switching_kernel
 from classhedge.oracle import (
+    BoundReport,
     bound_report,
     ewa_reference,
     exhaustive_best,
@@ -211,17 +212,33 @@ class TestBoundReport:
             w * report.D + 2.4 * math.sqrt(w * report.v_star), rel=1e-14
         )
 
-    @pytest.mark.parametrize("rounds, experts", [(1, 9000), (3, 9000), (5, 8193), (100, 512), (2049, 8), (7, 4097)])
+    @pytest.mark.parametrize(
+        "rounds, experts", [(1, 9000), (3, 9000), (5, 8193), (100, 512), (2049, 8), (7, 4097), (1, 8), (60, 1)]
+    )
     def test_blockwise_variances_match_the_whole_table(self, rounds, experts):
-        # bound_report squares the deviations a block of rows at a time
+        # bound_report squares the deviations a block of rows at a time and reads
+        # the row extremes with reduceat; the reference takes whole-table einsums
+        # and axis=1 extremes, on scaled normals and on ties of signed zeros
         rng = np.random.default_rng(rounds * experts)
         probs = rng.random((rounds, experts))
         probs /= probs.sum(axis=1, keepdims=True)
-        losses = rng.standard_normal((rounds, experts)) * 10.0 ** rng.uniform(-50, 50, (rounds, 1))
-        sq = losses - np.einsum("tm,tm->t", probs, losses)[:, None]
-        sq *= sq
-        want = math.fsum(np.einsum("tm,tm->t", probs, sq).tolist())
-        assert bound_report(2.0, probs, losses).v_star == want
+        normals = rng.standard_normal((rounds, experts)) * 10.0 ** rng.uniform(-50, 50, (rounds, 1))
+        ties = rng.integers(-1, 2, (rounds, experts)).astype(float)
+        ties[rng.random((rounds, experts)) < 0.4] = -0.0
+        ties[rng.random((rounds, experts)) < 0.2] = 0.0
+        ties[0] = np.where(rng.random(experts) < 0.5, -0.0, 0.0)  # a round of zeros of both signs
+        for losses in (normals, ties, np.where(rng.random((rounds, experts)) < 0.5, -0.0, 0.0)):
+            mu = np.einsum("tm,tm->t", probs, losses)
+            sq = losses - mu[:, None]
+            sq *= sq
+            v_star = math.fsum(np.einsum("tm,tm->t", probs, sq).tolist())
+            ranges = (losses.max(axis=1) - mu) - (losses.min(axis=1) - mu)
+            d_top, sum_d_sq = float(ranges.max()), math.fsum((ranges * ranges).tolist())
+            want = BoundReport(
+                2.0, d_top, v_star, sum_d_sq,
+                float(bound_var(2.0, d_top, v_star)), float(bound_range(2.0, d_top, sum_d_sq)),
+            )
+            assert repr(bound_report(2.0, probs, losses)) == repr(want)
 
     def test_variance_never_exceeds_quarter_ranges(self):
         rng = np.random.default_rng(13)
