@@ -29,7 +29,7 @@ from .core import (
     ProtocolError,
     as_gamma,
     as_loss_array,
-    clamped_mean,
+    center_losses,
     eta_ratio,
     learning_rate,
     round_stats,
@@ -149,33 +149,21 @@ class Aggregator:
             raise ValueError(f"observe() takes one round's losses, not shape {values.shape}")
         t = self.t + 1
 
-        mean = clamped_mean(float(p.dot(values)), lo, hi)  # p @ x's cblas_ddot, less set-up
-        phi = values - mean
-        # x -> fl(x - mean) is monotone, so these are exactly phi.min() and phi.max()
-        phi_min = lo - mean
-        d = (hi - mean) - phi_min
-        if not math.isfinite(d * d):
-            # centered |phi_m| <= d: checked before phi is squared
-            raise InvariantViolation(f"round {t}: score range {d!r} overflows when squared")
-        v = float(p.dot(phi * phi))
+        mean, phi, d, v = center_losses(values, p, lo, hi, t)
         D, V, self._carry = round_stats(d, v, self._D, self._V, self._carry)
         eta = learning_rate(D, V, self.gamma, t)
-
         prev = self._eta
-        if math.isinf(prev):
-            # the first informative round fixes the previous rate (eta_0 := eta_1)
-            prev = eta
-        elif prev < eta < DEGENERATE_ETA:
+        if prev < eta < DEGENERATE_ETA:
             if eta > prev * (1.0 + _RATE_TOL):
                 raise InvariantViolation(f"round {t}: learning rate increased ({prev!r} -> {eta!r})")
             # the formula is nonincreasing in exact arithmetic; clamp the
             # occasional last-ulp wobble of the compensated accumulator
             eta = prev
-        exponent = 0.0 if math.isinf(prev) else prev
-        ratio = eta_ratio(eta, prev)
+        exponent, ratio = eta_ratio(eta, prev)
 
         # -c*phi is nonincreasing in phi for c >= 0, and so is its rounding:
-        # the largest entry of fl(-c*phi) is fl(-c*min phi)
+        # the largest entry of fl(-c*phi) is fl(-c*min phi), and min phi is lo - mean
+        phi_min = lo - mean
         max_neg_eta_phi = 0.0 if math.isinf(eta) else -eta * phi_min
         if max_neg_eta_phi > 1.0 + _RATE_TOL:
             raise InvariantViolation(f"round {t}: -eta*phi reached {max_neg_eta_phi!r} > 1")

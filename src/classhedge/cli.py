@@ -49,6 +49,8 @@ def load_config_file(path) -> dict:
             out["kernel_params"][key.split(".", 1)[1]] = _parse_value(value)
         elif key.startswith("loss_param."):
             out["loss_params"][key.split(".", 1)[1]] = _parse_value(value)
+        elif key in ("kernel_params", "loss_params"):
+            raise ConfigError(f"{path}:{lineno}: set {key} as '{key[:-1]}.<name> = value', got {raw!r}")
         else:
             out[key] = _parse_value(value)
     return out

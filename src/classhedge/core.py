@@ -26,6 +26,8 @@ TWO_E_MINUS_2 = 2.0 * (math.e - 2.0)
 #: to eta in that regime, so the engine treats exp(-eta*phi) as 1 and the
 #: ratio eta_t / eta_{t-1} as 1 until a real signal arrives.
 DEGENERATE_ETA = math.inf
+#: A caller's probabilities may be as low as -SIMPLEX_TOL and sum to 1 within it.
+SIMPLEX_TOL = 1e-9
 _FLOAT64 = np.dtype(float)
 
 
@@ -70,12 +72,17 @@ def as_loss_array(values, num_experts: int | None = None) -> tuple[np.ndarray, f
 
 
 def as_real(value, what: str, rule: str | None = None, valid=None) -> float:
-    """A caller's real parameter as a float: a real number, not a bool, finite and
-    ``valid`` if given.  Else ConfigError "<what> must be <rule>, got <value>",
-    where no ``rule`` reads "a real number" or "finite", whichever failed."""
+    """A caller's real parameter as a float: a real number, not a bool, finite (an
+    int beyond the double range is not) and ``valid`` if given.  Else ConfigError
+    "<what> must be <rule>, got <value>", where no ``rule`` reads "a real number"
+    or "finite", whichever failed."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{what} must be {rule or 'a real number'}, got {value!r}")
-    if not (math.isfinite(value) and (valid is None or valid(value))):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int (or a ratio of ints) beyond the double range
+        finite = False
+    if not (finite and (valid is None or valid(value))):
         raise ConfigError(f"{what} must be {rule or 'finite'}, got {value!r}")
     return float(value)
 
@@ -90,19 +97,19 @@ def as_integer(value, what: str, minimum: int | None = None) -> int:
     return int(value)
 
 
-def as_simplex(values, tol: float = 1e-9) -> np.ndarray:
+def as_simplex(values) -> np.ndarray:
     """Validate a probability vector, or a (T, M) table with one per row: entries
-    finite and >= -tol, each vector summing to 1 within tol.  A table's first
-    bad row is named as its round, counting from 1."""
+    finite and >= -SIMPLEX_TOL, each vector summing to 1 within SIMPLEX_TOL.  A
+    table's first bad row is named as its round, counting from 1."""
     arr = np.asarray(values, dtype=float)
     if arr.ndim not in (1, 2) or arr.shape[-1] == 0:
         raise ValueError(f"probabilities must be a nonempty vector or table, not shape {arr.shape}")
     rows = arr.reshape(-1, arr.shape[-1])
     sums = np.einsum("ij->i", rows)
     # NaN fails every test; per-row minima, slow on narrow rows, only if some entry is negative
-    bad = ~(np.abs(sums - 1.0) <= tol)
-    if not rows.min(initial=0.0) >= -tol:
-        bad |= ~(rows >= -tol).all(axis=1)
+    bad = ~(np.abs(sums - 1.0) <= SIMPLEX_TOL)
+    if not rows.min(initial=0.0) >= -SIMPLEX_TOL:
+        bad |= ~(rows >= -SIMPLEX_TOL).all(axis=1)
     if bad.any():
         i = int(bad.argmax())
         where = f"round {i + 1}: " if arr.ndim == 2 else ""
@@ -110,21 +117,22 @@ def as_simplex(values, tol: float = 1e-9) -> np.ndarray:
     return arr
 
 
-def clamped_mean(mu: float, lo: float, hi: float) -> float:
-    """The probability-weighted mean mu = p . l, kept inside [lo, hi] = [min l, max l].
+def center_losses(losses, probs, lo: float, hi: float, t: int) -> tuple[float, np.ndarray, float, float]:
+    """Center round ``t``'s losses l, with lo = min l and hi = max l: (mean, phi, d, v).
 
-    The exact mean lies in that interval, so max(phi) >= 0 >= min(phi) holds
-    exactly for phi = l - mean, and a loss vector that is constant across
-    experts has exactly its constant as mean (a degenerate round, no regret).
+    The mean p . l is kept inside [lo, hi], where the exact mean lies, so
+    max(phi) >= 0 >= min(phi) holds exactly for phi = l - mean, and a loss
+    vector that is constant across experts has exactly its constant as mean
+    (a degenerate round, no regret).  d = max phi - min phi and v = p . phi^2;
+    a d whose square overflows raises InvariantViolation before phi is squared.
     """
-    return min(max(mu, lo), hi)
-
-
-def center_losses(losses, probs) -> np.ndarray:
-    """Shift losses by their clamped probability-weighted mean."""
-    l = np.asarray(losses, dtype=float)
-    mu = float(np.asarray(probs, dtype=float) @ l)
-    return l - clamped_mean(mu, float(l.min()), float(l.max()))
+    mean = min(max(float(probs.dot(losses)), lo), hi)  # p @ x's cblas_ddot, less set-up
+    phi = losses - mean
+    # x -> fl(x - mean) is monotone, so these are exactly phi.max() and phi.min()
+    d = (hi - mean) - (lo - mean)
+    if not math.isfinite(d * d):  # centered |phi_m| <= d
+        raise InvariantViolation(f"round {t}: score range {d!r} overflows when squared")
+    return mean, phi, d, float(probs.dot(phi * phi))
 
 
 def round_stats(d: float, v: float, D: float, V: float, carry: float) -> tuple[float, float, float]:
@@ -157,11 +165,15 @@ def learning_rate(D: float, V: float, gamma: float, t: int) -> float:
     return gamma / math.sqrt(radicand)
 
 
-def eta_ratio(current: float, previous: float) -> float:
-    """Mixing exponent eta_t / eta_{t-1}; defined as 1 in the degenerate regime."""
-    if math.isinf(previous) or math.isinf(current):
-        return 1.0
-    return current / previous
+def eta_ratio(eta: float, prev: float) -> tuple[float, float]:
+    """The step's exponent eta_{t-1} = ``prev`` and mixing ratio eta_t / eta_{t-1}.
+
+    The first informative round takes eta_0 := eta_1; while every round so far
+    is degenerate (both rates DEGENERATE_ETA) the step is (0.0, 1.0).
+    """
+    if math.isinf(prev):
+        return (0.0, 1.0) if math.isinf(eta) else (eta, 1.0)
+    return prev, eta / prev
 
 
 def bound_var(w_budget, d_max, v_star):

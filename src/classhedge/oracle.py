@@ -4,10 +4,10 @@ Each oracle recomputes a quantity the engine or the DP produces, along a
 deliberately different code path: the closed form of adaptive exponential
 weights over fixed experts, the forward recursion on a dense transition
 matrix for every kind of kernel, and exhaustive path enumeration.  They
-share only the scalar centering, statistics, learning-rate and bound
-formulas with the core module, never the engine's grouped log-sum-exp
-machinery.  ``bound_report`` evaluates the second-order regret bounds
-from run telemetry.
+share only the per-round formulas of the core module (centering, statistics,
+learning rate and its schedule) and its bound formulas, never the engine's
+grouped log-sum-exp machinery.  ``bound_report`` evaluates the second-order
+regret bounds from run telemetry.
 """
 
 from __future__ import annotations
@@ -85,10 +85,10 @@ def ewa_reference(losses, gamma: float) -> np.ndarray:
     p = np.full(num_experts, 1.0 / num_experts)
     out[0] = p
     for t in range(rounds):
-        phi = center_losses(table[t], p)
+        row = table[t]
+        _, phi, d, v = center_losses(row, p, float(row.min()), float(row.max()), t + 1)
         cum += phi
-        d = float(phi.max() - phi.min())
-        d_max, v_sum, carry = round_stats(d, float(p @ (phi * phi)), d_max, v_sum, carry)
+        d_max, v_sum, carry = round_stats(d, v, d_max, v_sum, carry)
         eta_t = learning_rate(d_max, v_sum, gamma, t + 1)
         if not math.isinf(eta_t):
             w = np.exp(-eta_t * (cum - cum.min()))
@@ -128,14 +128,11 @@ def trajectory_reference(kernel: TransitionKernel, losses, gamma: float) -> np.n
         by_expert = np.bincount(tb.expert_of, np.exp(log_u - log_u.max()), kernel.num_experts)
         p = by_expert / by_expert.sum()
 
-        phi = center_losses(table[t], p)
-        d = float(phi.max() - phi.min())
-        d_max, v_sum, carry = round_stats(d, float(p @ (phi * phi)), d_max, v_sum, carry)
+        row = table[t]
+        _, phi, d, v = center_losses(row, p, float(row.min()), float(row.max()), t + 1)
+        d_max, v_sum, carry = round_stats(d, v, d_max, v_sum, carry)
         eta_t = learning_rate(d_max, v_sum, gamma, t + 1)
-
-        prev_eff = eta_t if math.isinf(prev) else prev
-        exponent = 0.0 if math.isinf(prev_eff) else prev_eff
-        ratio = eta_ratio(eta_t, prev_eff)
+        exponent, ratio = eta_ratio(eta_t, prev)
 
         terms = ratio * (log_u - exponent * phi[tb.expert_of]) + log_t
         top = terms.max(axis=1)
@@ -203,9 +200,10 @@ def bound_report(w_budget: float, probs, losses) -> BoundReport:
 
     ``probs`` and ``losses`` are (T, M) arrays of the played probabilities
     and the raw losses.  Raises ValueError naming the first bad round unless
-    every probability row is on the simplex and every loss is finite, and
-    InvariantViolation if the variance statistic exceeds a quarter of the
-    summed squared ranges, which no valid telemetry can do.
+    every probability row is on the simplex and every loss is finite.  Raises
+    InvariantViolation naming the first round whose range overflows when
+    squared, as the engine does, and if the variance statistic exceeds a
+    quarter of the summed squared ranges, which no valid telemetry can do.
     """
     w = as_budget(w_budget)
     p = np.asarray(probs, dtype=float)
@@ -216,7 +214,17 @@ def bound_report(w_budget: float, probs, losses) -> BoundReport:
     # row extremes by reduceat: min(axis=1) sets up a reduce per row (a zero's sign may differ)
     flat, starts = l.ravel(), np.arange(0, l.size, l.shape[1])
     lo, hi = np.minimum.reduceat(flat, starts), np.maximum.reduceat(flat, starts)
+    # each row's mean kept inside its [min, max], as the engine centers
     mu = np.einsum("tm,tm->t", p, l)
+    np.minimum(np.maximum(mu, lo, out=mu), hi, out=mu)
+    with np.errstate(over="ignore"):
+        # x -> fl(x - mu) is monotone, so these are the row ranges of phi, bit for bit
+        ranges = (hi - mu) - (lo - mu)
+    d_top = float(ranges.max())
+    if not math.isfinite(d_top * d_top):
+        # a row's |l - mu| is at most its range: checked before anything is squared
+        t, d = next((t, d) for t, d in enumerate(ranges.tolist(), 1) if not math.isfinite(d * d))
+        raise InvariantViolation(f"round {t}: score range {d!r} overflows when squared")
     # Squared deviations a block of rows at a time: a (T, M) temporary can be
     # a fresh mapping, its pages faulted in on every call.  einsum sums a lone
     # row of over 8,192 entries in another order than the same row in a
@@ -230,12 +238,9 @@ def bound_report(w_budget: float, probs, losses) -> BoundReport:
         sq = l[a:a + width] - mu[a:a + width, None]
         sq *= sq
         np.einsum("tm,tm->t", p[a:a + width], sq, out=variances[a:a + width])
-    # x -> fl(x - mu) is monotone, so these are the row ranges of phi, bit for bit
-    ranges = (hi - mu) - (lo - mu)
 
     v_star = math.fsum(variances.tolist())
     sum_d_sq = math.fsum((ranges * ranges).tolist())
-    d_top = float(ranges.max())
     if v_star > sum_d_sq / 4.0 + 1e-9 * max(1.0, sum_d_sq):
         raise InvariantViolation(
             f"variance sum {v_star!r} exceeds a quarter of the squared ranges {sum_d_sq!r}"

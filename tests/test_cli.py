@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -69,6 +70,23 @@ def test_malformed_config_line_rejected(tmp_path):
     cfg.write_text("experts: 3\n")
     with pytest.raises(ConfigError, match="key = value"):
         load_config_file(cfg)
+
+
+@pytest.mark.parametrize("key", ["kernel_params", "loss_params"])
+def test_config_file_rejects_a_whole_parameter_dict(tmp_path, capsys, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"experts = 2\nrounds = 3\n{key} = 3\n")
+    message = f"{cfg}:3: set {key} as '{key[:-1]}.<name> = value', got '{key} = 3'"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        load_config_file(cfg)
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_gamma_beyond_the_double_range_exits_with_one_error_line(capsys):
+    huge = "1" + "0" * 400
+    assert main(["run", "--experts", "2", "--rounds", "3", "--gamma", huge]) == 1
+    assert capsys.readouterr().err == f"error: gamma must be a positive finite real, got {huge}\n"
 
 
 def test_missing_required_keys_exit_nonzero(capsys):

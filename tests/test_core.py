@@ -20,6 +20,7 @@ from classhedge import (
     exhaustive_best,
     fixed_kernel,
     make_kernel,
+    switching_kernel,
     trajectory_reference,
 )
 from classhedge.core import (
@@ -46,6 +47,17 @@ finite_losses = st.lists(
 def simplex_for(n: int, rng: np.random.Generator) -> np.ndarray:
     raw = rng.random(n) + 1e-3
     return raw / raw.sum()
+
+
+def centered(losses, probs):
+    """The centered scores phi of ``center_losses``, from lists."""
+    l, p = np.asarray(losses, dtype=float), np.asarray(probs, dtype=float)
+    return center_losses(l, p, float(l.min()), float(l.max()), 1)[1]
+
+
+def ratio_of(current, previous):
+    """The mixing exponent eta_t / eta_{t-1} of ``eta_ratio``."""
+    return eta_ratio(current, previous)[1]
 
 
 def fold(phi, probs, D=0.0, V=0.0, carry=0.0):
@@ -237,31 +249,43 @@ class TestParameterGates:
         assert fixed_kernel(np.int64(3)).num_experts == 3
         assert cyclic_kernel(2).successor_items((np.int8(1), np.int64(1))) == (((0, 1), 1.0),)
 
+    @pytest.mark.parametrize("huge", [10**400, -10**400], ids=["1e400", "-1e400"])
+    def test_ints_beyond_the_double_range_are_config_errors(self, huge):
+        # math.isfinite on such an int raises OverflowError; the gate turns it into ConfigError
+        calls = {
+            "class budget must be a finite real >= 1": lambda: gamma_from_budget(huge),
+            "gamma must be a positive finite real": lambda: Aggregator(fixed_kernel(2), huge),
+            "switch_weight must be a real in": lambda: switching_kernel(2, huge),
+        }
+        for message, call in calls.items():
+            with pytest.raises(ConfigError, match=f"^{message}"):
+                call()
+
 
 class TestCenterLosses:
     def test_constant_losses_center_to_zero(self):
-        out = center_losses([3.0, 3.0, 3.0], [0.2, 0.3, 0.5])
+        out = centered([3.0, 3.0, 3.0], [0.2, 0.3, 0.5])
         np.testing.assert_array_equal(out, [0.0, 0.0, 0.0])
 
     def test_symmetric_two_experts(self):
-        out = center_losses([0.0, 1.0], [0.5, 0.5])
+        out = centered([0.0, 1.0], [0.5, 0.5])
         np.testing.assert_array_equal(out, [-0.5, 0.5])
 
     def test_weighted_mean_baseline(self):
         # 0.2*1 + 0.3*2 + 0.5*3 = 2.3
-        out = center_losses([1.0, 2.0, 3.0], [0.2, 0.3, 0.5])
+        out = centered([1.0, 2.0, 3.0], [0.2, 0.3, 0.5])
         np.testing.assert_allclose([1.0, 2.0, 3.0] - out, 2.3, rtol=1e-15)
         np.testing.assert_allclose(out, [-1.3, -0.3, 0.7], rtol=1e-14)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            center_losses([1.0, 2.0, 3.0], [0.5, 0.5])
+            centered([1.0, 2.0, 3.0], [0.5, 0.5])
 
     @given(losses=finite_losses, data=st.data())
     def test_weighted_mean_of_output_is_zero(self, losses, data):
         seed = data.draw(st.integers(0, 2**32 - 1))
         p = simplex_for(len(losses), np.random.default_rng(seed))
-        out = center_losses(losses, p)
+        out = centered(losses, p)
         # the residual scales with the raw loss magnitude, not the centered one
         scale = max(1.0, float(np.abs(np.asarray(losses)).max()))
         assert abs(float(p @ out)) <= 1e-12 * scale
@@ -272,7 +296,7 @@ class TestCenterLosses:
     def test_mean_stays_inside_the_loss_range(self, losses, data):
         seed = data.draw(st.integers(0, 2**32 - 1))
         p = simplex_for(len(losses), np.random.default_rng(seed))
-        out = center_losses(losses, p)
+        out = centered(losses, p)
         assert float(out.max()) >= 0.0 >= float(out.min())
 
     @pytest.mark.parametrize("value", [0.1, 0.2, 1.1, -0.3, 1000.1])
@@ -281,7 +305,13 @@ class TestCenterLosses:
         # fl(p @ (c * 1)) need not equal c; the centered scores still must be 0
         for seed in range(20):
             p = simplex_for(experts, np.random.default_rng(seed))
-            np.testing.assert_array_equal(center_losses([value] * experts, p), 0.0)
+            np.testing.assert_array_equal(centered([value] * experts, p), 0.0)
+
+    def test_returns_mean_scores_range_and_second_moment(self):
+        losses, p = np.array([1.0, 2.0, 3.0]), np.array([0.2, 0.3, 0.5])
+        mean, phi, d, v = center_losses(losses, p, 1.0, 3.0, 1)
+        assert mean == float(p @ losses) and phi.tolist() == (losses - mean).tolist()
+        assert d == float(phi.max() - phi.min()) and v == float(p @ (phi * phi))
 
 
 class TestRoundStats:
@@ -314,7 +344,7 @@ class TestRoundStats:
         seed = data.draw(st.integers(0, 2**32 - 1))
         p = simplex_for(len(losses), np.random.default_rng(seed))
         raw = np.asarray(losses)
-        phi = center_losses(raw + shift, p)
+        phi = centered(raw + shift, p)
         d_phi = fold(phi, p)[0]
         d_raw = float(raw.max() - raw.min())
         assert abs(d_phi - d_raw) <= 1e-9 * max(1.0, float(np.abs(raw).max()), abs(shift))
@@ -334,9 +364,18 @@ class TestLearningRate:
 
     def test_ratio_degenerate_is_one(self):
         degenerate, finite = math.inf, 0.5
-        assert eta_ratio(finite, degenerate) == 1.0
-        assert eta_ratio(degenerate, degenerate) == 1.0
-        assert eta_ratio(0.25, finite) == 0.5
+        assert ratio_of(finite, degenerate) == 1.0
+        assert ratio_of(degenerate, degenerate) == 1.0
+        assert ratio_of(0.25, finite) == 0.5
+
+    @pytest.mark.parametrize(
+        "eta, prev, step",
+        [(math.inf, math.inf, (0.0, 1.0)), (0.5, math.inf, (0.5, 1.0)), (0.25, 0.5, (0.5, 0.5))],
+        ids=["degenerate", "first-informative", "ordinary"],
+    )
+    def test_eta_ratio_regimes(self, eta, prev, step):
+        # (exponent, ratio): no step while degenerate, eta_0 := eta_1 on the first informative round
+        assert eta_ratio(eta, prev) == step
 
     @given(st.lists(finite_losses.filter(lambda l: len(l) >= 2), min_size=1, max_size=20))
     @settings(deadline=None, max_examples=50)
@@ -346,7 +385,7 @@ class TestLearningRate:
         stats = (0.0, 0.0, 0.0)
         previous = math.inf
         for t, losses in enumerate(rounds, start=1):
-            phi = center_losses(losses[:width], p)
+            phi = centered(losses[:width], p)
             stats = fold(phi, p, *stats)[2:]
             eta = learning_rate(*stats[:2], 0.7, t)
             assert eta <= previous * (1 + 1e-12)
@@ -365,8 +404,8 @@ class TestScaleCovariance:
         p_rows = [simplex_for(4, rng) for _ in range(12)]
         base = scaled = (0.0, 0.0, 0.0, 0.0, 0.0)
         for t in range(12):
-            phi = center_losses(table[t], p_rows[t])
-            phi_s = center_losses(scale * table[t], p_rows[t])
+            phi = centered(table[t], p_rows[t])
+            phi_s = centered(scale * table[t], p_rows[t])
             base = fold(phi, p_rows[t], *base[2:])
             scaled = fold(phi_s, p_rows[t], *scaled[2:])
             d, v, D, V, _ = base

@@ -126,7 +126,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown kernel"):
             make_kernel("mystery", 3)
 
-    @pytest.mark.parametrize("weight", ["abc", None, True, "0.1", math.nan, math.inf, 1.0])
+    @pytest.mark.parametrize(
+        "weight",
+        ["abc", None, True, "0.1", math.nan, math.inf, 1.0,
+         pytest.param(10**400, id="1e400"), pytest.param(-10**400, id="-1e400")],
+    )
     def test_switch_weight_must_be_a_real_in_the_unit_interval(self, weight):
         with pytest.raises(ConfigError, match="switch_weight must be a real in"):
             make_kernel("switching", 3, {"switch_weight": weight})

@@ -1,12 +1,13 @@
 """Tests for the brute-force references and the bound evaluator."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from classhedge.aggregator import Aggregator
-from classhedge.core import ConfigError, bound_range, bound_var
+from classhedge.core import ConfigError, InvariantViolation, bound_range, bound_var
 from classhedge.harness import _log_dev
 from classhedge.kernels import TransitionKernel, best_competitor, cyclic_kernel, fixed_kernel, switching_kernel
 from classhedge.oracle import (
@@ -51,6 +52,19 @@ def assert_matches_engine(kernel, table, gamma) -> np.ndarray:
             agg.probabilities()
             agg.observe(table[t])
     return logs
+
+
+@pytest.mark.parametrize(
+    "oracle",
+    [lambda table: ewa_reference(table, 1.0), lambda table: trajectory_reference(fixed_kernel(2), table, 1.0)],
+    ids=["ewa_reference", "trajectory_reference"],
+)
+def test_oracles_stop_like_the_engine_on_an_overflowing_range(oracle):
+    # the range check runs before phi is squared, so numpy never warns of the overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvariantViolation, match=r"^round 1: score range 1e\+200 overflows when squared$"):
+            oracle(np.array([[0.0, 1e200], [1.0, 0.0]]))
 
 
 class TestEwaReference:
@@ -270,6 +284,19 @@ class TestBoundReport:
         arrays[table][8] = arrays[table][cell[0]]
         with pytest.raises(ValueError, match=message):
             bound_report(2.0, arrays["probs"], arrays["losses"])
+
+    def test_constant_rounds_have_exactly_zero_variance(self):
+        # einsum's mean of a constant row can miss the constant; it is clipped back, as the engine does
+        report = bound_report(2.0, np.full((4, 7), 1 / 7), np.full((4, 7), 3.3e7))
+        assert (report.D, report.v_star, report.sum_d_sq, report.bound_var) == (0.0, 0.0, 0.0, 0.0)
+
+    def test_overflowing_range_stops_like_the_engine(self):
+        losses = np.tile([0.0, 1.0], (5, 1))
+        losses[2] = losses[4] = [0.0, 1e200]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvariantViolation, match=r"^round 3: score range 1e\+200 overflows when squared$"):
+                bound_report(2.0, np.full((5, 2), 0.5), losses)
 
     def test_budget_below_one_rejected(self):
         with pytest.raises(ConfigError):
