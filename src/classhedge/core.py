@@ -28,6 +28,8 @@ TWO_E_MINUS_2 = 2.0 * (math.e - 2.0)
 DEGENERATE_ETA = math.inf
 #: A caller's probabilities may be as low as -SIMPLEX_TOL and sum to 1 within it.
 SIMPLEX_TOL = 1e-9
+#: A game's rounds index its arrays, and a budget multiplies their count by a float.
+MAX_ROUNDS = int(np.iinfo(np.intp).max)
 _FLOAT64 = np.dtype(float)
 
 
@@ -87,13 +89,16 @@ def as_real(value, what: str, rule: str | None = None, valid=None) -> float:
     return float(value)
 
 
-def as_integer(value, what: str, minimum: int | None = None) -> int:
+def as_integer(value, what: str, minimum: int | None = None, maximum: int | None = None) -> int:
     """A caller's integer parameter as an int: an integer, not a bool, and at
-    least ``minimum`` if given; anything else is a ConfigError naming ``what``."""
+    least ``minimum`` and at most ``maximum`` if given; anything else is a
+    ConfigError naming ``what``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{what} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{what} must be >= {minimum}, got {value!r}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"{what} must be <= {maximum}, got {value!r}")
     return int(value)
 
 
@@ -154,7 +159,8 @@ def as_gamma(gamma) -> float:
 def learning_rate(D: float, V: float, gamma: float, t: int) -> float:
     """eta_t = gamma / sqrt(V_t + gamma^2 * D_t^2); DEGENERATE_ETA when the radicand is 0.
 
-    A radicand that overflows raises InvariantViolation naming round ``t``;
+    A radicand that overflows, or a rate that underflows to 0 (a gamma tiny
+    against the loss scale), raises InvariantViolation naming round ``t``;
     gamma is checked by ``as_gamma``.
     """
     radicand = V + gamma * gamma * D * D
@@ -162,7 +168,10 @@ def learning_rate(D: float, V: float, gamma: float, t: int) -> float:
         raise InvariantViolation(f"round {t}: rate radicand is {radicand!r}; the loss scale overflows")
     if radicand <= 0.0:
         return DEGENERATE_ETA
-    return gamma / math.sqrt(radicand)
+    eta = gamma / math.sqrt(radicand)
+    if eta == 0.0:  # the next round's step ratio would divide by it
+        raise InvariantViolation(f"round {t}: learning rate {gamma!r}/sqrt({radicand!r}) underflows to 0")
+    return eta
 
 
 def eta_ratio(eta: float, prev: float) -> tuple[float, float]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import os
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterator, Mapping
@@ -23,7 +24,7 @@ import numpy as np
 
 from .aggregator import Aggregator
 from .core import ConfigError, InvariantViolation, as_gamma, gamma_from_budget
-from .core import as_integer, as_real, bound_range, bound_var
+from .core import MAX_ROUNDS, as_integer, as_real, bound_range, bound_var
 from .kernels import (
     ClassParams,
     TransitionKernel,
@@ -166,8 +167,8 @@ class ExperimentConfig:
     debug_probs: bool = False
 
     def validate(self) -> None:
-        for name, minimum in (("experts", 1), ("rounds", 1), ("seed", 0)):
-            as_integer(getattr(self, name), name, minimum)
+        for name, minimum, maximum in (("experts", 1, None), ("rounds", 1, MAX_ROUNDS), ("seed", 0, None)):
+            as_integer(getattr(self, name), name, minimum, maximum)
         if int(self.seed) >= 2**64:
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if self.gamma != "auto":
@@ -388,10 +389,13 @@ def run_sweep(
     ``jobs`` (default: the CPU count) caps the worker processes, of which
     there are never more than seeds; one worker runs the seeds in-process.
     """
+    if not isinstance(seeds, Iterable):
+        raise ConfigError(f"seeds must be a sequence of integers, got {seeds!r}")
+    seeds = [as_integer(s, "seed") for s in seeds]
     if not seeds:
         raise ConfigError("sweep needs at least one seed")
     if len(set(seeds)) != len(seeds):
-        raise ConfigError(f"sweep seeds must be distinct, got {list(seeds)}")
+        raise ConfigError(f"sweep seeds must be distinct, got {seeds}")
     workers = (os.cpu_count() or 1) if jobs is None else as_integer(jobs, "jobs", 1)
     # a process pool starts all of its workers up front, busy or not
     workers = min(workers, len(seeds))

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ConfigError, OutOfClassError, as_integer, as_loss_array, as_real
+from .core import MAX_ROUNDS, ConfigError, OutOfClassError, as_integer, as_loss_array, as_real
 
 ClassParams = tuple[int, ...]
 
@@ -359,7 +359,7 @@ class TransitionKernel:
         """
         tb = self.tables
         start = _start_charge(float(tb.init_weights[tb.init_weights > 0.0].min()), tb.num_classes)
-        steps = max(as_integer(rounds, "rounds", 0) - 1, 0)
+        steps = max(as_integer(rounds, "rounds", 0, MAX_ROUNDS) - 1, 0)
         return 1.0 + start + steps * -math.log(tb.structure.least_weight())
 
     def __repr__(self) -> str:
@@ -430,6 +430,8 @@ def class_budget(kernel: TransitionKernel, competitor: Sequence[ClassParams]) ->
     in place of log |Omega|.  Only the virtual root precedes round 1, so a
     one-round path has budget 1 whatever its start.
     """
+    if not isinstance(competitor, Iterable):
+        raise ConfigError(f"competitor must be a sequence of classes, got {competitor!r}")
     path = [_as_class(c) for c in competitor]
     if not path:
         raise ValueError("competitor path is empty")
@@ -582,14 +584,19 @@ def _orbit_rows(succ: np.ndarray) -> np.ndarray:
 def _running_sum(rows: np.ndarray) -> None:
     """Sum down the rows in place, each entry fl(entry above + entry), strictly in order.
 
-    ``np.add.accumulate`` costs a few ns per entry whatever the shape, so
-    blocks of at most 32 rows, each of 256 classes or more, add row by row.
+    ``np.add.accumulate`` costs about the same per step whatever it adds, so
+    an even row width is accumulated as complex numbers of two classes each:
+    a complex addition is the two IEEE additions of its parts, the same bits
+    at half the steps.  Blocks of at most 32 rows, each of 256 classes or
+    more, add row by row.
     """
-    if len(rows) > 32:
-        np.add.accumulate(rows, axis=0, out=rows)
-    else:
+    if len(rows) <= 32:
         for j in range(1, len(rows)):
             np.add(rows[j - 1], rows[j], out=rows[j])
+        return
+    if rows.shape[1] % 2 == 0:
+        rows = rows.view(np.complex128)  # rows' last axis is contiguous: the view pairs neighbours
+    np.add.accumulate(rows, axis=0, out=rows)
 
 
 @dataclass(eq=False)
@@ -606,7 +613,8 @@ class Permutation:
     into blocks of B rounds by k classes, B*k about ``_BLOCK`` (at least one
     round); ``orbit[j, c]`` = succ^j(c) is built once, by the first DP call,
     and each block's losses are one ``take`` from the flattened loss table,
-    summed by ``_running_sum`` (strictly sequential, the loop's bits).  The
+    summed by ``_running_sum`` (strictly sequential, the loop's bits; two
+    classes per addition when k is even).  The
     prefix DP first adds to a block's first row the carry of the row whose
     block ended one round before, then takes ``min`` over the classes.  The
     path DP runs the reversed blocks, last block first, carrying the later
@@ -726,7 +734,8 @@ class FixedShare:
     ``np.add.accumulate`` of the rounds' minima; the path DP's least suffixes
     are a reverse accumulate of the same minima, and the back-pointer of
     round t is the first minimum of fl(x_t+1 + least suffix from t+2), one
-    ``argmin`` per block.  No destination tables are built.
+    ``argmin`` per block, the least suffixes added straight onto the loss
+    rows when each expert has one class.  No destination tables are built.
     """
 
     stay: float
@@ -760,8 +769,12 @@ class FixedShare:
         firsts = np.empty(rounds, dtype=np.intp)
         width = max(1, _BLOCK // tb.num_classes)
         for lo in range(0, rounds, width):
-            suffix = table[lo:lo + width, tb.expert_of]
-            suffix += best[lo + 1:lo + width + 1, None]
+            later = best[lo + 1:lo + width + 1, None]
+            if tb.one_per_expert:  # expert_of is the identity: no gather
+                suffix = np.add(table[lo:lo + width], later)
+            else:
+                suffix = table[lo:lo + width, tb.expert_of]
+                suffix += later
             suffix.argmin(axis=1, out=firsts[lo:lo + len(suffix)])
         start, best_loss = _best_start(tb, table[0][tb.expert_of] + best[1])
         return [start] + firsts[1:].tolist(), best_loss

@@ -34,6 +34,9 @@ from .core import (
 )
 from .kernels import _BLOCK, ClassParams, TransitionKernel
 
+# Widest table whose row extremes bound_report reads by folding columns.
+_NARROW = 16
+
 
 @dataclass(frozen=True)
 class StrategyPath:
@@ -195,6 +198,14 @@ def exhaustive_best(
     )
 
 
+def _fsum_or_inf(values: np.ndarray) -> float:
+    """``math.fsum`` of nonnegative values, inf where their sum is past the largest double."""
+    try:
+        return math.fsum(values.tolist())
+    except OverflowError:
+        return math.inf
+
+
 def bound_report(w_budget: float, probs, losses) -> BoundReport:
     """Evaluate the second-order regret bounds from run telemetry.
 
@@ -204,6 +215,9 @@ def bound_report(w_budget: float, probs, losses) -> BoundReport:
     InvariantViolation naming the first round whose range overflows when
     squared, as the engine does, and if the variance statistic exceeds a
     quarter of the summed squared ranges, which no valid telemetry can do.
+    A sum of finite squares that is past the largest double is reported as
+    inf, and so is the bound built on it, as a run's own ``RegretReport``
+    (``sum_d_sq``, ``bound_range``) reads then.
     """
     w = as_budget(w_budget)
     p = np.asarray(probs, dtype=float)
@@ -211,9 +225,22 @@ def bound_report(w_budget: float, probs, losses) -> BoundReport:
     if p.shape != l.shape or p.ndim != 2:
         raise ValueError(f"probs {p.shape} and losses {l.shape} must be matching 2-D arrays")
     as_simplex(p)
-    # row extremes by reduceat: min(axis=1) sets up a reduce per row (a zero's sign may differ)
-    flat, starts = l.ravel(), np.arange(0, l.size, l.shape[1])
-    lo, hi = np.minimum.reduceat(flat, starts), np.maximum.reduceat(flat, starts)
+    # Row extremes without min(axis=1), which sets up a reduce per row.  A
+    # narrow table copies each block transposed and folds the copy's rows
+    # (the table's columns) elementwise; a wide one takes reduceat over the
+    # raveled rows, where the fold would make many short passes.  The two may
+    # give a zero of either sign; the ranges below do not depend on it.
+    rounds, experts = l.shape
+    if experts <= _NARROW:
+        lo, hi = np.empty(rounds), np.empty(rounds)
+        width = _BLOCK // experts
+        for a in range(0, rounds, width):
+            cols = l[a:a + width].T.copy()
+            np.minimum.reduce(cols, axis=0, out=lo[a:a + width])
+            np.maximum.reduce(cols, axis=0, out=hi[a:a + width])
+    else:
+        flat, starts = l.ravel(), np.arange(0, l.size, experts)
+        lo, hi = np.minimum.reduceat(flat, starts), np.maximum.reduceat(flat, starts)
     # each row's mean kept inside its [min, max], as the engine centers
     mu = np.einsum("tm,tm->t", p, l)
     np.minimum(np.maximum(mu, lo, out=mu), hi, out=mu)
@@ -230,17 +257,16 @@ def bound_report(w_budget: float, probs, losses) -> BoundReport:
     # row of over 8,192 entries in another order than the same row in a
     # taller block, so only a one-round table has a block of one row; a last
     # block that would be one row takes the row before it again.
-    rounds = len(l)
     variances = np.empty(rounds)
-    width = max(2, _BLOCK // l.shape[1])
+    width = max(2, _BLOCK // experts)
     for a in range(0, rounds, width):
         a = max(0, min(a, rounds - width))
         sq = l[a:a + width] - mu[a:a + width, None]
         sq *= sq
         np.einsum("tm,tm->t", p[a:a + width], sq, out=variances[a:a + width])
 
-    v_star = math.fsum(variances.tolist())
-    sum_d_sq = math.fsum((ranges * ranges).tolist())
+    v_star = _fsum_or_inf(variances)
+    sum_d_sq = _fsum_or_inf(ranges * ranges)
     if v_star > sum_d_sq / 4.0 + 1e-9 * max(1.0, sum_d_sq):
         raise InvariantViolation(
             f"variance sum {v_star!r} exceeds a quarter of the squared ranges {sum_d_sq!r}"

@@ -196,6 +196,13 @@ class TestObserve:
         with pytest.raises(InvariantViolation, match="round 1: score range .* overflows"):
             agg.observe([-1e160, 1e160])
 
+    def test_rate_that_underflows_to_zero_is_a_typed_error(self):
+        # 5e-324 / sqrt(4) rounds to 0.0; the next round's step ratio would divide by it
+        agg = Aggregator(fixed_kernel(2), 5e-324)
+        agg.probabilities()
+        with pytest.raises(InvariantViolation, match=r"^round 1: learning rate .* underflows to 0$"):
+            agg.observe([0.0, 4.0])
+
     def test_constant_losses_keep_initial_distribution(self):
         for kernel in (fixed_kernel(3), cyclic_kernel(2)):
             agg = Aggregator(kernel, 1.0)

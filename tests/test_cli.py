@@ -89,6 +89,18 @@ def test_gamma_beyond_the_double_range_exits_with_one_error_line(capsys):
     assert capsys.readouterr().err == f"error: gamma must be a positive finite real, got {huge}\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["run", "--experts", "2"], ["bounds", "--kernel", "switching", "--experts", "3", "--csv", "unread.csv"]],
+    ids=["run", "bounds"],
+)
+def test_rounds_beyond_an_array_index_exit_with_one_error_line(capsys, argv):
+    # the budget would multiply the int by a float; nothing is allocated for it
+    huge = "1" + "0" * 400
+    assert main(argv + ["--rounds", huge]) == 1
+    assert capsys.readouterr().err == f"error: rounds must be <= {2**63 - 1}, got {huge}\n"
+
+
 def test_missing_required_keys_exit_nonzero(capsys):
     assert main(["run", "--experts", "3"]) == 1
     assert "error:" in capsys.readouterr().err

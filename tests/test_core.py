@@ -20,9 +20,11 @@ from classhedge import (
     exhaustive_best,
     fixed_kernel,
     make_kernel,
+    run_sweep,
     switching_kernel,
     trajectory_reference,
 )
+from classhedge.harness import ExperimentConfig
 from classhedge.core import (
     DEGENERATE_ETA,
     TWO_E_MINUS_2,
@@ -230,6 +232,9 @@ class TestParameterGates:
             lambda: TransitionKernel("x", 1, [5], {}),
             lambda: fixed_kernel(2).successor_items(1),
             lambda: class_budget(fixed_kernel(2), [0, 1]),
+            lambda: fixed_kernel(3).budget_bound(10**400),
+            lambda: run_sweep(ExperimentConfig(2, 3), 5, "never-created"),
+            lambda: class_budget(cyclic_kernel(2), None),
         ],
         ids=[
             "budget-bool", "gamma-from-bool-budget", "bound-report-bool-budget",
@@ -238,6 +243,7 @@ class TestParameterGates:
             "none-coordinate", "mapping-numeric-str-weight", "mapping-str-weight",
             "dense-str-weight", "dense-none-weight", "nan-initial-weight", "float-rounds",
             "kernel-int-class", "successor-int-class", "class-budget-int-class",
+            "rounds-beyond-an-array-index", "sweep-int-seeds", "class-budget-none-path",
         ],
     )
     def test_rejected_with_config_error(self, call):

@@ -852,6 +852,13 @@ with pytest.warns(UserWarning, match="no class for experts"):
     )
 
 
+# a 4-class rotation whose paths start only in classes 1 and 3: the others carry +inf
+ROTATE_EVEN = TransitionKernel.from_dense(
+    "rotate", 4, [(m,) for m in range(4)], np.roll(np.eye(4), 1, axis=1),
+    init_weights={(1,): 0.5, (3,): 0.5},
+)
+
+
 DP_KERNELS = [fixed_kernel(1), fixed_kernel(3), cyclic_kernel(1), cyclic_kernel(2), cyclic_kernel(3),
               cyclic_kernel(4), switching_kernel(2, 0.5), switching_kernel(4, 0.1), ROTATE_WITH_INIT,
               SHARE_WITH_GAP]
@@ -955,6 +962,30 @@ class TestClosedFormDP:
         twin_path, twin_loss = best_competitor(twin, table)
         assert twin_path == path
         assert_same_bits([loss], [twin_loss])
+        assert_same_bits(prefix, best_prefix_losses(twin, table))
+
+    @pytest.mark.parametrize(
+        "kernel", [cyclic_kernel(4), cyclic_kernel(3), ROTATE_EVEN],
+        ids=["paired-16", "float-9", "paired-4-starts"],
+    )
+    def test_running_sums_of_both_widths_keep_the_loops_bits(self, kernel):
+        # T = 2B + 1: two blocks of B rounds accumulated down their rows (an even
+        # class count two classes per complex addition, an odd one as floats) and
+        # a one-round block; ties, zeros of both signs and 1e+-150 jumps
+        width = kernels._BLOCK // kernel.tables.num_classes
+        rng = np.random.default_rng(width)
+        table = rng.integers(-2, 3, (2 * width + 1, kernel.num_experts)).astype(float)
+        table[rng.random(table.shape) < 0.2] = -0.0
+        table[rng.random(table.shape) < 0.1] = 0.0
+        table *= rng.choice([1e-150, 1.0, 1e150], (len(table), 1))
+        path, loss = best_competitor(kernel, table)
+        prefix = best_prefix_losses(kernel, table)
+        loop_path, loop_loss, loop_prefix = straight_loop_dp(kernel, table)
+        twin = edge_list_twin(kernel)
+        twin_path, twin_loss = best_competitor(twin, table)
+        assert path == loop_path == twin_path
+        assert_same_bits([loss, loss], [loop_loss, twin_loss])
+        assert_same_bits(prefix, loop_prefix)
         assert_same_bits(prefix, best_prefix_losses(twin, table))
 
     def test_large_permutation_with_one_round_per_block(self):

@@ -227,12 +227,15 @@ class TestBoundReport:
         )
 
     @pytest.mark.parametrize(
-        "rounds, experts", [(1, 9000), (3, 9000), (5, 8193), (100, 512), (2049, 8), (7, 4097), (1, 8), (60, 1)]
+        "rounds, experts",
+        [(1, 9000), (3, 9000), (5, 8193), (100, 512), (2049, 8), (7, 4097), (1, 8), (60, 1),
+         (10_000, 8), (2049, 16), (2049, 17)],
     )
     def test_blockwise_variances_match_the_whole_table(self, rounds, experts):
         # bound_report squares the deviations a block of rows at a time and reads
-        # the row extremes with reduceat; the reference takes whole-table einsums
-        # and axis=1 extremes, on scaled normals and on ties of signed zeros
+        # the row extremes a block at a time (narrow tables) or with reduceat (wide
+        # ones); the reference takes whole-table einsums and axis=1 extremes, on
+        # scaled normals and on ties of signed zeros
         rng = np.random.default_rng(rounds * experts)
         probs = rng.random((rounds, experts))
         probs /= probs.sum(axis=1, keepdims=True)
@@ -297,6 +300,17 @@ class TestBoundReport:
             warnings.simplefilter("error")
             with pytest.raises(InvariantViolation, match=r"^round 3: score range 1e\+200 overflows when squared$"):
                 bound_report(2.0, np.full((5, 2), 0.5), losses)
+
+    def test_squares_summing_past_the_double_range_give_infinite_bounds(self):
+        # each round's squared range 1e308 is finite, two of them are not; the
+        # variances 2.5e307 sum past the double range at nine rounds
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = bound_report(2.0, np.full((2, 2), 0.5), [[0, 1e154], [0, 1e154]])
+            assert (report.D, report.v_star, report.sum_d_sq) == (1e154, 5e307, math.inf)
+            assert (report.bound_var, report.bound_range) == (float(bound_var(2.0, 1e154, 5e307)), math.inf)
+            report = bound_report(2.0, np.full((9, 2), 0.5), [[0, 1e154]] * 9)
+            assert (report.v_star, report.sum_d_sq, report.bound_var) == (math.inf, math.inf, math.inf)
 
     def test_budget_below_one_rejected(self):
         with pytest.raises(ConfigError):
