@@ -28,6 +28,7 @@ from .core import (
     InvariantViolation,
     ProtocolError,
     as_gamma,
+    as_instance,
     as_loss_array,
     center_losses,
     eta_ratio,
@@ -84,7 +85,7 @@ class Aggregator:
     """
 
     def __init__(self, kernel: TransitionKernel, gamma: float):
-        self.kernel = kernel
+        self.kernel = as_instance(kernel, TransitionKernel, "kernel")
         self.gamma = as_gamma(gamma)
         self.num_experts = kernel.num_experts
         self._tables = tb = kernel.tables

@@ -92,28 +92,15 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_config(args: argparse.Namespace) -> harness.ExperimentConfig:
-    merged: dict = {}
-    if args.config:
-        merged.update(load_config_file(args.config))
-    overrides = {
-        "experts": args.experts,
-        "rounds": args.rounds,
-        "kernel": args.kernel,
-        "gamma": args.gamma,
-        "loss_gen": args.loss_gen,
-        "seed": args.seed,
-        "out": args.out,
-        "debug_probs": args.debug_probs,
-    }
-    merged.update({k: v for k, v in overrides.items() if v is not None})
-    merged.setdefault("kernel_params", {})
-    merged.setdefault("loss_params", {})
+    fields = harness.ExperimentConfig.__dataclass_fields__
+    merged = load_config_file(args.config) if args.config else {"kernel_params": {}, "loss_params": {}}
+    # a flag overrides the file's key of the same name; kernel and loss parameters merge
+    merged.update({k: v for k, v in vars(args).items() if k in fields and v is not None})
     merged["kernel_params"].update(_kv_pairs(args.kernel_param, "--kernel-param"))
     merged["loss_params"].update(_kv_pairs(args.loss_param, "--loss-param"))
     if "experts" not in merged or "rounds" not in merged:
         raise ConfigError("both --experts and --rounds are required (flag or config file)")
-    known = {f.name for f in harness.ExperimentConfig.__dataclass_fields__.values()}
-    unknown = set(merged) - known
+    unknown = merged.keys() - fields
     if unknown:
         raise ConfigError(f"unknown config keys {sorted(unknown)}")
     return harness.ExperimentConfig(**merged)
@@ -196,7 +183,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="classhedge",
         description="Translation- and scale-invariant online expert selection",
@@ -227,8 +214,11 @@ def main(argv: list[str] | None = None) -> int:
     p_bounds.add_argument("--experts", type=int)
     p_bounds.add_argument("--rounds", type=int)
     p_bounds.set_defaults(func=_cmd_bounds)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, ProtocolError, InvariantViolation, OSError, ValueError) as exc:

@@ -4,7 +4,8 @@ Centering of raw losses into performance scores, the range/variance
 round statistics, the adaptive learning rate eta = gamma / sqrt(V + gamma^2 D^2),
 the closed-form gamma for a given competition-class budget, and the two
 second-order regret bounds; and the input gates, one per kind of value a
-caller passes (``as_loss_array``, ``as_simplex``, ``as_real``, ``as_integer``).
+caller passes (``as_loss_array``, ``as_simplex``, ``as_real``, ``as_integer``,
+``as_instance``).
 Every public entry point checks each such value with its gate, and only
 there; the math helpers trust their inputs.
 
@@ -100,6 +101,14 @@ def as_integer(value, what: str, minimum: int | None = None, maximum: int | None
     if maximum is not None and value > maximum:
         raise ConfigError(f"{what} must be <= {maximum}, got {value!r}")
     return int(value)
+
+
+def as_instance(value, kind: type, what: str):
+    """A caller's object-typed parameter (a kernel, a random generator, a mapping,
+    a config) as given: an instance of ``kind``, else a ConfigError naming ``what``."""
+    if not isinstance(value, kind):
+        raise ConfigError(f"{what} must be of type {kind.__name__}, got {value!r}")
+    return value
 
 
 def as_simplex(values) -> np.ndarray:

@@ -22,9 +22,9 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .aggregator import Aggregator
+from .aggregator import Aggregator, RoundDiagnostics
 from .core import ConfigError, InvariantViolation, as_gamma, gamma_from_budget
-from .core import MAX_ROUNDS, as_integer, as_real, bound_range, bound_var
+from .core import MAX_ROUNDS, as_instance, as_integer, as_real, bound_range, bound_var
 from .kernels import (
     ClassParams,
     TransitionKernel,
@@ -97,6 +97,7 @@ def loss_generator(
     """
     if name not in _GEN_PARAMS:
         raise ConfigError(f"unknown loss generator {name!r}; choose from {GENERATORS}")
+    as_instance(rng, np.random.Generator, "rng")
     defaults = _GEN_PARAMS[name]
     params = _as_params(params, f"generator {name!r}")
     unknown = set(params) - set(defaults)
@@ -222,7 +223,7 @@ def run_experiment(config: ExperimentConfig) -> RegretReport:
     Any runtime-invariant breach inside the engine aborts the run with the
     offending round in the message.
     """
-    config.validate()
+    as_instance(config, ExperimentConfig, "config").validate()
     kernel = make_kernel(config.kernel, config.experts, config.kernel_params)
     w_budget = kernel.budget_bound(config.rounds)
     gamma = gamma_from_budget(w_budget) if config.gamma == "auto" else float(config.gamma)
@@ -237,26 +238,12 @@ def run_experiment(config: ExperimentConfig) -> RegretReport:
     probs = np.empty((rounds, experts))
     losses = np.empty((rounds, experts))
     selections = np.empty(rounds, dtype=np.intp)
-    expected = np.empty(rounds)
-    realized = np.empty(rounds)
-    eta = np.empty(rounds)
-    big_d = np.empty(rounds)
-    big_v = np.empty(rounds)
-    small_d = np.empty(rounds)
-
+    # one record of last_round per round: a tuple stores into a record faster than into a 2-D row
+    stats = np.empty(rounds, dtype=[(name, float) for name in RoundDiagnostics._fields])
     for t in range(rounds):
-        vec = next(stream)
-        p, choice = agg.run_round(vec, sample_rng)
-        probs[t] = p
-        losses[t] = vec
-        selections[t] = choice
-        realized[t] = float(vec[choice])
-        diag = agg.last_round
-        expected[t] = diag.expected_loss
-        eta[t] = diag.eta
-        big_d[t] = diag.D
-        big_v[t] = diag.V
-        small_d[t] = diag.d
+        losses[t] = next(stream)
+        probs[t], selections[t] = agg.run_round(losses[t], sample_rng)
+        stats[t] = agg.last_round
 
     best_cum = best_prefix_losses(kernel, losses)
     best_path, best_loss = best_competitor(kernel, losses)
@@ -265,25 +252,28 @@ def run_experiment(config: ExperimentConfig) -> RegretReport:
             f"prefix DP ({best_cum[-1]!r}) and path DP ({best_loss!r}) disagree"
         )
 
-    cum_expected = np.cumsum(expected)
-    cum_realized = np.cumsum(realized)
-    sum_d_sq = np.cumsum(small_d * small_d)
+    realized = losses[np.arange(rounds), selections]
+    # squares summing past the largest double give inf, as in oracle.bound_report
+    with np.errstate(over="ignore"):
+        sum_d_sq = np.cumsum(stats["d"] * stats["d"])
+        var_bound = bound_var(w_budget, stats["D"], stats["V"])
+        range_bound = bound_range(w_budget, stats["D"], sum_d_sq)
 
     report = RegretReport(
         config=config,
         gamma=gamma,
         w_budget=w_budget,
-        expected_loss=expected,
+        expected_loss=stats["expected_loss"],
         realized_loss=realized,
         best_cumloss=best_cum,
-        exp_regret=cum_expected - best_cum,
-        real_regret=cum_realized - best_cum,
-        bound_var=bound_var(w_budget, big_d, big_v),
-        bound_range=bound_range(w_budget, big_d, sum_d_sq),
-        eta=eta,
-        D=big_d,
-        V=big_v,
-        d=small_d,
+        exp_regret=np.cumsum(stats["expected_loss"]) - best_cum,
+        real_regret=np.cumsum(realized) - best_cum,
+        bound_var=var_bound,
+        bound_range=range_bound,
+        eta=stats["eta"],
+        D=stats["D"],
+        V=stats["V"],
+        d=stats["d"],
         sum_d_sq=sum_d_sq,
         probs=probs,
         losses=losses,
@@ -315,6 +305,7 @@ def _write_csv(path, header, table, fmt="%.17g") -> None:
 
 def emit_csv(report: RegretReport, path) -> None:
     """Write the per-round report: header plus one row per round."""
+    as_instance(report, RegretReport, "report")
     # every column after "t" is the report array of the same name
     columns = [np.arange(1, report.rounds + 1)] + [getattr(report, c) for c in CSV_COLUMNS[1:]]
     _write_csv(path, CSV_COLUMNS, np.column_stack(columns))
@@ -331,6 +322,7 @@ def _probs_columns(experts: int) -> list[str]:
 
 def emit_probs_csv(report: RegretReport, path) -> None:
     """Debug telemetry: played probabilities and raw losses per round."""
+    as_instance(report, RegretReport, "report")
     header = ["t"] + _probs_columns(report.probs.shape[1])
     table = np.column_stack([np.arange(1, report.rounds + 1), report.probs, report.losses])
     _write_csv(path, header, table)
@@ -389,6 +381,7 @@ def run_sweep(
     ``jobs`` (default: the CPU count) caps the worker processes, of which
     there are never more than seeds; one worker runs the seeds in-process.
     """
+    as_instance(base, ExperimentConfig, "base")
     if not isinstance(seeds, Iterable):
         raise ConfigError(f"seeds must be a sequence of integers, got {seeds!r}")
     seeds = [as_integer(s, "seed") for s in seeds]

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MAX_ROUNDS, ConfigError, OutOfClassError, as_integer, as_loss_array, as_real
+from .core import MAX_ROUNDS, ConfigError, OutOfClassError, as_instance, as_integer, as_loss_array, as_real
 
 ClassParams = tuple[int, ...]
 
@@ -225,12 +225,16 @@ class TransitionKernel:
         src: list[int] = []
         dst: list[int] = []
         weights: list[float] = []
-        for a, row in successors.items():
+        for a, row in as_instance(successors, Mapping, "successors").items():
             a = _as_class(a)
             if a not in index:
                 raise ConfigError(f"successor row {a} is for a class not in the class space")
             i = index[a]
-            for b, w in row:
+            try:
+                pairs = [(b, w) for b, w in row]
+            except (TypeError, ValueError) as exc:  # a row, or an entry of it, that is not a pair
+                raise ConfigError(f"successor row {a} must hold (class, weight) pairs: {exc}") from exc
+            for b, w in pairs:
                 b = _as_class(b)
                 if b not in index:
                     raise ConfigError(f"successor {b} of {a} is not in the class space")
@@ -286,7 +290,7 @@ class TransitionKernel:
             init = np.full(k, 1.0 / k)
         else:
             init = np.zeros(k)
-            for cls, w in init_weights.items():
+            for cls, w in as_instance(init_weights, Mapping, "init_weights").items():
                 cls = _as_class(cls)
                 if cls not in index:
                     raise ConfigError(f"initial class {cls} is not in the class space")
@@ -430,12 +434,12 @@ def class_budget(kernel: TransitionKernel, competitor: Sequence[ClassParams]) ->
     in place of log |Omega|.  Only the virtual root precedes round 1, so a
     one-round path has budget 1 whatever its start.
     """
+    tb = as_instance(kernel, TransitionKernel, "kernel").tables
     if not isinstance(competitor, Iterable):
         raise ConfigError(f"competitor must be a sequence of classes, got {competitor!r}")
     path = [_as_class(c) for c in competitor]
     if not path:
         raise ValueError("competitor path is empty")
-    tb = kernel.tables
     first = path[0]
     if first not in tb.index:
         raise OutOfClassError(f"{first} is not a class of kernel '{kernel.name}'")
@@ -799,8 +803,8 @@ def best_competitor(
     structure gives the edge-list DP's path and bits, save the sign of a zero
     loss, which numpy's ``min`` does not fix.
     """
-    table = as_loss_array(np.atleast_2d(losses), kernel.num_experts)[0]
-    tb = kernel.tables
+    tb = as_instance(kernel, TransitionKernel, "kernel").tables
+    table = as_loss_array(np.atleast_2d(losses), tb.num_experts)[0]
     path, best_loss = tb.structure.path_dp(table, tb)
     return tuple(tb.classes[i] for i in path), best_loss
 
@@ -813,6 +817,6 @@ def best_prefix_losses(kernel: TransitionKernel, losses) -> np.ndarray:
     ``best_competitor``'s cumulative loss.  Every structure gives the
     edge-list DP's values, save the sign of a zero minimum.
     """
-    table = as_loss_array(np.atleast_2d(losses), kernel.num_experts)[0]
-    tb = kernel.tables
+    tb = as_instance(kernel, TransitionKernel, "kernel").tables
+    table = as_loss_array(np.atleast_2d(losses), tb.num_experts)[0]
     return tb.structure.prefix_dp(table, tb)

@@ -22,6 +22,7 @@ from .core import (
     InvariantViolation,
     as_budget,
     as_gamma,
+    as_instance,
     as_integer,
     as_loss_array,
     as_simplex,
@@ -111,8 +112,8 @@ def trajectory_reference(kernel: TransitionKernel, losses, gamma: float) -> np.n
     is the state used for round r+1.
     """
     gamma = as_gamma(gamma)
-    table = as_loss_array(np.atleast_2d(losses), kernel.num_experts)[0]
-    tb = kernel.tables
+    tb = as_instance(kernel, TransitionKernel, "kernel").tables
+    table = as_loss_array(np.atleast_2d(losses), tb.num_experts)[0]
     log_t = np.full((tb.num_classes, tb.num_classes), -np.inf)  # [destination, source]
     for src, cls in enumerate(tb.classes):
         for dst, weight in kernel.successor_items(cls):
@@ -158,10 +159,10 @@ def exhaustive_best(
     minimum, which reproduces the DP's smallest-coordinates tie-break.
     Refuses tables whose in-class path count exceeds ``limit``.
     """
-    table = as_loss_array(np.atleast_2d(losses), kernel.num_experts)[0]
+    tb = as_instance(kernel, TransitionKernel, "kernel").tables
+    table = as_loss_array(np.atleast_2d(losses), tb.num_experts)[0]
     limit = as_integer(limit, "limit", 1)
     rounds = table.shape[0]
-    tb = kernel.tables
     successors = {cls: kernel.successor_items(cls) for cls in tb.classes}
     starts = [cls for i, cls in enumerate(tb.classes) if tb.init_weights[i] > 0.0]
     counts = dict.fromkeys(tb.classes, 1)  # paths of each length so far, by first class

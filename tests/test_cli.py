@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line surface."""
 
+import argparse
 import math
 import os
 import re
@@ -10,9 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from classhedge.cli import load_config_file, main
+from classhedge.cli import _parser, load_config_file, main
 from classhedge.core import ConfigError
-from classhedge.harness import probs_csv_path, read_csv_columns
+from classhedge.harness import ExperimentConfig, probs_csv_path, read_csv_columns, run_experiment
 
 
 def test_run_writes_csv(tmp_path, capsys):
@@ -199,6 +200,31 @@ def test_overflowing_loss_scale_exits_nonzero(capsys):
         "--loss-param", "scale=1e160",
     ]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_squared_ranges_past_the_double_range_report_inf_without_a_warning(capsys):
+    # tier-1 turns a RuntimeWarning into an error, so numpy's overflow warnings would fail this run
+    argv = ["run", "--experts", "2", "--rounds", "12", "--loss-gen", "iid-uniform", "--loss-param", "scale=1e154"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "experts=2 rounds=12 kernel=fixed gamma=1.08564 seed=0\n"
+        "expected regret 5.44473e+153, realized regret 1.2581e+154, variance bound 3.80319e+154\n"
+    )
+    assert captured.err == ""
+    report = run_experiment(ExperimentConfig(experts=2, rounds=12, loss_params={"scale": 1e154}))
+    assert math.isinf(report.sum_d_sq[-1]) and math.isinf(report.bound_range[-1])
+    assert math.isfinite(report.bound_var[-1])
+
+
+def test_every_config_field_is_one_run_flag_and_one_sweep_flag():
+    # _build_config reads its overrides off the fields, so a field without a flag could not be set
+    fields = ExperimentConfig.__dataclass_fields__
+    flags = set(fields) - {"kernel_params", "loss_params"}  # set by repeated K=V flags, merged
+    commands = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    for command in ("run", "sweep"):
+        dests = [action.dest for action in commands[command]._actions if action.dest in fields]
+        assert sorted(dests) == sorted(flags), command
 
 
 @pytest.mark.parametrize("experts, value", [(5, "0.1"), (5, "0.2"), (5, "1.1"), (7, "1000.1")])

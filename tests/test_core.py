@@ -16,10 +16,13 @@ from classhedge import (
     bound_report,
     class_budget,
     cyclic_kernel,
+    emit_csv,
     ewa_reference,
     exhaustive_best,
     fixed_kernel,
+    loss_generator,
     make_kernel,
+    run_experiment,
     run_sweep,
     switching_kernel,
     trajectory_reference,
@@ -235,6 +238,20 @@ class TestParameterGates:
             lambda: fixed_kernel(3).budget_bound(10**400),
             lambda: run_sweep(ExperimentConfig(2, 3), 5, "never-created"),
             lambda: class_budget(cyclic_kernel(2), None),
+            lambda: Aggregator("x", 1.0),
+            lambda: next(loss_generator("iid-uniform", 2, None, None)),
+            lambda: TransitionKernel("k", 1, [(0,)], [((0,), [((0,), 1.0)])]),
+            lambda: TransitionKernel("k", 1, [(0,)], {(0,): [((0,), 1.0)]}, [((0,), 1.0)]),
+            lambda: TransitionKernel("k", 1, [(0,)], {(0,): [((0,),)]}),
+            lambda: TransitionKernel("k", 1, [(0,)], {(0,): [0]}),
+            lambda: best_competitor("x", [[1.0]]),
+            lambda: best_prefix_losses(None, [[1.0]]),
+            lambda: class_budget("x", [(0,)]),
+            lambda: trajectory_reference("x", [[1.0]], 1.0),
+            lambda: exhaustive_best("x", [[1.0]]),
+            lambda: run_experiment({"experts": 2, "rounds": 3}),
+            lambda: run_sweep("x", [0], "never-created"),
+            lambda: emit_csv("x", "never-created.csv"),
         ],
         ids=[
             "budget-bool", "gamma-from-bool-budget", "bound-report-bool-budget",
@@ -244,6 +261,11 @@ class TestParameterGates:
             "dense-str-weight", "dense-none-weight", "nan-initial-weight", "float-rounds",
             "kernel-int-class", "successor-int-class", "class-budget-int-class",
             "rounds-beyond-an-array-index", "sweep-int-seeds", "class-budget-none-path",
+            "aggregator-str-kernel", "generator-none-rng", "kernel-list-successors",
+            "kernel-list-init-weights", "successor-row-of-1-tuples", "successor-row-of-ints",
+            "competitor-str-kernel", "prefix-none-kernel", "class-budget-str-kernel",
+            "trajectory-str-kernel", "exhaustive-str-kernel", "run-dict-config", "sweep-str-config",
+            "emit-str-report",
         ],
     )
     def test_rejected_with_config_error(self, call):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from classhedge import core
+from classhedge import Aggregator, core
 from classhedge.core import ConfigError
 from classhedge.harness import (
     CSV_COLUMNS,
@@ -192,6 +192,26 @@ class TestRunExperiment:
         report = run_experiment(ExperimentConfig(experts=5, rounds=30, seed=9))
         chosen = report.losses[np.arange(30), report.selections]
         np.testing.assert_array_equal(report.realized_loss, chosen)
+
+    @pytest.mark.parametrize("kernel", ["fixed", "cyclic", "switching"])
+    def test_record_is_what_a_plain_round_loop_plays(self, kernel):
+        # replay the report's loss table on the sampling stream run_experiment spawns from the seed
+        report = run_experiment(ExperimentConfig(
+            experts=5, rounds=150, kernel=kernel, loss_gen="adversarial-switching", seed=13
+        ))
+        agg = Aggregator(make_kernel(kernel, 5), report.gamma)
+        rng = np.random.default_rng(np.random.SeedSequence(13).spawn(2)[1])
+        played = {name: [] for name in ("selections", "probs", "expected_loss", "eta", "D", "V", "d")}
+        for losses in report.losses:
+            p, choice = agg.run_round(losses, rng)
+            diag = agg.last_round
+            for name, value in zip(played, (choice, p, diag.expected_loss, diag.eta, diag.D, diag.V, diag.d)):
+                played[name].append(value)
+        for name, values in played.items():
+            want = np.array(values, dtype=getattr(report, name).dtype)
+            assert getattr(report, name).tobytes() == want.tobytes(), name
+        rounds = np.arange(report.rounds)
+        assert report.realized_loss.tobytes() == report.losses[rounds, report.selections].tobytes()
 
 
     @pytest.mark.parametrize("kernel", ["fixed", "cyclic", "switching"])
