@@ -18,6 +18,8 @@ import math
 import warnings
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import product
 
 import numpy as np
 
@@ -49,16 +51,15 @@ def _segment_logsumexp(values: np.ndarray, starts: np.ndarray, seg: np.ndarray, 
 class KernelTables:
     """Precomputed index structures of a kernel.
 
-    Classes are sorted lexicographically, which groups them by expert since
-    the expert index is the first coordinate.  ``structure`` is the kernel's
-    transition structure (``EdgeList``, ``Permutation`` or ``FixedShare``),
-    chosen when the kernel is built: it holds the transitions, answers for a
-    class's row and the least weight, mixes the engine's weights and runs
-    both competitor DPs.
+    Classes are sorted lexicographically, which groups them by expert (the
+    first coordinate); ``index`` is built on first read.  ``structure`` is the
+    kernel's transition structure (``EdgeList``, ``Permutation`` or
+    ``FixedShare``), chosen when the kernel is built: it holds the
+    transitions, answers for a class's row and the least weight, mixes the
+    engine's weights and runs both competitor DPs.
     """
 
     classes: tuple[ClassParams, ...]
-    index: dict[ClassParams, int] = field(repr=False)
     num_experts: int
     expert_of: np.ndarray = field(repr=False)
     present_experts: np.ndarray = field(repr=False)
@@ -71,6 +72,10 @@ class KernelTables:
     @property
     def num_classes(self) -> int:
         return len(self.classes)
+
+    @cached_property
+    def index(self) -> dict[ClassParams, int]:
+        return {cls: i for i, cls in enumerate(self.classes)}
 
     def expert_log_weights(self, log_w: np.ndarray) -> np.ndarray:
         """Log of each expert's total class weight, -inf for an expert with no class.
@@ -192,23 +197,25 @@ class TransitionKernel:
 
     Kernels are immutable after construction and safe to share across
     threads.  ``tables`` holds the index structures the engine and the DPs
-    read.  No budget is declared: ``budget_bound`` reads it off the tables,
-    so every kernel, built-in or not, can choose gamma from it.
+    read; its class index, which no round reads, is built on first read.  No
+    budget is declared: ``budget_bound`` reads it off the tables, so every
+    kernel, built-in or not, can choose gamma from it.
 
     A kernel is given by three edge arrays: source and destination indices
     into the sorted class list, and the raw weights.  This constructor fills
     them in one pass over the successor rows, the only per-edge Python work
     of a build; ``from_dense``, ``fixed_kernel`` and ``cyclic_kernel`` make
-    them with numpy.  ``_checked_edges`` checks them in O(edges) numpy work:
-    every index names a class, every weight is finite and positive, every
-    class has a row, no (source, destination) pair repeats, and every row
-    sums to within 1e-12 of 1 as ``math.fsum`` rounds it (fsum runs only on
-    rows whose float sum is within its error bound of that edge).  The edges
-    are sorted by source*k + destination only if not in that order.  The
-    structure read off them keeps the arrays it uses, and a fixed share none.
-    ``switching_kernel`` builds its ``FixedShare`` directly and checks one
-    row of k weights, not k^2 edges: every other row is that row with two
-    entries swapped.
+    them with numpy, as the built-ins make each class's expert (a user
+    kernel's is read off its classes).  ``_checked_edges`` checks them in
+    O(edges) numpy work: every index names a class, every weight is finite
+    and positive, every class has a row, no (source, destination) pair
+    repeats, and every row sums to within 1e-12 of 1 as ``math.fsum`` rounds
+    it (fsum runs only on rows whose float sum is within its error bound of
+    that edge).  The edges are sorted by source*k + destination only if not
+    in that order.  The structure read off them keeps the arrays it uses,
+    and a fixed share none.  ``switching_kernel`` builds its ``FixedShare``
+    directly and checks one row of k weights, not k^2 edges: every other row
+    is that row with two entries swapped.
     """
 
     def __init__(
@@ -245,34 +252,35 @@ class TransitionKernel:
 
     @classmethod
     def _from_transitions(
-        cls, name, num_experts, class_list, transitions, init_weights=None
+        cls, name, num_experts, class_list, transitions, init_weights=None, expert_of=None
     ) -> "TransitionKernel":
         """Kernel over ``class_list``, which must be sorted and distinct, with
-        ``transitions`` as ``_build_tables`` takes them."""
+        ``transitions`` and ``expert_of`` as ``_build_tables`` takes them."""
         kernel = cls.__new__(cls)
         kernel._setup(name, num_experts)
         # one frame deeper than __init__, so warnings skip one more to reach the caller
-        kernel.tables = kernel._build_tables(class_list, transitions, init_weights, 4)
+        kernel.tables = kernel._build_tables(class_list, transitions, init_weights, 4, expert_of)
         return kernel
 
     def _setup(self, name, num_experts) -> None:
         self.name = str(name)
         self.num_experts = as_integer(num_experts, "num_experts", 1)
 
-    def _build_tables(self, class_list, transitions, init_weights, stacklevel=3) -> KernelTables:
-        """Tables over ``class_list``: ``transitions`` is (source, destination,
-        weight) edge arrays, or a ``FixedShare`` whose row the caller checked."""
+    def _build_tables(self, class_list, transitions, init_weights, stacklevel=3, expert_of=None) -> KernelTables:
+        """Tables over ``class_list`` and ``expert_of``, each class's expert (intp; read off
+        the classes if None); ``transitions`` is (src, dst, weight) edges or a checked ``FixedShare``."""
         if not class_list:
             raise ConfigError("kernel needs at least one class")
         k = len(class_list)
-        firsts = [cls[0] for cls in class_list]
-        if min(firsts) < 0 or max(firsts) >= self.num_experts:
+        if class_list[0][0] < 0 or class_list[-1][0] >= self.num_experts:  # sorted: the ends are the extremes
             cls = next(c for c in class_list if not 0 <= c[0] < self.num_experts)
             raise ConfigError(f"class {cls} selects expert outside 0..{self.num_experts - 1}")
-        index = {cls: i for i, cls in enumerate(class_list)}
+        if expert_of is None:
+            expert_of = np.fromiter((cls[0] for cls in class_list), np.intp, k)
 
-        expert_of = np.array(firsts, dtype=np.intp)
-        present_experts, expert_starts = np.unique(expert_of, return_index=True)
+        opens = np.concatenate(([True], expert_of[1:] != expert_of[:-1]))  # where each expert's classes start
+        expert_starts = np.flatnonzero(opens)
+        present_experts = expert_of[expert_starts]
         if len(present_experts) < self.num_experts:
             warnings.warn(
                 f"kernel '{self.name}' has no class for experts "
@@ -280,7 +288,7 @@ class TransitionKernel:
                 "their selection probability will be structurally zero",
                 stacklevel=stacklevel,
             )
-        class_seg = np.cumsum(np.diff(expert_of, prepend=expert_of[0]) != 0)
+        class_seg = np.cumsum(opens) - 1
         if isinstance(transitions, FixedShare):
             structure = transitions
         else:
@@ -290,6 +298,7 @@ class TransitionKernel:
             init = np.full(k, 1.0 / k)
         else:
             init = np.zeros(k)
+            index = {cls: i for i, cls in enumerate(class_list)}
             for cls, w in as_instance(init_weights, Mapping, "init_weights").items():
                 cls = _as_class(cls)
                 if cls not in index:
@@ -300,7 +309,6 @@ class TransitionKernel:
 
         return KernelTables(
             classes=tuple(class_list),
-            index=index,
             num_experts=self.num_experts,
             expert_of=expert_of,
             present_experts=present_experts,
@@ -378,7 +386,7 @@ def fixed_kernel(num_experts: int) -> TransitionKernel:
     num_experts = as_integer(num_experts, "num_experts", 1)
     ids = np.arange(num_experts)
     return TransitionKernel._from_transitions(
-        "fixed", num_experts, [(m,) for m in range(num_experts)], (ids, ids, np.ones(num_experts))
+        "fixed", num_experts, list(zip(range(num_experts))), (ids, ids, np.ones(num_experts)), expert_of=ids
     )
 
 
@@ -389,13 +397,13 @@ def cyclic_kernel(num_experts: int) -> TransitionKernel:
     stays fixed and each class has exactly one predecessor.
     """
     num_experts = as_integer(num_experts, "num_experts", 1)
-    m_range = range(num_experts)
     # class (m, s) sits at index m*M + s of the sorted class list
     ids = np.arange(num_experts * num_experts)
     expert, sigma = np.divmod(ids, num_experts)
     succ = (expert + sigma) % num_experts * num_experts + sigma
+    classes = list(product(range(num_experts), repeat=2))
     return TransitionKernel._from_transitions(
-        "cyclic", num_experts, [(m, s) for m in m_range for s in m_range], (ids, succ, np.ones(len(ids)))
+        "cyclic", num_experts, classes, (ids, succ, np.ones(len(ids))), expert_of=expert
     )
 
 
@@ -409,13 +417,15 @@ def switching_kernel(num_experts: int, switch_weight: float) -> TransitionKernel
     num_experts = as_integer(num_experts, "num_experts", 2)
     w = as_real(switch_weight, "switch_weight", "a real in (0, 1)", lambda w: 0.0 < w < 1.0)
     stay, off = 1.0 - w, w / (num_experts - 1)
-    classes = [(m,) for m in range(num_experts)]
+    ids, classes = np.arange(num_experts), list(zip(range(num_experts)))
     # row m is row 0 with entries 0 and m swapped, so row 0's checks stand for every row
     row = np.full(num_experts, off)
     row[0] = stay
-    _check_positive(classes, np.zeros(num_experts, dtype=np.intp), np.arange(num_experts), row)
+    _check_positive(classes, np.zeros(num_experts, dtype=np.intp), ids, row)
     _check_row_sums(classes, row, np.zeros(1, dtype=np.intp), np.array([num_experts]))
-    return TransitionKernel._from_transitions("switching", num_experts, classes, FixedShare(stay, off))
+    return TransitionKernel._from_transitions(
+        "switching", num_experts, classes, FixedShare(stay, off), expert_of=ids
+    )
 
 
 def _start_charge(init_weight: float, num_classes: int) -> float:

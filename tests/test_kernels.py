@@ -143,6 +143,22 @@ class TestKernelValidation:
         with pytest.raises(ConfigError, match="outside"):
             TransitionKernel("bad", 2, [(2,)], {(2,): [((2,), 1.0)]})
 
+    @pytest.mark.parametrize(
+        "classes, offender",
+        [
+            ([(-1,), (0,)], (-1,)),
+            ([(0,), (3,), (3, 1)], (3,)),  # the first offender, not the last class
+            ([(0,), (2**70,)], (2**70,)),  # past intp
+            ([(-(2**70),), (1,)], (-(2**70),)),
+        ],
+    )
+    def test_expert_range_names_the_first_offender(self, classes, offender):
+        successors = {c: [(c, 1.0)] for c in classes}
+        with pytest.raises(ConfigError, match=re.escape(f"class {offender} selects expert outside 0..1")):
+            TransitionKernel("bad", 2, classes, successors)
+        with pytest.raises(ConfigError, match=re.escape(f"class {offender} selects expert outside 0..1")):
+            TransitionKernel.from_dense("bad", 2, classes, np.eye(len(classes)))
+
     def test_missing_expert_warns(self):
         with pytest.warns(UserWarning, match="no class for experts") as record:
             TransitionKernel("partial", 3, [(0,), (1,)], {(0,): [((0,), 1.0)], (1,): [((1,), 1.0)]})
@@ -418,8 +434,9 @@ def mapping_form(name, experts, weight=0.1):
     return TransitionKernel(name, experts, reversed(classes), successors)
 
 
-# every table of a kernel, the transition structure and its own tables included
-TABLE_NAMES = [f.name for f in dataclasses.fields(KernelTables)]
+# every table of a kernel, the transition structure and its own tables included,
+# and the class index, a property built on first read
+TABLE_NAMES = [f.name for f in dataclasses.fields(KernelTables)] + ["index"]
 
 
 def assert_same_table(x, y, name):
@@ -600,6 +617,9 @@ class TestBuildReference:
         ref = reference_tables(builtin_edges(name, experts), experts)
         assert_tables_equal(ref, made.tables)
         assert_rows_equal(ref["rows"], made)
+        # the built-ins hand over their expert map, and the groups are read off it: all intp
+        for table in ("expert_of", "present_experts", "expert_starts", "class_seg"):
+            assert getattr(made.tables, table).dtype == np.intp, table
 
     def test_user_kernels(self):
         kinds = set()
@@ -608,6 +628,25 @@ class TestBuildReference:
             assert_rows_equal(ref["rows"], kernel)
             kinds.add(type(kernel.tables.structure))
         assert {Permutation, EdgeList} <= kinds
+
+    def test_user_kernel_with_missing_expert_and_uneven_groups(self):
+        # experts 0, 2 and 3 hold 3, 1 and 2 classes, expert 1 none
+        classes = [(3, 1), (0, 2), (2, 0), (0, 0), (3, 0), (0, 1)]
+        mat = np.roll(np.eye(6), 1, axis=1) * 0.5 + np.eye(6) * 0.5
+        edges = [(classes[i], classes[j], mat[i, j]) for i, j in zip(*np.nonzero(mat))]
+        ref = reference_tables(edges, 4, classes)
+        successors = {a: [(b, w) for x, b, w in edges if x == a] for a in classes}
+        for build in (
+            lambda: TransitionKernel.from_dense("uneven", 4, classes, mat),
+            lambda: TransitionKernel("uneven", 4, classes, successors),
+        ):
+            with pytest.warns(UserWarning, match=re.escape("no class for experts [1]")) as record:
+                kernel = build()
+            assert record[0].filename == __file__
+            assert_tables_equal(ref, kernel.tables)
+            assert kernel.tables.class_seg.tolist() == [0, 0, 0, 1, 2, 2]
+            assert kernel.tables.expert_starts.tolist() == [0, 3, 4]
+            assert not kernel.tables.one_per_expert
 
     @pytest.mark.parametrize("upper", [True, False], ids=["above", "below"])
     @pytest.mark.parametrize("fsum_rejects", [True, False], ids=["fsum-rejects", "fsum-accepts"])
@@ -699,6 +738,43 @@ class TestDerivedTables:
                     reads = [pool.submit(read_all, kernel) for _ in range(8)]
                     for read in reads:
                         assert read.result(timeout=10) == want
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize(
+        "make",
+        [fixed_kernel, cyclic_kernel, lambda m: switching_kernel(m, 0.1)],
+        ids=["fixed", "cyclic", "switching"],
+    )
+    def test_class_index_built_on_first_read(self, make):
+        kernel = make(4)
+        # set-up, rounds, budgets and both DPs never read the index
+        agg = Aggregator(kernel, gamma_from_budget(kernel.budget_bound(6)))
+        table = np.random.default_rng(0).random((6, 4))
+        for losses in table:
+            agg.run_round(losses, np.random.default_rng(1))
+        best_competitor(kernel, table)
+        best_prefix_losses(kernel, table)
+        assert "index" not in vars(kernel.tables)
+        kernel.successor_items(kernel.tables.classes[-1])
+        assert vars(kernel.tables)["index"] == {c: i for i, c in enumerate(kernel.tables.classes)}
+
+    def test_concurrent_first_index_reads_agree(self):
+        # kernels are shared across threads: racing first reads may each build the index
+        def read_index(kernel):
+            return [kernel.successor_items(c) for c in kernel.tables.classes[::7]], kernel.tables.index
+
+        want = read_index(cyclic_kernel(8))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(2) as pool:
+                for _ in range(20):
+                    kernel = cyclic_kernel(8)
+                    reads = [pool.submit(read_index, kernel) for _ in range(2)]
+                    for read in reads:
+                        assert read.result(timeout=10) == want
+                    assert kernel.tables.index == want[1]
         finally:
             sys.setswitchinterval(interval)
 
