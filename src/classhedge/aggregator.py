@@ -88,9 +88,8 @@ class Aggregator:
         self.kernel = as_instance(kernel, TransitionKernel, "kernel")
         self.gamma = as_gamma(gamma)
         self.num_experts = kernel.num_experts
-        self._tables = tb = kernel.tables
         with np.errstate(divide="ignore"):
-            self._log_w = np.log(tb.init_weights)
+            self._log_w = np.log(kernel.init_weights)
         self.t = 0
         self._D = self._V = self._carry = 0.0
         self._eta = DEGENERATE_ETA
@@ -113,7 +112,7 @@ class Aggregator:
         """The round's probability vector, computed once and cached until ``observe``."""
         if self._cached_p is not None:
             return self._cached_p
-        log_wm = self._tables.expert_log_weights(self._log_w)
+        log_wm = self.kernel.expert_log_weights(self._log_w)
         # each reduction on the round path is picked by position (x.item(x.argmax()))
         # or called as a ufunc method: the same bits without numpy's Python wrappers
         top = log_wm.item(log_wm.argmax())
@@ -169,9 +168,9 @@ class Aggregator:
         if max_neg_eta_phi > 1.0 + _RATE_TOL:
             raise InvariantViolation(f"round {t}: -eta*phi reached {max_neg_eta_phi!r} > 1")
 
-        tb = self._tables
-        scores = phi if tb.one_per_expert else phi[tb.expert_of]
-        new_lw = tb.structure.mix(self._log_w - exponent * scores, ratio)
+        kernel = self.kernel
+        scores = phi if kernel.one_per_expert else phi[kernel.expert_of]
+        new_lw = kernel.structure.mix(self._log_w - exponent * scores, ratio)
         top = new_lw.item(new_lw.argmax())
         if not math.isfinite(top):
             raise InvariantViolation(f"round {t}: class weights collapsed")

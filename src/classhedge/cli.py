@@ -150,14 +150,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_bounds(args: argparse.Namespace) -> int:
     if args.w_budget is not None:
         w_budget = core.as_budget(args.w_budget)
-    elif None not in (args.kernel, args.experts, args.rounds):
+    elif None not in (args.kernel, args.experts):
         kernel = harness.make_kernel(args.kernel, args.experts, _kv_pairs(args.kernel_param, "--kernel-param"))
-        w_budget = kernel.budget_bound(args.rounds)
     else:
-        raise ConfigError("provide --w-budget, or --kernel with --experts and --rounds")
+        raise ConfigError("provide --w-budget, or --kernel with --experts")
 
     needed = ("D", "V", "bound_var", "bound_range", "exp_regret")
     columns = harness.read_csv_columns(args.csv, needed)
+    if args.w_budget is None:  # W_T at the run's own T, one CSV row per round
+        w_budget = kernel.budget_bound(len(columns["D"]))
     if args.probs:
         report = oracle.bound_report(w_budget, *harness.read_probs_csv(args.probs))
         print(
@@ -212,7 +213,6 @@ def _parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--kernel", choices=harness.KERNELS)
     p_bounds.add_argument("--kernel-param", action="append", metavar="K=V")
     p_bounds.add_argument("--experts", type=int)
-    p_bounds.add_argument("--rounds", type=int)
     p_bounds.set_defaults(func=_cmd_bounds)
     return parser
 

@@ -393,8 +393,10 @@ def run_sweep(
     # a process pool starts all of its workers up front, busy or not
     workers = min(workers, len(seeds))
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     tasks = [replace(base, seed=s, out=out_dir / f"seed_{s}.csv", debug_probs=False) for s in seeds]
+    for task in tasks:  # refused here, before any file or worker is made
+        task.validate()
+    out_dir.mkdir(parents=True, exist_ok=True)
     if workers > 1:
         # imported here: the pool machinery costs ~2 MB of RSS that online use never needs
         from concurrent.futures import ProcessPoolExecutor

@@ -4,8 +4,9 @@ A competition class is described by a finite set of equivalence classes
 (tuples of small integers whose first coordinate is the current expert) and a
 row-stochastic transition map between consecutive rounds.  Built-ins cover
 the fixed-expert class, the cyclic moving-rate class, and a fixed-share style
-switching class.  Each kernel's transition structure (edge list,
-permutation or fixed share) mixes the engine's weights and runs the
+switching class.  A ``TransitionKernel`` holds every table the engine and
+the DPs read, its transition structure (edge list, permutation or fixed
+share) among them: the structure mixes the engine's weights and runs the
 dynamic-programming search for the best in-class competitor.  The module
 also provides the class budget W = 1 + log(max |Omega|) - log(product of
 transition weights) and its bound read off each kernel's own tables (which
@@ -45,51 +46,6 @@ def _segment_logsumexp(values: np.ndarray, starts: np.ndarray, seg: np.ndarray, 
         return np.where(np.isneginf(seg_max), -np.inf, seg_max + np.log(sums))
     shifted = np.subtract(values, seg_max[seg], out=out)
     return seg_max + np.log(np.add.reduceat(np.exp(shifted, out=shifted), starts))
-
-
-@dataclass(frozen=True)
-class KernelTables:
-    """Precomputed index structures of a kernel.
-
-    Classes are sorted lexicographically, which groups them by expert (the
-    first coordinate); ``index`` is built on first read.  ``structure`` is the
-    kernel's transition structure (``EdgeList``, ``Permutation`` or
-    ``FixedShare``), chosen when the kernel is built: it holds the
-    transitions, answers for a class's row and the least weight, mixes the
-    engine's weights and runs both competitor DPs.
-    """
-
-    classes: tuple[ClassParams, ...]
-    num_experts: int
-    expert_of: np.ndarray = field(repr=False)
-    present_experts: np.ndarray = field(repr=False)
-    expert_starts: np.ndarray = field(repr=False)
-    class_seg: np.ndarray = field(repr=False)
-    init_weights: np.ndarray = field(repr=False)
-    one_per_expert: bool  # class c is expert c: the engine neither gathers nor groups
-    structure: EdgeList | Permutation | FixedShare = field(repr=False)
-
-    @property
-    def num_classes(self) -> int:
-        return len(self.classes)
-
-    @cached_property
-    def index(self) -> dict[ClassParams, int]:
-        return {cls: i for i, cls in enumerate(self.classes)}
-
-    def expert_log_weights(self, log_w: np.ndarray) -> np.ndarray:
-        """Log of each expert's total class weight, -inf for an expert with no class.
-
-        With one class per expert this is ``log_w`` itself, not a copy.
-        """
-        if self.one_per_expert:
-            return log_w
-        grouped = _segment_logsumexp(log_w, self.expert_starts, self.class_seg)
-        if len(grouped) == self.num_experts:
-            return grouped
-        out = np.full(self.num_experts, -np.inf)
-        out[self.present_experts] = grouped
-        return out
 
 
 def _as_class(coords) -> ClassParams:
@@ -174,6 +130,13 @@ def _checked_edges(class_list, src, dst, weights):
     return src, dst, raw_w, starts
 
 
+def _edge_structure(class_list, src, dst, weights) -> EdgeList | Permutation | FixedShare:
+    """The structure of a user kernel's edges over ``class_list`` (sorted and distinct), checked."""
+    if not class_list:
+        raise ConfigError("kernel needs at least one class")
+    return _structure(*_checked_edges(class_list, src, dst, weights), len(class_list))
+
+
 class TransitionKernel:
     """A competition class: equivalence classes plus a stochastic transition map.
 
@@ -189,33 +152,37 @@ class TransitionKernel:
     successors : mapping class -> iterable of (class, weight)
         Sparse successor lists, one row for every class of Omega and no
         other; each row must list distinct classes with strictly positive
-        weights summing to 1.  Each row is iterated once, while the tables
-        are built.
+        weights summing to 1.  Each row is iterated once, while the kernel
+        is built.
     init_weights : mapping class -> weight, optional
         Distribution over classes for the first round (the transition out of
         the virtual root); defaults to uniform.  Must sum to 1.
 
-    Kernels are immutable after construction and safe to share across
-    threads.  ``tables`` holds the index structures the engine and the DPs
-    read; its class index, which no round reads, is built on first read.  No
-    budget is declared: ``budget_bound`` reads it off the tables, so every
-    kernel, built-in or not, can choose gamma from it.
+    The kernel holds the tables that the engine, the budgets and the DPs
+    read.  ``classes`` are sorted lexicographically, which groups them by
+    expert (the first coordinate): ``expert_of`` is each class's expert,
+    ``present_experts`` the experts that have a class, ``expert_starts`` the
+    first class of each and ``class_seg`` each class's group.
+    ``init_weights`` is the first round's distribution, ``one_per_expert``
+    says that class c is expert c (the engine neither gathers nor groups),
+    and ``structure`` (``EdgeList``, ``Permutation`` or ``FixedShare``) holds
+    the transitions, answers for a class's row and the least weight, mixes
+    the engine's weights and runs both competitor DPs.  The class ``index``,
+    which no round reads, is built on first read.  No budget is declared:
+    ``budget_bound`` reads it off the tables, so every kernel, built-in or
+    not, can choose gamma from it.  Kernels are immutable by convention (no
+    array is made read-only) and safe to share across threads.
 
-    A kernel is given by three edge arrays: source and destination indices
-    into the sorted class list, and the raw weights.  This constructor fills
-    them in one pass over the successor rows, the only per-edge Python work
-    of a build; ``from_dense``, ``fixed_kernel`` and ``cyclic_kernel`` make
-    them with numpy, as the built-ins make each class's expert (a user
-    kernel's is read off its classes).  ``_checked_edges`` checks them in
-    O(edges) numpy work: every index names a class, every weight is finite
-    and positive, every class has a row, no (source, destination) pair
-    repeats, and every row sums to within 1e-12 of 1 as ``math.fsum`` rounds
-    it (fsum runs only on rows whose float sum is within its error bound of
-    that edge).  The edges are sorted by source*k + destination only if not
-    in that order.  The structure read off them keeps the arrays it uses,
-    and a fixed share none.  ``switching_kernel`` builds its ``FixedShare``
-    directly and checks one row of k weights, not k^2 edges: every other row
-    is that row with two entries swapped.
+    ``_build`` sets the tables from a finished structure.  A user kernel's
+    structure is read off three edge arrays, source and destination indices
+    into the sorted class list and the raw weights, which ``_edge_structure``
+    checks: this constructor fills them in one pass over the successor
+    rows, the only per-edge Python work of a build, and ``from_dense`` takes
+    them from ``np.nonzero``.  The built-ins hand over the structure they
+    know, and each class's expert: ``fixed_kernel`` and ``cyclic_kernel`` a
+    ``Permutation`` of their successor map, ``switching_kernel`` a
+    ``FixedShare`` once it has checked one row of k weights (every other row
+    is that row with two entries swapped).
     """
 
     def __init__(
@@ -226,7 +193,7 @@ class TransitionKernel:
         successors: Mapping[ClassParams, Iterable[tuple[ClassParams, float]]],
         init_weights: Mapping[ClassParams, float] | None = None,
     ):
-        self._setup(name, num_experts)
+        num_experts = as_integer(num_experts, "num_experts", 1)
         class_list = sorted({_as_class(c) for c in classes})
         index = {cls: i for i, cls in enumerate(class_list)}
         src: list[int] = []
@@ -248,51 +215,32 @@ class TransitionKernel:
                 src.append(i)
                 dst.append(index[b])
                 weights.append(w)
-        self.tables = self._build_tables(class_list, (src, dst, weights), init_weights)
+        structure = _edge_structure(class_list, src, dst, weights)
+        self._build(name, num_experts, class_list, structure, init_weights)
 
-    @classmethod
-    def _from_transitions(
-        cls, name, num_experts, class_list, transitions, init_weights=None, expert_of=None
-    ) -> "TransitionKernel":
-        """Kernel over ``class_list``, which must be sorted and distinct, with
-        ``transitions`` and ``expert_of`` as ``_build_tables`` takes them."""
-        kernel = cls.__new__(cls)
-        kernel._setup(name, num_experts)
-        # one frame deeper than __init__, so warnings skip one more to reach the caller
-        kernel.tables = kernel._build_tables(class_list, transitions, init_weights, 4, expert_of)
-        return kernel
-
-    def _setup(self, name, num_experts) -> None:
+    def _build(self, name, num_experts, class_list, structure, init_weights=None, expert_of=None):
+        """Set the tables over ``class_list`` (sorted, distinct, not empty) and its finished
+        ``structure``; ``expert_of`` is each class's expert (intp), read off the classes if None."""
         self.name = str(name)
-        self.num_experts = as_integer(num_experts, "num_experts", 1)
-
-    def _build_tables(self, class_list, transitions, init_weights, stacklevel=3, expert_of=None) -> KernelTables:
-        """Tables over ``class_list`` and ``expert_of``, each class's expert (intp; read off
-        the classes if None); ``transitions`` is (src, dst, weight) edges or a checked ``FixedShare``."""
-        if not class_list:
-            raise ConfigError("kernel needs at least one class")
+        self.num_experts = num_experts
         k = len(class_list)
-        if class_list[0][0] < 0 or class_list[-1][0] >= self.num_experts:  # sorted: the ends are the extremes
-            cls = next(c for c in class_list if not 0 <= c[0] < self.num_experts)
-            raise ConfigError(f"class {cls} selects expert outside 0..{self.num_experts - 1}")
+        if class_list[0][0] < 0 or class_list[-1][0] >= num_experts:  # sorted: the ends are the extremes
+            cls = next(c for c in class_list if not 0 <= c[0] < num_experts)
+            raise ConfigError(f"class {cls} selects expert outside 0..{num_experts - 1}")
         if expert_of is None:
             expert_of = np.fromiter((cls[0] for cls in class_list), np.intp, k)
 
         opens = np.concatenate(([True], expert_of[1:] != expert_of[:-1]))  # where each expert's classes start
-        expert_starts = np.flatnonzero(opens)
-        present_experts = expert_of[expert_starts]
-        if len(present_experts) < self.num_experts:
+        self.expert_starts = np.flatnonzero(opens)
+        self.present_experts = expert_of[self.expert_starts]
+        if len(self.present_experts) < num_experts:
             warnings.warn(
                 f"kernel '{self.name}' has no class for experts "
-                f"{np.setdiff1d(np.arange(self.num_experts), present_experts).tolist()}; "
+                f"{np.setdiff1d(np.arange(num_experts), self.present_experts).tolist()}; "
                 "their selection probability will be structurally zero",
-                stacklevel=stacklevel,
+                stacklevel=3,  # past _build and the constructor, to the caller's line
             )
-        class_seg = np.cumsum(opens) - 1
-        if isinstance(transitions, FixedShare):
-            structure = transitions
-        else:
-            structure = _structure(*_checked_edges(class_list, *transitions), k)
+        self.class_seg = np.cumsum(opens) - 1
 
         if init_weights is None:
             init = np.full(k, 1.0 / k)
@@ -307,17 +255,12 @@ class TransitionKernel:
             if np.any(init < 0.0) or abs(math.fsum(init) - 1.0) > _ROW_TOL:
                 raise ConfigError("initial distribution must be nonnegative and sum to 1")
 
-        return KernelTables(
-            classes=tuple(class_list),
-            num_experts=self.num_experts,
-            expert_of=expert_of,
-            present_experts=present_experts,
-            expert_starts=expert_starts,
-            class_seg=class_seg,
-            init_weights=init,
-            one_per_expert=k == len(present_experts) == self.num_experts,
-            structure=structure,
-        )
+        self.classes = tuple(class_list)
+        self.expert_of = expert_of
+        self.init_weights = init
+        self.one_per_expert = k == len(self.present_experts) == num_experts
+        self.structure = structure
+        return self
 
     @classmethod
     def from_dense(
@@ -333,6 +276,7 @@ class TransitionKernel:
         Zero entries are dropped; the sparse successor-list form is what the
         engine consumes.  No class may be listed twice.
         """
+        num_experts = as_integer(num_experts, "num_experts", 1)
         class_list = [_as_class(c) for c in classes]
         mat = np.asarray(matrix)
         if mat.shape != (len(class_list), len(class_list)):
@@ -344,22 +288,38 @@ class TransitionKernel:
                 raise ConfigError(f"class {a} is listed more than once")
         mat = mat[np.ix_(order, order)]
         src, dst = np.nonzero(mat)
-        return cls._from_transitions(name, num_experts, class_list, (src, dst, mat[src, dst]), init_weights)
+        structure = _edge_structure(class_list, src, dst, mat[src, dst])
+        return cls.__new__(cls)._build(name, num_experts, class_list, structure, init_weights)
 
-    def class_list(self) -> tuple[ClassParams, ...]:
-        return self.tables.classes
+    @property
+    def num_classes(self) -> int:
+        return len(self.classes)
+
+    @cached_property
+    def index(self) -> dict[ClassParams, int]:
+        return {cls: i for i, cls in enumerate(self.classes)}
+
+    def expert_log_weights(self, log_w: np.ndarray) -> np.ndarray:
+        """Log of each expert's total class weight, -inf for an expert with no class.
+
+        With one class per expert this is ``log_w`` itself, not a copy.
+        """
+        if self.one_per_expert:
+            return log_w
+        grouped = _segment_logsumexp(log_w, self.expert_starts, self.class_seg)
+        if len(grouped) == self.num_experts:
+            return grouped
+        out = np.full(self.num_experts, -np.inf)
+        out[self.present_experts] = grouped
+        return out
 
     def successor_items(self, coords) -> tuple[tuple[ClassParams, float], ...]:
         """Sparse successor list of one class: ((next_class, weight), ...)."""
-        tb = self.tables
         cls = _as_class(coords)
-        if cls not in tb.index:
+        if cls not in self.index:
             raise KeyError(f"{cls} is not a class of kernel '{self.name}'")
-        dsts, weights = tb.structure.row(tb.index[cls], tb.num_classes)
-        return tuple((tb.classes[d], w) for d, w in zip(dsts.tolist(), weights.tolist()))
-
-    def initial_weights(self) -> np.ndarray:
-        return self.tables.init_weights.copy()
+        dsts, weights = self.structure.row(self.index[cls], self.num_classes)
+        return tuple((self.classes[d], w) for d, w in zip(dsts.tolist(), weights.tolist()))
 
     def budget_bound(self, rounds: int) -> float:
         """Bound W_T on ``class_budget`` of every in-class path of ``rounds`` rounds.
@@ -369,15 +329,14 @@ class TransitionKernel:
         does.  Built-ins get 1 + log M (fixed), 1 + 2 log M (cyclic) and
         1 + log M + (T-1) * max(-log(1-w), -log(w/(M-1))) (switching).
         """
-        tb = self.tables
-        start = _start_charge(float(tb.init_weights[tb.init_weights > 0.0].min()), tb.num_classes)
+        start = _start_charge(float(self.init_weights[self.init_weights > 0.0].min()), self.num_classes)
         steps = max(as_integer(rounds, "rounds", 0, MAX_ROUNDS) - 1, 0)
-        return 1.0 + start + steps * -math.log(tb.structure.least_weight())
+        return 1.0 + start + steps * -math.log(self.structure.least_weight())
 
     def __repr__(self) -> str:
         return (
             f"TransitionKernel(name={self.name!r}, experts={self.num_experts}, "
-            f"classes={self.tables.num_classes})"
+            f"classes={self.num_classes})"
         )
 
 
@@ -385,8 +344,9 @@ def fixed_kernel(num_experts: int) -> TransitionKernel:
     """One class per expert, each a self-loop: the classic fixed-expert class."""
     num_experts = as_integer(num_experts, "num_experts", 1)
     ids = np.arange(num_experts)
-    return TransitionKernel._from_transitions(
-        "fixed", num_experts, list(zip(range(num_experts))), (ids, ids, np.ones(num_experts)), expert_of=ids
+    loops = Permutation.of(ids, np.ones(num_experts))
+    return TransitionKernel.__new__(TransitionKernel)._build(
+        "fixed", num_experts, list(zip(range(num_experts))), loops, expert_of=ids
     )
 
 
@@ -398,12 +358,11 @@ def cyclic_kernel(num_experts: int) -> TransitionKernel:
     """
     num_experts = as_integer(num_experts, "num_experts", 1)
     # class (m, s) sits at index m*M + s of the sorted class list
-    ids = np.arange(num_experts * num_experts)
-    expert, sigma = np.divmod(ids, num_experts)
+    expert, sigma = np.divmod(np.arange(num_experts * num_experts), num_experts)
     succ = (expert + sigma) % num_experts * num_experts + sigma
     classes = list(product(range(num_experts), repeat=2))
-    return TransitionKernel._from_transitions(
-        "cyclic", num_experts, classes, (ids, succ, np.ones(len(ids))), expert_of=expert
+    return TransitionKernel.__new__(TransitionKernel)._build(
+        "cyclic", num_experts, classes, Permutation.of(succ, np.ones(len(succ))), expert_of=expert
     )
 
 
@@ -423,7 +382,7 @@ def switching_kernel(num_experts: int, switch_weight: float) -> TransitionKernel
     row[0] = stay
     _check_positive(classes, np.zeros(num_experts, dtype=np.intp), ids, row)
     _check_row_sums(classes, row, np.zeros(1, dtype=np.intp), np.array([num_experts]))
-    return TransitionKernel._from_transitions(
+    return TransitionKernel.__new__(TransitionKernel)._build(
         "switching", num_experts, classes, FixedShare(stay, off), expert_of=ids
     )
 
@@ -444,17 +403,17 @@ def class_budget(kernel: TransitionKernel, competitor: Sequence[ClassParams]) ->
     in place of log |Omega|.  Only the virtual root precedes round 1, so a
     one-round path has budget 1 whatever its start.
     """
-    tb = as_instance(kernel, TransitionKernel, "kernel").tables
+    kernel = as_instance(kernel, TransitionKernel, "kernel")
     if not isinstance(competitor, Iterable):
         raise ConfigError(f"competitor must be a sequence of classes, got {competitor!r}")
     path = [_as_class(c) for c in competitor]
     if not path:
         raise ValueError("competitor path is empty")
     first = path[0]
-    if first not in tb.index:
+    if first not in kernel.index:
         raise OutOfClassError(f"{first} is not a class of kernel '{kernel.name}'")
-    a = tb.index[first]
-    init_weight = float(tb.init_weights[a])
+    a = kernel.index[first]
+    init_weight = float(kernel.init_weights[a])
     if init_weight <= 0.0:
         raise OutOfClassError(f"{first} has zero initial weight")
     if len(path) == 1:
@@ -462,14 +421,14 @@ def class_budget(kernel: TransitionKernel, competitor: Sequence[ClassParams]) ->
     log_tau = 0.0
     for t, (prev, cls) in enumerate(zip(path, path[1:]), start=1):
         # each row lists its destinations in sorted order
-        dsts, weights = tb.structure.row(a, tb.num_classes)
-        b = tb.index.get(cls, -1)
+        dsts, weights = kernel.structure.row(a, kernel.num_classes)
+        b = kernel.index.get(cls, -1)
         e = np.searchsorted(dsts, b)
         if e == len(dsts) or dsts[e] != b:
             raise OutOfClassError(f"transition {prev} -> {cls} at step {t} has zero weight")
         log_tau += math.log(weights[e])
         a = b
-    return 1.0 + _start_charge(init_weight, tb.num_classes) - log_tau
+    return 1.0 + _start_charge(init_weight, kernel.num_classes) - log_tau
 
 
 # (round, class) entries in one block of the permutation and fixed-share DPs,
@@ -478,9 +437,9 @@ def class_budget(kernel: TransitionKernel, competitor: Sequence[ClassParams]) ->
 _BLOCK = 8192
 
 
-def _best_start(tb: KernelTables, suffix: np.ndarray) -> tuple[int, float]:
+def _best_start(kernel: TransitionKernel, suffix: np.ndarray) -> tuple[int, float]:
     """First minimum of the round-1 suffix values over the classes a path may start in."""
-    masked = np.where(tb.init_weights > 0.0, suffix, np.inf)
+    masked = np.where(kernel.init_weights > 0.0, suffix, np.inf)
     start = int(np.argmin(masked))  # first minimum = lex-smallest class
     return start, float(masked[start])
 
@@ -549,33 +508,33 @@ class EdgeList:
         new_lw[self.dst_ids] = _segment_logsumexp(contrib, self.starts, self.seg, contrib)
         return new_lw
 
-    def path_dp(self, table: np.ndarray, tb: KernelTables) -> tuple[list[int], float]:
+    def path_dp(self, table: np.ndarray, kernel: TransitionKernel) -> tuple[list[int], float]:
         rounds = len(table)
         nnz = len(self.row_dst)
-        back = np.empty((max(rounds - 1, 0), tb.num_classes), dtype=np.intp)
+        back = np.empty((max(rounds - 1, 0), kernel.num_classes), dtype=np.intp)
         edge_pos = np.arange(nnz)
-        suffix = table[rounds - 1][tb.expert_of]
+        suffix = table[rounds - 1][kernel.expert_of]
         for t in range(rounds - 2, -1, -1):
             cand = suffix[self.row_dst]
             seg_min = np.minimum.reduceat(cand, self.row_starts)
             # first minimal edge in each segment = lex-smallest successor
             marked = np.where(cand == seg_min[self.row_src], edge_pos, nnz)
             back[t] = self.row_dst[np.minimum.reduceat(marked, self.row_starts)]
-            suffix = table[t][tb.expert_of] + seg_min
-        start, best_loss = _best_start(tb, suffix)
+            suffix = table[t][kernel.expert_of] + seg_min
+        start, best_loss = _best_start(kernel, suffix)
         path = [start]
         for t in range(rounds - 1):
             path.append(int(back[t][path[-1]]))
         return path, best_loss
 
-    def prefix_dp(self, table: np.ndarray, tb: KernelTables) -> np.ndarray:
-        dp = np.where(tb.init_weights > 0.0, table[0][tb.expert_of], np.inf)
+    def prefix_dp(self, table: np.ndarray, kernel: TransitionKernel) -> np.ndarray:
+        dp = np.where(kernel.init_weights > 0.0, table[0][kernel.expert_of], np.inf)
         out = np.empty(len(table))
         out[0] = dp.min()
         for t in range(1, len(table)):
-            carried = np.full(tb.num_classes, np.inf)
+            carried = np.full(kernel.num_classes, np.inf)
             carried[self.dst_ids] = np.minimum.reduceat(dp[self.src], self.starts)
-            dp = carried + table[t][tb.expert_of]
+            dp = carried + table[t][kernel.expert_of]
             out[t] = dp.min()
         return out
 
@@ -665,27 +624,27 @@ class Permutation:
         # x underflows): the skip moves only a zero's sign, alike to exp, max and argmax
         return new_lw if self.unit else np.add(new_lw, self.logw, out=new_lw)
 
-    def _block(self, tb: KernelTables, rounds: int):
+    def _block(self, kernel: TransitionKernel, rounds: int):
         """One block of B rounds, the first rows of ``orbit``: (orbit, flat, jump).
 
         ``flat[j, c]`` indexes the loss of the expert of class ``orbit[j, c]`` in
         a block of the flattened loss table; ``jump`` is succ^B.  A concurrent
         first call only computes equal orbits twice.
         """
-        width = max(1, min(rounds, _BLOCK // tb.num_classes))
+        width = max(1, min(rounds, _BLOCK // kernel.num_classes))
         if self.orbit is None or len(self.orbit) < width:  # first call, or _BLOCK grew since
             self.orbit = _orbit_rows(self.succ)
         orbit = self.orbit[:width]
-        flat = tb.expert_of[orbit]
-        flat += np.arange(0, width * tb.num_experts, tb.num_experts)[:, None]
+        flat = kernel.expert_of[orbit]
+        flat += np.arange(0, width * kernel.num_experts, kernel.num_experts)[:, None]
         return orbit, flat, self.succ[orbit[-1]]
 
-    def path_dp(self, table: np.ndarray, tb: KernelTables) -> tuple[list[int], float]:
+    def path_dp(self, table: np.ndarray, kernel: TransitionKernel) -> tuple[list[int], float]:
         rounds = len(table)
-        orbit, flat, jump = self._block(tb, rounds)
+        orbit, flat, jump = self._block(kernel, rounds)
         width = len(orbit)
         # -0.0 is the exact identity of addition, the sign of a zero included
-        carry = np.full(tb.num_classes, -0.0)
+        carry = np.full(kernel.num_classes, -0.0)
         for lo in range((rounds - 1) // width * width, -1, -width):
             # row j, column c: the loss of the class j steps on from c at round lo
             block = table[lo:lo + width].ravel().take(flat[:rounds - lo])
@@ -693,21 +652,21 @@ class Permutation:
             _running_sum(block[::-1])
             # the class after a row's last round is succ^B of its first
             carry = block[0].take(jump)
-        start, best_loss = _best_start(tb, block[0])
+        start, best_loss = _best_start(kernel, block[0])
         heads = [start]  # the path's class at the first round of each block
         for _ in range((rounds - 1) // width):
             heads.append(int(jump[heads[-1]]))
         path = orbit[:, heads].T.ravel()[:rounds]
         return path.tolist(), best_loss
 
-    def prefix_dp(self, table: np.ndarray, tb: KernelTables) -> np.ndarray:
+    def prefix_dp(self, table: np.ndarray, kernel: TransitionKernel) -> np.ndarray:
         rounds = len(table)
-        _, flat, jump = self._block(tb, rounds)
+        _, flat, jump = self._block(kernel, rounds)
         width = len(flat)
         before = np.empty_like(jump)
         before[jump] = np.arange(len(jump))  # the class whose row ends one round before c's
         # -0.0 leaves a start's loss as it is; inf bars the classes no path starts in
-        carry = np.where(tb.init_weights > 0.0, -0.0, np.inf)
+        carry = np.where(kernel.init_weights > 0.0, -0.0, np.inf)
         out = np.empty(rounds)
         for lo in range(0, rounds, width):
             block = table[lo:lo + width].ravel().take(flat[:rounds - lo])
@@ -718,9 +677,9 @@ class Permutation:
         return out
 
 
-def _round_minima(table: np.ndarray, tb: KernelTables) -> np.ndarray:
+def _round_minima(table: np.ndarray, kernel: TransitionKernel) -> np.ndarray:
     """Each round's least loss over the classes' experts, in blocks unless every expert has one."""
-    cols = tb.present_experts
+    cols = kernel.present_experts
     if len(cols) == table.shape[1]:
         return table.min(axis=1)
     width = max(1, _BLOCK // len(cols))
@@ -776,26 +735,26 @@ class FixedShare:
         e += others
         return np.add(np.log(e, out=e), top, out=e)
 
-    def path_dp(self, table: np.ndarray, tb: KernelTables) -> tuple[list[int], float]:
+    def path_dp(self, table: np.ndarray, kernel: TransitionKernel) -> tuple[list[int], float]:
         rounds = len(table)
         # best[t]: the least suffix value from round t on, fl(minima[t] + best[t+1]); best[T] = -0.0
-        best = np.add.accumulate(np.append(_round_minima(table, tb), -0.0)[::-1])[::-1]
+        best = np.add.accumulate(np.append(_round_minima(table, kernel), -0.0)[::-1])[::-1]
         firsts = np.empty(rounds, dtype=np.intp)
-        width = max(1, _BLOCK // tb.num_classes)
+        width = max(1, _BLOCK // kernel.num_classes)
         for lo in range(0, rounds, width):
             later = best[lo + 1:lo + width + 1, None]
-            if tb.one_per_expert:  # expert_of is the identity: no gather
+            if kernel.one_per_expert:  # expert_of is the identity: no gather
                 suffix = np.add(table[lo:lo + width], later)
             else:
-                suffix = table[lo:lo + width, tb.expert_of]
+                suffix = table[lo:lo + width, kernel.expert_of]
                 suffix += later
             suffix.argmin(axis=1, out=firsts[lo:lo + len(suffix)])
-        start, best_loss = _best_start(tb, table[0][tb.expert_of] + best[1])
+        start, best_loss = _best_start(kernel, table[0][kernel.expert_of] + best[1])
         return [start] + firsts[1:].tolist(), best_loss
 
-    def prefix_dp(self, table: np.ndarray, tb: KernelTables) -> np.ndarray:
-        minima = _round_minima(table, tb)
-        minima[0] = np.where(tb.init_weights > 0.0, table[0][tb.expert_of], np.inf).min()
+    def prefix_dp(self, table: np.ndarray, kernel: TransitionKernel) -> np.ndarray:
+        minima = _round_minima(table, kernel)
+        minima[0] = np.where(kernel.init_weights > 0.0, table[0][kernel.expert_of], np.inf).min()
         return np.add.accumulate(minima)
 
 
@@ -813,10 +772,10 @@ def best_competitor(
     structure gives the edge-list DP's path and bits, save the sign of a zero
     loss, which numpy's ``min`` does not fix.
     """
-    tb = as_instance(kernel, TransitionKernel, "kernel").tables
-    table = as_loss_array(np.atleast_2d(losses), tb.num_experts)[0]
-    path, best_loss = tb.structure.path_dp(table, tb)
-    return tuple(tb.classes[i] for i in path), best_loss
+    kernel = as_instance(kernel, TransitionKernel, "kernel")
+    table = as_loss_array(np.atleast_2d(losses), kernel.num_experts)[0]
+    path, best_loss = kernel.structure.path_dp(table, kernel)
+    return tuple(kernel.classes[i] for i in path), best_loss
 
 
 def best_prefix_losses(kernel: TransitionKernel, losses) -> np.ndarray:
@@ -827,6 +786,6 @@ def best_prefix_losses(kernel: TransitionKernel, losses) -> np.ndarray:
     ``best_competitor``'s cumulative loss.  Every structure gives the
     edge-list DP's values, save the sign of a zero minimum.
     """
-    tb = as_instance(kernel, TransitionKernel, "kernel").tables
-    table = as_loss_array(np.atleast_2d(losses), tb.num_experts)[0]
-    return tb.structure.prefix_dp(table, tb)
+    kernel = as_instance(kernel, TransitionKernel, "kernel")
+    table = as_loss_array(np.atleast_2d(losses), kernel.num_experts)[0]
+    return kernel.structure.prefix_dp(table, kernel)

@@ -112,24 +112,24 @@ def trajectory_reference(kernel: TransitionKernel, losses, gamma: float) -> np.n
     is the state used for round r+1.
     """
     gamma = as_gamma(gamma)
-    tb = as_instance(kernel, TransitionKernel, "kernel").tables
-    table = as_loss_array(np.atleast_2d(losses), tb.num_experts)[0]
-    log_t = np.full((tb.num_classes, tb.num_classes), -np.inf)  # [destination, source]
-    for src, cls in enumerate(tb.classes):
+    kernel = as_instance(kernel, TransitionKernel, "kernel")
+    table = as_loss_array(np.atleast_2d(losses), kernel.num_experts)[0]
+    log_t = np.full((kernel.num_classes, kernel.num_classes), -np.inf)  # [destination, source]
+    for src, cls in enumerate(kernel.classes):
         for dst, weight in kernel.successor_items(cls):
-            log_t[tb.index[dst], src] = math.log(weight)
+            log_t[kernel.index[dst], src] = math.log(weight)
 
     rounds = table.shape[0]
-    out = np.empty((rounds + 1, tb.num_classes))
+    out = np.empty((rounds + 1, kernel.num_classes))
     with np.errstate(divide="ignore"):
         # row 0 is the raw initial distribution, matching the engine's init state;
         # later rows are max-normalized like the engine's post-mixing state
-        out[0] = log_u = np.log(tb.init_weights)
+        out[0] = log_u = np.log(kernel.init_weights)
 
     prev = DEGENERATE_ETA
     d_max = v_sum = carry = 0.0
     for t in range(rounds):
-        by_expert = np.bincount(tb.expert_of, np.exp(log_u - log_u.max()), kernel.num_experts)
+        by_expert = np.bincount(kernel.expert_of, np.exp(log_u - log_u.max()), kernel.num_experts)
         p = by_expert / by_expert.sum()
 
         row = table[t]
@@ -138,7 +138,7 @@ def trajectory_reference(kernel: TransitionKernel, losses, gamma: float) -> np.n
         eta_t = learning_rate(d_max, v_sum, gamma, t + 1)
         exponent, ratio = eta_ratio(eta_t, prev)
 
-        terms = ratio * (log_u - exponent * phi[tb.expert_of]) + log_t
+        terms = ratio * (log_u - exponent * phi[kernel.expert_of]) + log_t
         top = terms.max(axis=1)
         # a destination whose every term is -inf stays -inf: shift it by 0, not by -inf
         top[np.isneginf(top)] = 0.0
@@ -159,15 +159,15 @@ def exhaustive_best(
     minimum, which reproduces the DP's smallest-coordinates tie-break.
     Refuses tables whose in-class path count exceeds ``limit``.
     """
-    tb = as_instance(kernel, TransitionKernel, "kernel").tables
-    table = as_loss_array(np.atleast_2d(losses), tb.num_experts)[0]
+    kernel = as_instance(kernel, TransitionKernel, "kernel")
+    table = as_loss_array(np.atleast_2d(losses), kernel.num_experts)[0]
     limit = as_integer(limit, "limit", 1)
     rounds = table.shape[0]
-    successors = {cls: kernel.successor_items(cls) for cls in tb.classes}
-    starts = [cls for i, cls in enumerate(tb.classes) if tb.init_weights[i] > 0.0]
-    counts = dict.fromkeys(tb.classes, 1)  # paths of each length so far, by first class
+    successors = {cls: kernel.successor_items(cls) for cls in kernel.classes}
+    starts = [cls for i, cls in enumerate(kernel.classes) if kernel.init_weights[i] > 0.0]
+    counts = dict.fromkeys(kernel.classes, 1)  # paths of each length so far, by first class
     for _ in range(rounds - 1):
-        counts = {cls: sum(counts[dst] for dst, _ in successors[cls]) for cls in tb.classes}
+        counts = {cls: sum(counts[dst] for dst, _ in successors[cls]) for cls in kernel.classes}
     total = sum(counts[cls] for cls in starts)
     if total > limit:
         raise ValueError(f"{total} in-class paths exceed the enumeration limit {limit}")

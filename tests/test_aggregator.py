@@ -282,7 +282,7 @@ class TestObserve:
         np.testing.assert_allclose(agg.log_weights(), reference[1], atol=1e-12)
         # weights moved along sigma and tilted toward the cheaper expert:
         # (0,0) kept expert 0 (phi < 0), (0,1) came from expert-0 class (1,1) is lighter
-        weights = dict(zip(kernel.class_list(), np.exp(agg.log_weights())))
+        weights = dict(zip(kernel.classes, np.exp(agg.log_weights())))
         assert weights[(0, 0)] > weights[(1, 0)]
         assert weights[(1, 1)] > weights[(0, 1)]
 
@@ -316,11 +316,11 @@ class TestStructuredMixing:
         return log_z
 
     def check_fixed_share(self, kernel, rng):
-        structure = kernel.tables.structure
+        structure = kernel.structure
         assert isinstance(structure, FixedShare)
-        twin = edge_list_twin(kernel).tables.structure
+        twin = edge_list_twin(kernel).structure
         for ratio in [1.0, 1e-6, *rng.uniform(1e-3, 1.0, 10)]:
-            log_z = self.random_log_z(rng, kernel.tables.num_classes)
+            log_z = self.random_log_z(rng, kernel.num_classes)
             np.testing.assert_allclose(
                 structure.mix(log_z, ratio), twin.mix(log_z, ratio), rtol=0.0, atol=1e-12
             )
@@ -340,15 +340,14 @@ class TestStructuredMixing:
         [fixed_kernel(1), fixed_kernel(5), cyclic_kernel(2), cyclic_kernel(4), ROTATE_WITH_INIT, NEAR_UNIT],
     )
     def test_permutation_matches_edge_list_exactly(self, kernel):
-        tb = kernel.tables
-        assert isinstance(tb.structure, Permutation)
+        assert isinstance(kernel.structure, Permutation)
         # unit weights skip the add of the log weights; NEAR_UNIT's must keep it
-        assert tb.structure.unit == bool((tb.structure.w == 1.0).all()) == (kernel is not NEAR_UNIT)
-        twin = edge_list_twin(kernel).tables.structure
-        rng = np.random.default_rng(tb.num_classes)
+        assert kernel.structure.unit == bool((kernel.structure.w == 1.0).all()) == (kernel is not NEAR_UNIT)
+        twin = edge_list_twin(kernel).structure
+        rng = np.random.default_rng(kernel.num_classes)
         for ratio in [1.0, 1e-6, *rng.uniform(1e-3, 1.0, 10)]:
-            log_z = self.random_log_z(rng, tb.num_classes)
-            assert tb.structure.mix(log_z, ratio).tobytes() == twin.mix(log_z, ratio).tobytes()
+            log_z = self.random_log_z(rng, kernel.num_classes)
+            assert kernel.structure.mix(log_z, ratio).tobytes() == twin.mix(log_z, ratio).tobytes()
 
 
 def play(kernel, table, gamma=0.8):
@@ -381,21 +380,20 @@ class TestLeanRound:
         "kernel",
         [fixed_kernel(3), cyclic_kernel(3), switching_kernel(4, 0.3), NEAR_UNIT, SHARE_WITH_GAP,
          TransitionKernel.from_dense("lazy-walk", 3, [(0,), (1,), (2,)], LAZY_WALK)],
-        ids=lambda k: f"{k.name}-{k.tables.num_classes}",
+        ids=lambda k: f"{k.name}-{k.num_classes}",
     )
     def test_mix_and_grouping_leave_their_inputs(self, kernel):
-        tb = kernel.tables
-        k = tb.num_classes
+        k = kernel.num_classes
         rng = np.random.default_rng(k)
-        for structure in (tb.structure, edge_list_twin(kernel).tables.structure):
+        for structure in (kernel.structure, edge_list_twin(kernel).structure):
             for ratio in (1.0, 0.3):
                 log_z = TestStructuredMixing.random_log_z(rng, k)
                 before = log_z.tobytes()
                 structure.mix(log_z, ratio)
                 assert log_z.tobytes() == before, type(structure).__name__
-        for log_w in (TestStructuredMixing.random_log_z(rng, k), np.where(tb.expert_of == 0, -np.inf, 0.0)):
+        for log_w in (TestStructuredMixing.random_log_z(rng, k), np.where(kernel.expert_of == 0, -np.inf, 0.0)):
             before = log_w.tobytes()
-            tb.expert_log_weights(log_w)
+            kernel.expert_log_weights(log_w)
             assert log_w.tobytes() == before
 
     @pytest.mark.parametrize("stream", ["signed-zeros", "ties", "subnormal"])
@@ -403,14 +401,14 @@ class TestLeanRound:
         "kernel",
         [fixed_kernel(1), fixed_kernel(3), cyclic_kernel(3), NEAR_UNIT, switching_kernel(3, 0.2),
          switching_kernel(3, 0.9)],
-        ids=lambda k: f"{k.name}-{k.tables.num_classes}",
+        ids=lambda k: f"{k.name}-{k.num_classes}",
     )
     def test_engine_matches_its_edge_list_twin(self, kernel, stream):
         table = lean_round_streams(kernel.num_experts)[stream]
         probs, choices, diags, log_w = play(kernel, table)
         twin_probs, twin_choices, twin_diags, twin_log_w = play(edge_list_twin(kernel), table)
         assert choices == twin_choices
-        if isinstance(kernel.tables.structure, Permutation):
+        if isinstance(kernel.structure, Permutation):
             assert probs.tobytes() == twin_probs.tobytes()
             assert diags.tobytes() == twin_diags.tobytes()
             np.testing.assert_array_equal(log_w, twin_log_w)  # a zero's sign may differ
@@ -426,7 +424,7 @@ class TestLeanRound:
             "fixed-prior", 4, [(m,) for m in range(4)], np.eye(4),
             init_weights={(0,): 1 / 3, (1,): 1 / 3, (2,): 1 / 3},
         )
-        assert kernel.tables.structure.unit
+        assert kernel.structure.unit
         opening = [[0.0, 0.0, 0.0, 1.0], [0.0, 5e-324, 0.0, 0.0], [0.0, 0.0, 0.0, 1e3]]
         rest = np.random.default_rng(2).integers(0, 2, (30, 4)) * 10.0 ** np.repeat([-320, 0], 15)[:, None]
         table = np.vstack([opening, rest])
@@ -471,7 +469,7 @@ class TestAgainstStraightLoop:
     @pytest.mark.parametrize("seed", range(3))
     def test_lazy_walk_generic_path(self, seed):
         kernel = TransitionKernel.from_dense("lazy-walk", 3, [(0,), (1,), (2,)], LAZY_WALK)
-        assert isinstance(kernel.tables.structure, EdgeList)
+        assert isinstance(kernel.structure, EdgeList)
         self.check(kernel, LAZY_WALK, seed)
 
 

@@ -52,6 +52,26 @@ BENCHMARK_NAMES = [
     "trajectory_reference",
 ]
 
+# TransitionKernel's public names: its constructors and readers, and the tables it holds.
+KERNEL_API = [
+    "budget_bound",
+    "class_seg",
+    "classes",
+    "expert_log_weights",
+    "expert_of",
+    "expert_starts",
+    "from_dense",
+    "index",
+    "init_weights",
+    "name",
+    "num_classes",
+    "num_experts",
+    "one_per_expert",
+    "present_experts",
+    "structure",
+    "successor_items",
+]
+
 
 def test_all_is_pinned():
     assert classhedge.__all__ == PUBLIC_API
@@ -78,3 +98,10 @@ def test_per_round_internals_stay_in_core():
 def test_kernel_constructors_take_no_budget():
     for build in (classhedge.TransitionKernel, classhedge.TransitionKernel.from_dense):
         assert "budget" not in inspect.signature(build).parameters
+
+
+def test_kernel_names_are_pinned():
+    for kernel in (classhedge.fixed_kernel(2), classhedge.TransitionKernel.from_dense("d", 1, [(0,)], [[1.0]])):
+        assert sorted(name for name in dir(kernel) if not name.startswith("_")) == KERNEL_API
+        for gone in ("tables", "class_list", "initial_weights"):
+            assert not hasattr(kernel, gone), gone

@@ -137,7 +137,7 @@ class TestConfig:
 
     def test_switch_weight_accepts_numpy_reals(self):
         assert isinstance(
-            make_kernel("switching", 3, {"switch_weight": np.float32(0.25)}).tables.structure, FixedShare
+            make_kernel("switching", 3, {"switch_weight": np.float32(0.25)}).structure, FixedShare
         )
 
     @pytest.mark.parametrize("params", [[1], "switch_weight", 0.1])
@@ -429,6 +429,28 @@ class TestCsv:
             emit_probs_csv(report, missing.with_name("y.probs.csv"))
 
 
+@pytest.fixture
+def pools_made(monkeypatch):
+    """The workers asked of each process pool, which runs the tasks in this process."""
+    made = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+    return made
+
+
 class TestSweep:
     def test_summary_and_per_seed_files(self, tmp_path):
         base = ExperimentConfig(
@@ -467,30 +489,25 @@ class TestSweep:
         "jobs, seeds, cpus, pools",
         [(64, [1, 2], 1, [2]), (4, [1], 1, []), (None, [1, 2], 64, [2]), (None, [1, 2, 3], 2, [2])],
     )
-    def test_workers_capped_at_seed_count(self, tmp_path, monkeypatch, jobs, seeds, cpus, pools):
-        made = []
-
-        class RecordingPool:
-            """Records the workers asked for and runs the tasks in this process."""
-
-            def __init__(self, max_workers):
-                made.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+    def test_workers_capped_at_seed_count(self, tmp_path, monkeypatch, pools_made, jobs, seeds, cpus, pools):
         monkeypatch.setattr("os.cpu_count", lambda: cpus)
         base = ExperimentConfig(experts=2, rounds=5)
         summary = run_sweep(base, seeds, tmp_path / "sweep", jobs=jobs)
-        assert made == pools
+        assert pools_made == pools
         assert len(read_csv_columns(summary)["seed"]) == len(seeds)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize(
+        "seeds, message",
+        [([0, 2**64], "seed must be a 64-bit unsigned integer"), ([0, -1], "seed must be >= 0")],
+        ids=["past-64-bits", "negative"],
+    )
+    def test_bad_seed_refused_before_any_work(self, tmp_path, pools_made, jobs, seeds, message):
+        out_dir = tmp_path / "sweep"
+        with pytest.raises(ConfigError, match=message):
+            run_sweep(ExperimentConfig(experts=2, rounds=5), seeds, out_dir, jobs=jobs)
+        assert pools_made == []
+        assert not out_dir.exists()  # no directory, so no CSV
 
     def test_parallel_matches_serial(self, tmp_path):
         base = ExperimentConfig(experts=2, rounds=30, kernel="fixed", seed=0)

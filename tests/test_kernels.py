@@ -22,7 +22,6 @@ from classhedge.harness import ExperimentConfig, run_experiment
 from classhedge.kernels import (
     EdgeList,
     FixedShare,
-    KernelTables,
     Permutation,
     TransitionKernel,
     best_competitor,
@@ -44,8 +43,7 @@ BUILTINS = st.one_of(
 
 
 def random_in_class_path(kernel, rounds, rng):
-    tb = kernel.tables
-    starts = [c for i, c in enumerate(tb.classes) if tb.init_weights[i] > 0]
+    starts = [c for i, c in enumerate(kernel.classes) if kernel.init_weights[i] > 0]
     cls = starts[rng.integers(len(starts))]
     path = [cls]
     for _ in range(rounds - 1):
@@ -58,18 +56,18 @@ def random_in_class_path(kernel, rounds, rng):
 class TestFixedKernel:
     def test_singleton(self):
         kernel = fixed_kernel(1)
-        assert kernel.class_list() == ((0,),)
+        assert kernel.classes == ((0,),)
         assert kernel.successor_items((0,)) == (((0,), 1.0),)
         assert kernel.budget_bound(100) == 1.0
 
     def test_self_loops(self):
         kernel = fixed_kernel(3)
-        assert len(kernel.class_list()) == 3
+        assert len(kernel.classes) == 3
         for m in range(3):
             assert kernel.successor_items((m,)) == (((m,), 1.0),)
 
     def test_uniform_init(self):
-        np.testing.assert_allclose(fixed_kernel(4).initial_weights(), 0.25)
+        np.testing.assert_allclose(fixed_kernel(4).init_weights, 0.25)
 
     def test_budget(self):
         assert fixed_kernel(5).budget_bound(10) == pytest.approx(1 + math.log(5), rel=1e-15)
@@ -84,11 +82,11 @@ class TestCyclicKernel:
 
     def test_single_expert_degenerates_to_self_loop(self):
         kernel = cyclic_kernel(1)
-        assert kernel.class_list() == ((0, 0),)
+        assert kernel.classes == ((0, 0),)
         assert kernel.successor_items((0, 0)) == (((0, 0), 1.0),)
 
     def test_class_count_is_m_squared(self):
-        assert len(cyclic_kernel(5).class_list()) == 25
+        assert len(cyclic_kernel(5).classes) == 25
 
     def test_budget_for_eight_experts(self):
         assert cyclic_kernel(8).budget_bound(10_000) == pytest.approx(
@@ -98,9 +96,8 @@ class TestCyclicKernel:
     @given(st.integers(1, 6))
     def test_successor_map_is_a_permutation(self, experts):
         kernel = cyclic_kernel(experts)
-        tb = kernel.tables
-        images = {kernel.successor_items(cls)[0][0] for cls in tb.classes}
-        assert images == set(tb.classes)
+        images = {kernel.successor_items(cls)[0][0] for cls in kernel.classes}
+        assert images == set(kernel.classes)
 
 
 class TestSwitchingKernel:
@@ -179,7 +176,7 @@ class TestKernelValidation:
 
     @given(BUILTINS)
     def test_rows_sum_to_one(self, kernel):
-        for cls in kernel.class_list():
+        for cls in kernel.classes:
             total = math.fsum(w for _, w in kernel.successor_items(cls))
             assert abs(total - 1.0) <= 1e-12
 
@@ -327,29 +324,28 @@ class TestTransitionStructure:
 
     @pytest.mark.parametrize("kernel", [fixed_kernel(1), fixed_kernel(4), cyclic_kernel(1), cyclic_kernel(3)])
     def test_fixed_and_cyclic_are_permutations(self, kernel):
-        assert isinstance(kernel.tables.structure, Permutation)
+        assert isinstance(kernel.structure, Permutation)
 
     @pytest.mark.parametrize("experts, weight", [(2, 0.5), (2, 0.1), (3, 0.2), (8, 1 - 1e-9)])
     def test_switching_is_fixed_share(self, experts, weight):
-        tb = switching_kernel(experts, weight).tables
-        assert tb.structure == FixedShare(1.0 - weight, weight / (experts - 1))
+        assert switching_kernel(experts, weight).structure == FixedShare(1.0 - weight, weight / (experts - 1))
 
     def test_dense_fixed_share_detected(self):
         matrix = np.full((3, 3), 0.25) + np.eye(3) * 0.25
         kernel = TransitionKernel.from_dense("dense-share", 3, [(0,), (1,), (2,)], matrix)
-        assert kernel.tables.structure == FixedShare(0.5, 0.25)
+        assert kernel.structure == FixedShare(0.5, 0.25)
 
     def test_dense_permutation_detected(self):
         matrix = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]
         kernel = TransitionKernel.from_dense("rotate", 3, [(0,), (1,), (2,)], matrix)
-        assert isinstance(kernel.tables.structure, Permutation)
+        assert isinstance(kernel.structure, Permutation)
 
     def test_other_kernels_have_no_structure(self):
         lazy = TransitionKernel.from_dense("lazy-walk", 3, [(0,), (1,), (2,)], LAZY_WALK)
         drifty = TransitionKernel.from_dense("drifty", 2, [(0,), (1,)], [[0.7, 0.3], [0.4, 0.6]])
         many_to_one = TransitionKernel("merge", 2, [(0,), (1,)], {(0,): [((0,), 1.0)], (1,): [((0,), 1.0)]})
         for kernel in (lazy, drifty, many_to_one):
-            assert isinstance(kernel.tables.structure, EdgeList)
+            assert isinstance(kernel.structure, EdgeList)
 
 
 class TestFixedShareKeepsNoEdges:
@@ -357,9 +353,9 @@ class TestFixedShareKeepsNoEdges:
     budgets and least weight with the bits of an edge list over the same matrix."""
 
     def test_no_array_grows_with_the_edges(self):
-        tb = switching_kernel(512, 0.1).tables
-        arrays = [getattr(tb, f.name) for f in dataclasses.fields(tb)]
-        arrays += [getattr(tb.structure, f.name) for f in dataclasses.fields(tb.structure)]
+        kernel = switching_kernel(512, 0.1)
+        arrays = list(vars(kernel).values())
+        arrays += [getattr(kernel.structure, f.name) for f in dataclasses.fields(kernel.structure)]
         assert all(x.size <= 512 for x in arrays if isinstance(x, np.ndarray))
 
     @pytest.mark.parametrize("experts", [2, 3, 8])
@@ -368,13 +364,11 @@ class TestFixedShareKeepsNoEdges:
         kernel = switching_kernel(experts, weight)
         matrix = np.full((experts, experts), weight / (experts - 1))
         np.fill_diagonal(matrix, 1.0 - weight)
-        twin = TransitionKernel.from_dense("dense", experts, kernel.class_list(), matrix)
+        twin = TransitionKernel.from_dense("dense", experts, kernel.classes, matrix)
         src, dst = np.nonzero(matrix)
         starts = np.searchsorted(src, np.arange(experts))
-        twin.tables = dataclasses.replace(
-            twin.tables, structure=EdgeList.of(src, dst, matrix[src, dst], starts, experts)
-        )
-        assert isinstance(kernel.tables.structure, FixedShare)
+        twin.structure = EdgeList.of(src, dst, matrix[src, dst], starts, experts)
+        assert isinstance(kernel.structure, FixedShare)
         assert_rows_equal(twin, kernel)
         for rounds in (0, 1, 2, 100, 10_000):
             assert kernel.budget_bound(rounds) == twin.budget_bound(rounds)
@@ -402,7 +396,7 @@ class TestStructuredDP:
 
     def kernels(self):
         generic = TransitionKernel.from_dense("complete", 3, [(0,), (1,), (2,)], self.MATRIX)
-        assert isinstance(generic.tables.structure, EdgeList)
+        assert isinstance(generic.structure, EdgeList)
         return generic, switching_kernel(3, 0.2)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -436,7 +430,10 @@ def mapping_form(name, experts, weight=0.1):
 
 # every table of a kernel, the transition structure and its own tables included,
 # and the class index, a property built on first read
-TABLE_NAMES = [f.name for f in dataclasses.fields(KernelTables)] + ["index"]
+TABLE_NAMES = [
+    "classes", "num_experts", "expert_of", "present_experts", "expert_starts", "class_seg",
+    "init_weights", "one_per_expert", "structure", "index",
+]
 
 
 def assert_same_table(x, y, name):
@@ -461,7 +458,7 @@ def assert_tables_equal(a, b):
 def assert_rows_equal(rows, kernel):
     """Every class's successor list, classes and weights bit for bit: ``rows``
     maps each class to its list, or is a second kernel."""
-    for cls in kernel.tables.classes:
+    for cls in kernel.classes:
         want = rows.successor_items(cls) if isinstance(rows, TransitionKernel) else rows[cls]
         got = kernel.successor_items(cls)
         assert [b for b, _ in got] == [b for b, _ in want], cls
@@ -483,7 +480,7 @@ class TestArrayBuild:
             name, lambda m: switching_kernel(m, 0.1)
         )(experts)
         mapped = mapping_form(name, experts)
-        assert_tables_equal(made.tables, mapped.tables)
+        assert_tables_equal(made, mapped)
         assert_rows_equal(mapped, made)
 
     @pytest.mark.parametrize(
@@ -504,8 +501,18 @@ class TestArrayBuild:
         experts = 1 + max(c[0] for c in classes)
         mapped = TransitionKernel("m", experts, classes, successors)
         dense = TransitionKernel.from_dense("m", experts, classes, matrix)
-        assert_tables_equal(dense.tables, mapped.tables)
+        assert_tables_equal(dense, mapped)
         assert_rows_equal(mapped, dense)
+
+    def test_every_table_is_compared(self):
+        # a table added to the kernel must join TABLE_NAMES, which the twin and reference comparisons read
+        made = [mapping_form("cyclic", 3), TransitionKernel.from_dense("dense", 3, [(0,), (1,), (2,)], LAZY_WALK)]
+        made += [
+            {"fixed": fixed_kernel, "cyclic": cyclic_kernel}.get(name, lambda m: switching_kernel(m, 0.1))(experts)
+            for name, experts in BUILT
+        ]
+        for kernel in made:
+            assert set(vars(kernel)) - {"name", "index"} == set(TABLE_NAMES) - {"index"}, kernel
 
     def test_switching_build_peak_memory(self):
         # the finished M=512 tables hold no edge arrays: about 90 kB of class tables
@@ -615,18 +622,18 @@ class TestBuildReference:
             name, lambda m: switching_kernel(m, 0.1)
         )(experts)
         ref = reference_tables(builtin_edges(name, experts), experts)
-        assert_tables_equal(ref, made.tables)
+        assert_tables_equal(ref, made)
         assert_rows_equal(ref["rows"], made)
         # the built-ins hand over their expert map, and the groups are read off it: all intp
         for table in ("expert_of", "present_experts", "expert_starts", "class_seg"):
-            assert getattr(made.tables, table).dtype == np.intp, table
+            assert getattr(made, table).dtype == np.intp, table
 
     def test_user_kernels(self):
         kinds = set()
         for kernel, ref in user_kernels():
-            assert_tables_equal(ref, kernel.tables)
+            assert_tables_equal(ref, kernel)
             assert_rows_equal(ref["rows"], kernel)
-            kinds.add(type(kernel.tables.structure))
+            kinds.add(type(kernel.structure))
         assert {Permutation, EdgeList} <= kinds
 
     def test_user_kernel_with_missing_expert_and_uneven_groups(self):
@@ -643,10 +650,10 @@ class TestBuildReference:
             with pytest.warns(UserWarning, match=re.escape("no class for experts [1]")) as record:
                 kernel = build()
             assert record[0].filename == __file__
-            assert_tables_equal(ref, kernel.tables)
-            assert kernel.tables.class_seg.tolist() == [0, 0, 0, 1, 2, 2]
-            assert kernel.tables.expert_starts.tolist() == [0, 3, 4]
-            assert not kernel.tables.one_per_expert
+            assert_tables_equal(ref, kernel)
+            assert kernel.class_seg.tolist() == [0, 0, 0, 1, 2, 2]
+            assert kernel.expert_starts.tolist() == [0, 3, 4]
+            assert not kernel.one_per_expert
 
     @pytest.mark.parametrize("upper", [True, False], ids=["above", "below"])
     @pytest.mark.parametrize("fsum_rejects", [True, False], ids=["fsum-rejects", "fsum-accepts"])
@@ -670,7 +677,7 @@ class TestBuildReference:
             with pytest.raises(ConfigError, match=re.escape(f"row for (0, 0) sums to {exact!r}, not 1")):
                 TransitionKernel("edge", 1, classes, successors)
         else:
-            assert TransitionKernel("edge", 1, classes, successors).tables.num_classes == n
+            assert TransitionKernel("edge", 1, classes, successors).num_classes == n
 
     @pytest.mark.parametrize("dense", [True, False], ids=["from_dense", "mapping"])
     def test_overflowing_row_sums_to_inf(self, dense):
@@ -707,7 +714,7 @@ class TestDerivedTables:
             best_competitor(kernel, table)
             best_prefix_losses(kernel, table)
         derive.assert_not_called()
-        assert dataclasses.astuple(kernel.tables.structure) == (0.9, 0.1 / 7)
+        assert dataclasses.astuple(kernel.structure) == (0.9, 0.1 / 7)
 
     def test_destination_tables_built_once(self):
         with mock.patch.object(EdgeList, "of", wraps=EdgeList.of) as derive:
@@ -719,7 +726,7 @@ class TestDerivedTables:
             best_prefix_losses(kernel, np.ones((4, 3)))
             best_competitor(kernel, np.ones((4, 3)))
         derive.assert_called_once()
-        assert isinstance(kernel.tables.structure, EdgeList)
+        assert isinstance(kernel.structure, EdgeList)
 
     def test_concurrent_first_reads_agree(self):
         # kernels are shared across threads: racing first DP calls may each derive the orbit block
@@ -755,14 +762,14 @@ class TestDerivedTables:
             agg.run_round(losses, np.random.default_rng(1))
         best_competitor(kernel, table)
         best_prefix_losses(kernel, table)
-        assert "index" not in vars(kernel.tables)
-        kernel.successor_items(kernel.tables.classes[-1])
-        assert vars(kernel.tables)["index"] == {c: i for i, c in enumerate(kernel.tables.classes)}
+        assert "index" not in vars(kernel)
+        kernel.successor_items(kernel.classes[-1])
+        assert vars(kernel)["index"] == {c: i for i, c in enumerate(kernel.classes)}
 
     def test_concurrent_first_index_reads_agree(self):
         # kernels are shared across threads: racing first reads may each build the index
         def read_index(kernel):
-            return [kernel.successor_items(c) for c in kernel.tables.classes[::7]], kernel.tables.index
+            return [kernel.successor_items(c) for c in kernel.classes[::7]], kernel.index
 
         want = read_index(cyclic_kernel(8))
         interval = sys.getswitchinterval()
@@ -774,7 +781,7 @@ class TestDerivedTables:
                     reads = [pool.submit(read_index, kernel) for _ in range(2)]
                     for read in reads:
                         assert read.result(timeout=10) == want
-                    assert kernel.tables.index == want[1]
+                    assert kernel.index == want[1]
         finally:
             sys.setswitchinterval(interval)
 
@@ -786,13 +793,13 @@ class TestDerivedTables:
             prefix = best_prefix_losses(kernel, table)
             best_competitor(kernel, table[:5])
         derive.assert_called_once()
-        assert kernel.tables.structure.orbit.shape == (kernels._BLOCK // 64, 64)
+        assert kernel.structure.orbit.shape == (kernels._BLOCK // 64, 64)
         # a block narrower than the cached one reads its first rows; a wider one rebuilds it
         for block in (64, 50 * 64, 700 * 64):
             with mock.patch.object(kernels, "_BLOCK", block):
                 assert best_competitor(kernel, table) == (path, loss)
                 np.testing.assert_array_equal(best_prefix_losses(kernel, table), prefix)
-                assert len(kernel.tables.structure.orbit) >= min(300, block // 64)
+                assert len(kernel.structure.orbit) >= min(300, block // 64)
 
 
 TWO = [(0,), (1,)]
@@ -852,7 +859,7 @@ class TestBuildErrors:
 
     def test_zero_dense_entries_are_dropped(self):
         kernel = TransitionKernel.from_dense("ok", 2, TWO, [[1.0, 0.0], [0.0, 1.0]])
-        assert isinstance(kernel.tables.structure, Permutation) and len(kernel.tables.structure.w) == 2
+        assert isinstance(kernel.structure, Permutation) and len(kernel.structure.w) == 2
 
     @pytest.mark.parametrize(
         "src, dst, match",
@@ -861,20 +868,19 @@ class TestBuildErrors:
     )
     def test_edge_arrays(self, src, dst, match):
         with pytest.raises(ConfigError, match=match):
-            TransitionKernel._from_transitions("bad", 2, TWO, (src, dst, np.full(len(src), 1.0)))
+            kernels._edge_structure(TWO, src, dst, np.full(len(src), 1.0))
 
 
 def straight_loop_dp(kernel, table):
     """Dense min-plus DP with plain loops: (best path, its loss, prefix minima)."""
-    tb = kernel.tables
-    k, rounds = tb.num_classes, len(table)
-    expert = [c[0] for c in tb.classes]
-    succ = [[tb.index[b] for b, _ in kernel.successor_items(a)] for a in tb.classes]
+    k, rounds = kernel.num_classes, len(table)
+    expert = [c[0] for c in kernel.classes]
+    succ = [[kernel.index[b] for b, _ in kernel.successor_items(a)] for a in kernel.classes]
     cost = [[0.0] * k for _ in range(rounds)]
     cost[-1] = [float(table[-1][expert[i]]) for i in range(k)]
     for t in range(rounds - 2, -1, -1):
         cost[t] = [float(table[t][expert[i]]) + min(cost[t + 1][j] for j in succ[i]) for i in range(k)]
-    starts = [i for i in range(k) if tb.init_weights[i] > 0.0]
+    starts = [i for i in range(k) if kernel.init_weights[i] > 0.0]
     cur = min(starts, key=lambda i: (cost[0][i], i))
     path = [cur]
     for t in range(1, rounds):
@@ -889,21 +895,18 @@ def straight_loop_dp(kernel, table):
                 carried[j] = min(carried[j], dp[i])
         dp = [carried[j] + float(table[t][expert[j]]) for j in range(k)]
         prefix.append(min(dp))
-    return tuple(tb.classes[i] for i in path), cost[0][path[0]], prefix
+    return tuple(kernel.classes[i] for i in path), cost[0][path[0]], prefix
 
 
 def edge_list_twin(kernel):
     """The same kernel, its tables the same but with the edge-list structure,
     built from its successor lists."""
-    tb = kernel.tables
-    edges = [(i, tb.index[b], w) for i, a in enumerate(tb.classes) for b, w in kernel.successor_items(a)]
+    edges = [(i, kernel.index[b], w) for i, a in enumerate(kernel.classes) for b, w in kernel.successor_items(a)]
     src, dst = (np.array([e[j] for e in edges], dtype=np.intp) for j in (0, 1))
     weights = np.array([e[2] for e in edges])
-    starts = np.searchsorted(src, np.arange(tb.num_classes))
+    starts = np.searchsorted(src, np.arange(kernel.num_classes))
     twin = copy.copy(kernel)
-    twin.tables = dataclasses.replace(
-        tb, structure=EdgeList.of(src, dst, weights, starts, tb.num_classes)
-    )
+    twin.structure = EdgeList.of(src, dst, weights, starts, kernel.num_classes)
     return twin
 
 
@@ -950,7 +953,7 @@ def block_games(draw):
         st.floats(1e-3, 0.999).map(lambda w: switching_kernel(64, w)),
     ))
     block = draw(st.sampled_from([kernels._BLOCK, 1, 50, 700]))
-    width = max(1, block // kernel.tables.num_classes)
+    width = max(1, block // kernel.num_classes)
     rounds = max(1, draw(st.sampled_from([1, 2, width - 1, width, width + 1, 2 * width + 1])))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     shape = (rounds, kernel.num_experts)
@@ -972,7 +975,7 @@ class TestClosedFormDP:
     """Permutation and fixed-share DPs give the same bits as the edge lists and a
     straight-loop DP, and keep at most one back-pointer per round."""
 
-    @pytest.mark.parametrize("kernel", DP_KERNELS, ids=lambda k: f"{k.name}-{k.tables.num_classes}")
+    @pytest.mark.parametrize("kernel", DP_KERNELS, ids=lambda k: f"{k.name}-{k.num_classes}")
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_straight_loop_and_edge_lists(self, kernel, seed):
         rng = np.random.default_rng(seed)
@@ -1048,7 +1051,7 @@ class TestClosedFormDP:
         # T = 2B + 1: two blocks of B rounds accumulated down their rows (an even
         # class count two classes per complex addition, an odd one as floats) and
         # a one-round block; ties, zeros of both signs and 1e+-150 jumps
-        width = kernels._BLOCK // kernel.tables.num_classes
+        width = kernels._BLOCK // kernel.num_classes
         rng = np.random.default_rng(width)
         table = rng.integers(-2, 3, (2 * width + 1, kernel.num_experts)).astype(float)
         table[rng.random(table.shape) < 0.2] = -0.0
@@ -1066,7 +1069,7 @@ class TestClosedFormDP:
 
     def test_large_permutation_with_one_round_per_block(self):
         kernel = cyclic_kernel(100)
-        assert kernel.tables.num_classes > kernels._BLOCK  # each block holds one round
+        assert kernel.num_classes > kernels._BLOCK  # each block holds one round
         rng = np.random.default_rng(5)
         table = rng.integers(-3, 4, (50, 100)) * 10.0 ** rng.choice([-150, 0, 150], (50, 1))
         twin = edge_list_twin(kernel)
