@@ -160,7 +160,10 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     if args.w_budget is None:  # W_T at the run's own T, one CSV row per round
         w_budget = kernel.budget_bound(len(columns["D"]))
     if args.probs:
-        report = oracle.bound_report(w_budget, *harness.read_probs_csv(args.probs))
+        probs, losses = harness.read_probs_csv(args.probs)
+        if args.w_budget is None and probs.shape[1] != kernel.num_experts:
+            raise ConfigError(f"--experts is {args.experts}, but {args.probs} has {probs.shape[1]} p_ columns")
+        report = oracle.bound_report(w_budget, probs, losses)
         print(
             f"W={report.w_budget:.12g} D={report.D:.12g} V*={report.v_star:.12g} "
             f"sum_d_sq={report.sum_d_sq:.12g}"

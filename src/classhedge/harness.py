@@ -15,25 +15,18 @@ from __future__ import annotations
 
 import os
 import warnings
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field, replace
+from itertools import count
 from pathlib import Path
-from typing import Iterator, Mapping
 
 import numpy as np
 
 from .aggregator import Aggregator, RoundDiagnostics
 from .core import ConfigError, InvariantViolation, as_gamma, gamma_from_budget
 from .core import MAX_ROUNDS, as_instance, as_integer, as_real, bound_range, bound_var
-from .kernels import (
-    ClassParams,
-    TransitionKernel,
-    best_competitor,
-    best_prefix_losses,
-    cyclic_kernel,
-    fixed_kernel,
-    switching_kernel,
-)
+from .kernels import SWITCH_WEIGHT_RULE, ClassParams, TransitionKernel, best_competitor, best_prefix_losses
+from .kernels import cyclic_kernel, fixed_kernel, switching_kernel
 from . import oracle
 
 CSV_COLUMNS = (
@@ -50,38 +43,86 @@ CSV_COLUMNS = (
     "V",
 )
 
-KERNELS = ("fixed", "cyclic", "switching")
-_GEN_PARAMS = {
-    "constant": {"value": 0.0},
-    "iid-uniform": {"offset": 0.0, "scale": 1.0},
-    "gaussian-drift": {"drift": 0.05, "noise": 1.0, "spread": 1.0},
-    "adversarial-cyclic": {"sigma": 1, "delta": 0.3, "start": 0},
-    "adversarial-switching": {"delta": 0.3, "period": 50},
-}
-GENERATORS = tuple(_GEN_PARAMS)
+
+def _constant(num_experts, rng, value):
+    while True:
+        yield np.full(num_experts, value)
 
 
-def _as_params(params, owner: str) -> dict:
-    if params is None:
-        return {}
-    if not isinstance(params, Mapping):
-        raise ConfigError(f"{owner} parameters must be a mapping of names to values, got {params!r}")
-    return dict(params)
+def _iid_uniform(num_experts, rng, offset, scale):
+    while True:
+        yield offset + scale * rng.random(num_experts)
+
+
+def _gaussian_drift(num_experts, rng, drift, noise, spread):
+    means = spread * rng.standard_normal(num_experts)
+    while True:
+        yield means + noise * rng.standard_normal(num_experts)
+        means = means + drift * rng.standard_normal(num_experts)
+
+
+def _adversarial_cyclic(num_experts, rng, sigma, delta, start):
+    for t in count():
+        losses = rng.random(num_experts)
+        losses[(start + sigma * t) % num_experts] -= delta
+        yield losses
+
+
+def _adversarial_switching(num_experts, rng, delta, period):
+    for t in count():
+        if t % period == 0:
+            planted = int(rng.integers(num_experts))
+        losses = rng.random(num_experts)
+        losses[planted] -= delta
+        yield losses
+
+
+# Every built-in kernel and loss generator: (kind, the kind as parameter messages name it, {name:
+# (builder, fewest experts, parameter defaults, parameter rules)}).  A parameter's value has its
+# default's type, int or float, and meets its rule, if any: keyword arguments of that type's gate.
+_KERNELS = ("kernel", "kernel", {
+    "fixed": (fixed_kernel, 1, {}, {}),
+    "cyclic": (cyclic_kernel, 1, {}, {}),
+    "switching": (switching_kernel, 2, {"switch_weight": 0.1}, {"switch_weight": SWITCH_WEIGHT_RULE}),
+})
+_GENERATORS = ("loss generator", "generator", {
+    "constant": (_constant, 1, {"value": 0.0}, {}),
+    "iid-uniform": (_iid_uniform, 1, {"offset": 0.0, "scale": 1.0}, {}),
+    "gaussian-drift": (_gaussian_drift, 1, {"drift": 0.05, "noise": 1.0, "spread": 1.0}, {}),
+    "adversarial-cyclic": (_adversarial_cyclic, 1, {"sigma": 1, "delta": 0.3, "start": 0}, {}),
+    "adversarial-switching":
+        (_adversarial_switching, 1, {"delta": 0.3, "period": 50}, {"period": {"minimum": 1}}),
+})
+KERNELS = tuple(_KERNELS[2])
+GENERATORS = tuple(_GENERATORS[2])
+
+
+def _checked(table: tuple, name, num_experts, params) -> tuple[Callable, dict]:
+    """The builder of ``table``'s entry ``name`` and its parameters, checked and defaulted,
+    building nothing; any fault is a ConfigError, too few experts for the entry included."""
+    kind, short, entries = table
+    if not isinstance(name, str) or name not in entries:
+        raise ConfigError(f"unknown {kind} {name!r}; choose from {tuple(entries)}")
+    build, min_experts, defaults, rules = entries[name]
+    as_integer(num_experts, "num_experts", min_experts)
+    params = {} if params is None else params
+    if not (isinstance(params, Mapping) and all(isinstance(key, str) for key in params)):
+        raise ConfigError(f"{short} {name!r} parameters must be a mapping of names to values, got {params!r}")
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        raise ConfigError(f"{short} {name!r} does not take parameters {unknown}")
+    values = {}
+    for key, default in defaults.items():
+        value, rule = params.get(key, default), rules.get(key, {})
+        # a parameter with a rule is named alone, as switching_kernel names switch_weight
+        what = key if rule else f"{short} parameter {key}={value!r}"
+        values[key] = (as_real if isinstance(default, float) else as_integer)(value, what, **rule)
+    return build, values
 
 
 def make_kernel(name: str, num_experts: int, params: dict | None = None) -> TransitionKernel:
-    params = _as_params(params, f"kernel {name!r}")
-    if name == "fixed":
-        kernel = fixed_kernel(num_experts)
-    elif name == "cyclic":
-        kernel = cyclic_kernel(num_experts)
-    elif name == "switching":
-        kernel = switching_kernel(num_experts, params.pop("switch_weight", 0.1))
-    else:
-        raise ConfigError(f"unknown kernel {name!r}; choose from {KERNELS}")
-    if params:
-        raise ConfigError(f"kernel {name!r} does not take parameters {sorted(params)}")
-    return kernel
+    build, values = _checked(_KERNELS, name, num_experts, params)
+    return build(num_experts, **values)
 
 
 def loss_generator(
@@ -95,61 +136,8 @@ def loss_generator(
     the same with a planted expert redrawn every ``period`` rounds.  The name
     and parameters are checked when called, before any loss is drawn.
     """
-    if name not in _GEN_PARAMS:
-        raise ConfigError(f"unknown loss generator {name!r}; choose from {GENERATORS}")
-    as_instance(rng, np.random.Generator, "rng")
-    defaults = _GEN_PARAMS[name]
-    params = _as_params(params, f"generator {name!r}")
-    unknown = set(params) - set(defaults)
-    if unknown:
-        raise ConfigError(f"generator {name!r} does not take parameters {sorted(unknown)}")
-    num_experts = as_integer(num_experts, "num_experts", 1)
-    values = {
-        key: (as_integer if isinstance(defaults[key], int) else as_real)(
-            value, f"generator parameter {key}={value!r}"
-        )
-        for key, value in {**defaults, **params}.items()
-    }
-    if name == "adversarial-switching" and values["period"] < 1:
-        raise ConfigError(f"period must be >= 1, got {values['period']}")
-    return _loss_stream(name, num_experts, values, rng)
-
-
-def _loss_stream(
-    name: str, num_experts: int, params: dict, rng: np.random.Generator
-) -> Iterator[np.ndarray]:
-    if name == "constant":
-        while True:
-            yield np.full(num_experts, params["value"])
-    elif name == "iid-uniform":
-        offset, scale = params["offset"], params["scale"]
-        while True:
-            yield offset + scale * rng.random(num_experts)
-    elif name == "gaussian-drift":
-        drift, noise = params["drift"], params["noise"]
-        means = params["spread"] * rng.standard_normal(num_experts)
-        while True:
-            yield means + noise * rng.standard_normal(num_experts)
-            means = means + drift * rng.standard_normal(num_experts)
-    elif name == "adversarial-cyclic":
-        sigma, start, delta = params["sigma"], params["start"], params["delta"]
-        t = 0
-        while True:
-            losses = rng.random(num_experts)
-            losses[(start + sigma * t) % num_experts] -= delta
-            yield losses
-            t += 1
-    else:  # adversarial-switching
-        delta, period = params["delta"], params["period"]
-        t = 0
-        planted = int(rng.integers(num_experts))
-        while True:
-            if t and t % period == 0:
-                planted = int(rng.integers(num_experts))
-            losses = rng.random(num_experts)
-            losses[planted] -= delta
-            yield losses
-            t += 1
+    build, values = _checked(_GENERATORS, name, num_experts, params)
+    return build(num_experts, as_instance(rng, np.random.Generator, "rng"), **values)
 
 
 @dataclass
@@ -178,6 +166,8 @@ class ExperimentConfig:
             raise ConfigError(f"out must be a path, got {self.out!r}")
         if not isinstance(self.debug_probs, bool):
             raise ConfigError(f"debug_probs must be true or false, got {self.debug_probs!r}")
+        _checked(_KERNELS, self.kernel, self.experts, self.kernel_params)
+        _checked(_GENERATORS, self.loss_gen, self.experts, self.loss_params)
 
 
 @dataclass

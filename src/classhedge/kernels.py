@@ -29,6 +29,8 @@ from .core import MAX_ROUNDS, ConfigError, OutOfClassError, as_instance, as_inte
 ClassParams = tuple[int, ...]
 
 _ROW_TOL = 1e-12
+#: switching_kernel's rule on switch_weight, as keyword arguments of ``as_real``.
+SWITCH_WEIGHT_RULE = {"rule": "a real in (0, 1)", "valid": lambda w: 0.0 < w < 1.0}
 
 
 def _segment_logsumexp(values: np.ndarray, starts: np.ndarray, seg: np.ndarray, out=None) -> np.ndarray:
@@ -374,7 +376,7 @@ def switching_kernel(num_experts: int, switch_weight: float) -> TransitionKernel
     which is what ``budget_bound`` charges.
     """
     num_experts = as_integer(num_experts, "num_experts", 2)
-    w = as_real(switch_weight, "switch_weight", "a real in (0, 1)", lambda w: 0.0 < w < 1.0)
+    w = as_real(switch_weight, "switch_weight", **SWITCH_WEIGHT_RULE)
     stay, off = 1.0 - w, w / (num_experts - 1)
     ids, classes = np.arange(num_experts), list(zip(range(num_experts)))
     # row m is row 0 with entries 0 and m swapped, so row 0's checks stand for every row

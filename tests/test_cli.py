@@ -363,3 +363,19 @@ def test_bounds_reads_the_rounds_off_the_csv(tmp_path, capsys):
         assert main(["bounds", "--csv", str(out), *extra, *budget]) == 0
         printed = capsys.readouterr().out.split("bound_var=", 1)[1].split()[0]
         assert printed == format(stored, ".12g")
+
+
+def test_bounds_refuses_experts_that_disagree_with_the_probs_csv(tmp_path, capsys):
+    out = tmp_path / "run.csv"
+    assert main([
+        "run", "--experts", "4", "--rounds", "60", "--kernel", "switching",
+        "--loss-gen", "adversarial-cyclic", "--seed", "1", "--out", str(out), "--debug-probs",
+    ]) == 0
+    capsys.readouterr()
+    argv = ["bounds", "--csv", str(out), "--probs", str(probs_csv_path(out)), "--kernel", "switching"]
+    assert main([*argv, "--experts", "16"]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "--experts is 16" in lines[0] and "has 4 p_ columns" in lines[0]
+    assert "Traceback" not in captured.err and "bound_var" not in captured.out

@@ -1,5 +1,6 @@
 """Tests for loss generators, the experiment loop, CSV emission, and sweeps."""
 
+import hashlib
 import math
 import sys
 from pathlib import Path
@@ -59,6 +60,44 @@ class TestLossGenerators:
         # no next(): the checks must not wait for the first loss to be drawn
         with pytest.raises(ConfigError, match=message):
             loss_generator(name, 2, params, np.random.default_rng(0))
+
+    NON_DEFAULT = {
+        "constant": {"value": -2.75},
+        "iid-uniform": {"offset": -3.5, "scale": 1e3},
+        "gaussian-drift": {"drift": 0.5, "noise": 2.0, "spread": 0.25},
+        "adversarial-cyclic": {"sigma": 2, "delta": 0.7, "start": 1},
+        "adversarial-switching": {"delta": 0.9, "period": 3},
+    }
+
+    @pytest.mark.parametrize("name, experts, params, digest", [
+        ("constant", 1, "default", "076a27c79e5ace2a3d47f9dd2e83e4ff6ea8872b3c2218f66c92b89b55f36560"),
+        ("constant", 1, "custom", "68a93af22038165393dd3d6c06a86535a58f784826be4cf61dae76803f8d154a"),
+        ("constant", 3, "default", "80422bc3d307b4a25bdafcc84ac7fb01cb55a09810e8b0f37bb12e0edb5c48ca"),
+        ("constant", 3, "custom", "9963669894b9ec862319ee50586747a4bb0457c45744f8941d1c5af0dad40094"),
+        ("iid-uniform", 1, "default", "97a942a4e10b14332c04a8f35a5fbd618965676ee523337f27fc912d4c2eeaaf"),
+        ("iid-uniform", 1, "custom", "2b614864903af4abc254fab0fb308c96d8718253b112b3d4fb922498947c66e9"),
+        ("iid-uniform", 3, "default", "8a164805880ba187db8c3f8fa1ec61fe986ac056b35d801f64c82af7566d7d2c"),
+        ("iid-uniform", 3, "custom", "62c0d0bf2947e492dbbfccc012209bfe31e68eb1003931015dad39e26438fbb1"),
+        ("gaussian-drift", 1, "default", "6c63204a063a06ef8f9884a2b04d80d22dabdc908bded3f69f27e4e42a2b7c7a"),
+        ("gaussian-drift", 1, "custom", "2210541d8193816752fd675d7ec41d5a5b65a2db109f6e2da8050ae964f11737"),
+        ("gaussian-drift", 3, "default", "1f6563e180479f2d3dd9ad9393d16d9e0d1286d62523310db2279f81eeac2537"),
+        ("gaussian-drift", 3, "custom", "b5e177f0a4844d13b4ba148fa4d19e11fcd63ae3fe444fba46bd0a48a1dc3cef"),
+        ("adversarial-cyclic", 1, "default", "f588d5581db65674ac39d894f4bc07b49f34c4c62b876ca38ed41aa6a1875404"),
+        ("adversarial-cyclic", 1, "custom", "837ab61b95bc4d4ed7f3af6866f0a310460c57d381bff19f61fed697437f8682"),
+        ("adversarial-cyclic", 3, "default", "0b64b1af92952a7e64c08b906a5f5c84bb12d2f97a13ee78bef6d1925123daf6"),
+        ("adversarial-cyclic", 3, "custom", "f6df04444c8430a7eb6034f35438d696425cbc558bbe7070a548361654f39dfa"),
+        ("adversarial-switching", 1, "default", "f588d5581db65674ac39d894f4bc07b49f34c4c62b876ca38ed41aa6a1875404"),
+        ("adversarial-switching", 1, "custom", "550bb435e505e691981a9a14d004fcfe0d1bb02074688c57995208cf37a26668"),
+        ("adversarial-switching", 3, "default", "46e760b037e849227e1365fa483e109a15f57e49ffb90c8f56e71b40ef09d945"),
+        ("adversarial-switching", 3, "custom", "10844b186b2654e7924b3204880ca0af2065765c8baca40ad6b6f074abff4c12"),
+    ])
+    def test_first_rows_keep_their_bytes(self, name, experts, params, digest):
+        # sha256 of the first 64 rows, seed 0, as little-endian doubles
+        stream = loss_generator(name, experts, self.NON_DEFAULT[name] if params == "custom" else {},
+                                np.random.default_rng(0))
+        rows = take(stream, 64).astype("<f8")
+        assert rows.shape == (64, experts)
+        assert hashlib.sha256(rows.tobytes()).hexdigest() == digest
 
     def test_integer_parameters_accept_numpy_integers(self):
         params = {"period": np.int64(10), "delta": 5.0}
@@ -152,6 +191,30 @@ class TestConfig:
     def test_real_generator_parameters_must_be_real_numbers(self, value):
         with pytest.raises(ConfigError, match="must be a real number"):
             run_experiment(ExperimentConfig(experts=3, rounds=5, loss_params={"scale": value}))
+
+    @pytest.mark.parametrize("name", [["x"], None, 3, ("fixed",)])
+    def test_names_must_be_strings(self, name):
+        rng = np.random.default_rng(0)
+        for call, message in (
+            (lambda: make_kernel(name, 3), "unknown kernel"),
+            (lambda: loss_generator(name, 3, {}, rng), "unknown loss generator"),
+            (lambda: ExperimentConfig(experts=3, rounds=5, kernel=name).validate(), "unknown kernel"),
+            (lambda: ExperimentConfig(experts=3, rounds=5, loss_gen=name).validate(), "unknown loss generator"),
+        ):
+            with pytest.raises(ConfigError, match=message):
+                call()
+
+    @pytest.mark.parametrize("params", [{1: 0.1, "a": 2}, {("switch_weight",): 0.1}, {None: 1}])
+    def test_parameter_names_must_be_strings(self, params):
+        rng = np.random.default_rng(0)
+        for call in (
+            lambda: make_kernel("switching", 3, params),
+            lambda: loss_generator("iid-uniform", 3, params, rng),
+            lambda: ExperimentConfig(experts=3, rounds=5, kernel="switching", kernel_params=params).validate(),
+            lambda: ExperimentConfig(experts=3, rounds=5, loss_params=params).validate(),
+        ):
+            with pytest.raises(ConfigError, match="must be a mapping of names to values"):
+                call()
 
     def test_auto_gamma_uses_declared_budget(self):
         report = run_experiment(ExperimentConfig(experts=4, rounds=3, kernel="cyclic", seed=1))
@@ -506,6 +569,31 @@ class TestSweep:
         out_dir = tmp_path / "sweep"
         with pytest.raises(ConfigError, match=message):
             run_sweep(ExperimentConfig(experts=2, rounds=5), seeds, out_dir, jobs=jobs)
+        assert pools_made == []
+        assert not out_dir.exists()  # no directory, so no CSV
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"kernel_params": {"switch_weight": 0.1}}, "kernel 'fixed' does not take parameters"),
+            ({"kernel": "switching", "kernel_params": {"switch_weight": 2}}, "switch_weight must be a real in"),
+            ({"loss_gen": "adversarial-switching", "loss_params": {"period": 0}}, "period must be >= 1"),
+            ({"loss_gen": "nope"}, "unknown loss generator"),
+            ({"kernel": "mystery"}, "unknown kernel"),
+            ({"kernel": "switching", "experts": 1}, "num_experts must be >= 2"),
+            ({"kernel_params": [1]}, "must be a mapping"),
+            ({"loss_gen": "adversarial-cyclic", "loss_params": {"sigma": "x"}}, "must be an integer"),
+            ({"loss_gen": None}, "unknown loss generator None"),
+        ],
+        ids=["kernel-param", "switch-weight", "period", "generator", "kernel", "one-expert", "list-params",
+             "sigma", "no-generator"],
+    )
+    def test_bad_setting_refused_before_any_work(self, tmp_path, pools_made, jobs, setting, message):
+        out_dir = tmp_path / "sweep"
+        base = ExperimentConfig(**{"experts": 2, "rounds": 5, **setting})
+        with pytest.raises(ConfigError, match=message):
+            run_sweep(base, [0, 1], out_dir, jobs=jobs)
         assert pools_made == []
         assert not out_dir.exists()  # no directory, so no CSV
 
