@@ -148,6 +148,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
+    if args.w_budget is not None and (args.kernel, args.kernel_param, args.experts) != (None, None, None):
+        raise ConfigError("--w-budget would ignore --kernel, --kernel-param and --experts; give one or the other")
     if args.w_budget is not None:
         w_budget = core.as_budget(args.w_budget)
     elif None not in (args.kernel, args.experts):

@@ -17,7 +17,7 @@ import os
 import warnings
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field, replace
-from itertools import count
+from itertools import accumulate, chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,7 @@ import numpy as np
 from .aggregator import Aggregator, RoundDiagnostics
 from .core import ConfigError, InvariantViolation, as_gamma, gamma_from_budget
 from .core import MAX_ROUNDS, as_instance, as_integer, as_real, bound_range, bound_var
-from .kernels import SWITCH_WEIGHT_RULE, ClassParams, TransitionKernel, best_competitor, best_prefix_losses
+from .kernels import _BLOCK, SWITCH_WEIGHT_RULE, TransitionKernel, best_competitor, best_prefix_losses
 from .kernels import cyclic_kernel, fixed_kernel, switching_kernel
 from . import oracle
 
@@ -44,37 +44,46 @@ CSV_COLUMNS = (
 )
 
 
-def _constant(num_experts, rng, value):
+def _constant(heights, m, rng, value):
+    for b in heights:
+        yield np.full((b, m), value)
+
+
+def _iid_uniform(heights, m, rng, offset, scale):
+    for b in heights:
+        with np.errstate(over="ignore"):  # never across a yield: it would hold in the consumer
+            block = offset + scale * rng.random((b, m))
+        yield block
+
+
+def _gaussian_drift(heights, m, rng, drift, noise, spread):
+    with np.errstate(over="ignore"):
+        walk = spread * rng.standard_normal((1, m))  # its last row: the next round's means
+    for b in heights:
+        draws = rng.standard_normal((b, 2, m))  # each round's noise, then its drift
+        with np.errstate(over="ignore", invalid="ignore"):
+            walk = np.add.accumulate(np.vstack([walk[-1:], drift * draws[:, 1]]))  # strictly in order
+            block = walk[:-1] + noise * draws[:, 0]
+        yield block
+
+
+def _adversarial_cyclic(heights, m, rng, sigma, delta, start):
+    first = start % m  # the block's first planted column; sigma and start may be any int
+    for b in heights:
+        block = rng.random((b, m))
+        block[np.arange(b), (first + sigma % m * np.arange(b)) % m] -= delta
+        first = (first + sigma * b) % m
+        yield block
+
+
+def _adversarial_switching(heights, m, rng, delta, period):
     while True:
-        yield np.full(num_experts, value)
-
-
-def _iid_uniform(num_experts, rng, offset, scale):
-    while True:
-        yield offset + scale * rng.random(num_experts)
-
-
-def _gaussian_drift(num_experts, rng, drift, noise, spread):
-    means = spread * rng.standard_normal(num_experts)
-    while True:
-        yield means + noise * rng.standard_normal(num_experts)
-        means = means + drift * rng.standard_normal(num_experts)
-
-
-def _adversarial_cyclic(num_experts, rng, sigma, delta, start):
-    for t in count():
-        losses = rng.random(num_experts)
-        losses[(start + sigma * t) % num_experts] -= delta
-        yield losses
-
-
-def _adversarial_switching(num_experts, rng, delta, period):
-    for t in count():
-        if t % period == 0:
-            planted = int(rng.integers(num_experts))
-        losses = rng.random(num_experts)
-        losses[planted] -= delta
-        yield losses
+        planted, left = rng.integers(m), period
+        while left:  # the period in blocks, none longer than the next height
+            block = rng.random((min(next(heights), left), m))
+            block[:, planted] -= delta
+            left -= len(block)
+            yield block
 
 
 # Every built-in kernel and loss generator: (kind, the kind as parameter messages name it, {name:
@@ -128,16 +137,14 @@ def make_kernel(name: str, num_experts: int, params: dict | None = None) -> Tran
 def loss_generator(
     name: str, num_experts: int, params: dict | None, rng: np.random.Generator
 ) -> Iterator[np.ndarray]:
-    """Infinite stream of per-round loss vectors, deterministic given the rng.
-
-    adversarial-cyclic plants a moving-rate trajectory whose expected
-    per-round loss sits ``delta`` below every other expert, so the matching
-    cyclic-class competitor is identifiably best; adversarial-switching does
-    the same with a planted expert redrawn every ``period`` rounds.  The name
-    and parameters are checked when called, before any loss is drawn.
-    """
+    """Infinite stream of per-round loss vectors, deterministic given the rng and checked when
+    called.  Its rows come from blocks of 1, 2, 4, ... rows up to B = max(1, _BLOCK // M), with
+    the bytes of one-row draws.  The adversarial generators plant an expert ``delta`` cheaper
+    than the rest, on a moving-rate trajectory (cyclic) or redrawn every ``period`` rounds."""
     build, values = _checked(_GENERATORS, name, num_experts, params)
-    return build(num_experts, as_instance(rng, np.random.Generator, "rng"), **values)
+    m = int(num_experts)
+    heights = accumulate(repeat(max(1, _BLOCK // m)), lambda b, cap: min(2 * b, cap), initial=1)
+    return chain.from_iterable(build(heights, m, as_instance(rng, np.random.Generator, "rng"), **values))
 
 
 @dataclass
@@ -199,7 +206,6 @@ class RegretReport:
     probs: np.ndarray
     losses: np.ndarray
     selections: np.ndarray
-    best_path: tuple[ClassParams, ...]
     best_loss: float
 
     @property
@@ -221,26 +227,23 @@ def run_experiment(config: ExperimentConfig) -> RegretReport:
     seeds = np.random.SeedSequence(int(config.seed)).spawn(2)
     loss_rng = np.random.default_rng(seeds[0])
     sample_rng = np.random.default_rng(seeds[1])
-    stream = loss_generator(config.loss_gen, config.experts, config.loss_params, loss_rng)
+    rows = loss_generator(config.loss_gen, config.experts, config.loss_params, loss_rng)
 
     agg = Aggregator(kernel, gamma)
     rounds, experts = config.rounds, config.experts
     probs = np.empty((rounds, experts))
-    losses = np.empty((rounds, experts))
+    losses = np.fromiter(rows, np.dtype((float, (experts,))), rounds)  # the game's table, before round 1
     selections = np.empty(rounds, dtype=np.intp)
     # one record of last_round per round: a tuple stores into a record faster than into a 2-D row
     stats = np.empty(rounds, dtype=[(name, float) for name in RoundDiagnostics._fields])
     for t in range(rounds):
-        losses[t] = next(stream)
         probs[t], selections[t] = agg.run_round(losses[t], sample_rng)
         stats[t] = agg.last_round
 
     best_cum = best_prefix_losses(kernel, losses)
-    best_path, best_loss = best_competitor(kernel, losses)
+    _, best_loss = best_competitor(kernel, losses)
     if abs(best_cum[-1] - best_loss) > 1e-9 * max(1.0, abs(best_loss)):
-        raise InvariantViolation(
-            f"prefix DP ({best_cum[-1]!r}) and path DP ({best_loss!r}) disagree"
-        )
+        raise InvariantViolation(f"prefix DP ({best_cum[-1]!r}) and path DP ({best_loss!r}) disagree")
 
     realized = losses[np.arange(rounds), selections]
     # squares summing past the largest double give inf, as in oracle.bound_report
@@ -268,7 +271,6 @@ def run_experiment(config: ExperimentConfig) -> RegretReport:
         probs=probs,
         losses=losses,
         selections=selections,
-        best_path=best_path,
         best_loss=best_loss,
     )
     if config.out:

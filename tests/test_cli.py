@@ -379,3 +379,60 @@ def test_bounds_refuses_experts_that_disagree_with_the_probs_csv(tmp_path, capsy
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "--experts is 16" in lines[0] and "has 4 p_ columns" in lines[0]
     assert "Traceback" not in captured.err and "bound_var" not in captured.out
+
+
+@pytest.mark.parametrize("kernel_flags", [
+    ["--kernel", "switching", "--experts", "16"],
+    ["--kernel-param", "switch_weight=0.2"],
+    ["--kernel", "switching"],
+    ["--experts", "4"],
+], ids=["kernel-and-experts", "kernel-param", "kernel", "experts"])
+def test_bounds_refuses_a_budget_given_with_kernel_flags(tmp_path, capsys, kernel_flags):
+    out = tmp_path / "run.csv"
+    assert main([
+        "run", "--experts", "4", "--rounds", "60", "--kernel", "switching",
+        "--loss-gen", "adversarial-cyclic", "--seed", "1", "--out", str(out), "--debug-probs",
+    ]) == 0
+    for probs in ([], ["--probs", str(probs_csv_path(out))]):
+        capsys.readouterr()
+        assert main(["bounds", "--csv", str(out), *probs, "--w-budget", "5", *kernel_flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: --w-budget would ignore --kernel, --kernel-param and --experts; give one or the other\n"
+        )
+        assert "bound_var" not in captured.out
+
+
+@pytest.mark.parametrize("flags", [
+    [],
+    ["--kernel", "switching"],
+    ["--experts", "4"],
+    ["--kernel-param", "switch_weight=0.2"],
+], ids=["none", "kernel", "experts", "kernel-param"])
+def test_bounds_names_what_is_missing_without_a_budget(tmp_path, capsys, flags):
+    out = tmp_path / "run.csv"
+    assert main(["run", "--experts", "4", "--rounds", "20", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["bounds", "--csv", str(out), *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: provide --w-budget, or --kernel with --experts\n" and captured.out == ""
+
+
+# pytest turns a RuntimeWarning into an error, so a numpy overflow warning fails these runs
+@pytest.mark.parametrize("loss_args, message", [
+    (["iid-uniform", "--loss-param", "offset=1e308", "--loss-param", "scale=1e308"],
+     "losses contain NaN or infinite entries"),
+    (["iid-uniform", "--loss-param", "offset=1.7e308", "--loss-param", "scale=1e307"],
+     "round 1: score range 6.266004004973822e+306 overflows when squared"),
+    (["gaussian-drift", "--loss-param", "drift=1.7e308", "--loss-param", "spread=1.7e308"],
+     "losses contain NaN or infinite entries"),
+    (["gaussian-drift", "--loss-param", "drift=1e308"],
+     "round 2: score range 6.017473719932259e+307 overflows when squared"),
+], ids=["iid-inf", "iid-range", "drift-inf", "drift-range"])
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_an_overflowing_generator_setting_prints_one_error_line(tmp_path, capsys, loss_args, message, command):
+    extra = ["--seeds", "0", "--jobs", "1", "--out-dir", str(tmp_path)] if command == "sweep" else []
+    argv = [command, "--experts", "3", "--rounds", "50", "--loss-gen", *loss_args, *extra]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""

@@ -1,14 +1,16 @@
 """Tests for loss generators, the experiment loop, CSV emission, and sweeps."""
 
 import hashlib
+import itertools
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from classhedge import Aggregator, core
+from classhedge import Aggregator, core, harness, kernels
 from classhedge.core import ConfigError
 from classhedge.harness import (
     CSV_COLUMNS,
@@ -145,6 +147,122 @@ class TestLossGenerators:
         assert np.all(rows[np.arange(40), planted] < 0)
         for block in planted.reshape(4, 10):
             assert len(set(block)) == 1
+
+
+# The one-row-at-a-time streams that the block generators replaced, kept as the reference for
+# their bytes: each call drew one round's vector, in the same order of draws.
+def _ref_constant(m, rng, value=0.0):
+    while True:
+        yield np.full(m, value)
+
+
+def _ref_iid_uniform(m, rng, offset=0.0, scale=1.0):
+    while True:
+        yield offset + scale * rng.random(m)
+
+
+def _ref_gaussian_drift(m, rng, drift=0.05, noise=1.0, spread=1.0):
+    means = spread * rng.standard_normal(m)
+    while True:
+        yield means + noise * rng.standard_normal(m)
+        means = means + drift * rng.standard_normal(m)
+
+
+def _ref_adversarial_cyclic(m, rng, sigma=1, delta=0.3, start=0):
+    for t in itertools.count():
+        losses = rng.random(m)
+        losses[(start + sigma * t) % m] -= delta
+        yield losses
+
+
+def _ref_adversarial_switching(m, rng, delta=0.3, period=50):
+    for t in itertools.count():
+        if t % period == 0:
+            planted = int(rng.integers(m))
+        losses = rng.random(m)
+        losses[planted] -= delta
+        yield losses
+
+
+REFERENCE_STREAMS = {
+    "constant": _ref_constant,
+    "iid-uniform": _ref_iid_uniform,
+    "gaussian-drift": _ref_gaussian_drift,
+    "adversarial-cyclic": _ref_adversarial_cyclic,
+    "adversarial-switching": _ref_adversarial_switching,
+}
+BLOCK_CASES = [(name, {}) for name in REFERENCE_STREAMS] + [
+    (name, params) for name, params in TestLossGenerators.NON_DEFAULT.items()
+] + [
+    ("adversarial-cyclic", {"sigma": 2**70 + 3, "start": -(2**65) - 1}),
+    ("adversarial-cyclic", {"sigma": -(2**64) - 5, "delta": -2.5, "start": 2**80 + 7}),
+    ("adversarial-switching", {"period": 1}),
+    ("adversarial-switching", {"period": 10_000}),  # longer than any block
+    ("adversarial-switching", {"period": 2**70}),
+]
+
+
+def _rows(stream, experts, n):
+    return np.fromiter(stream, np.dtype((float, (experts,))), n)
+
+
+class TestBlockDraws:
+    """The generators draw blocks of 1, 2, 4, ... rows up to B = max(1, _BLOCK // M); the stream
+    keeps the bytes of the one-row streams above, across block boundaries and at any parameter."""
+
+    @pytest.mark.parametrize("experts", [1, 2, 3, 8, 64])
+    @pytest.mark.parametrize("name, params", BLOCK_CASES, ids=[f"{n}-{p}" for n, p in BLOCK_CASES])
+    def test_rows_keep_the_one_row_streams_bytes(self, name, params, experts):
+        rows = 4 * max(1, kernels._BLOCK // experts) + 17  # the blocks up to B, then three of B
+        for seed in (0, 1, 2**60 + 1):
+            got = _rows(loss_generator(name, experts, params, np.random.default_rng(seed)), experts, rows)
+            ref = REFERENCE_STREAMS[name](experts, np.random.default_rng(seed), **params)
+            assert got.tobytes() == _rows(ref, experts, rows).tobytes(), seed
+
+    @pytest.mark.parametrize("name", list(REFERENCE_STREAMS))
+    def test_run_experiment_plays_the_reference_rows(self, name):
+        config = ExperimentConfig(experts=8, rounds=4 * (kernels._BLOCK // 8) + 17, loss_gen=name, seed=11)
+        loss_rng = np.random.default_rng(np.random.SeedSequence(11).spawn(2)[0])
+        ref = _rows(REFERENCE_STREAMS[name](8, loss_rng), 8, config.rounds)
+        assert run_experiment(config).losses.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("rounds, heights", [
+        (1, [1]),  # a one-round game draws one row
+        (50, [1, 2, 4, 8, 16, 32]),
+        (2000, [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024]),  # B = 1024 at M = 8
+    ])
+    def test_run_experiment_draws_its_table_in_blocks_not_rounds(self, rounds, heights):
+        yielded = []
+
+        def profile(frame, event, arg):
+            if event == "return" and arg is not None and frame.f_code is harness._iid_uniform.__code__:
+                yielded.append(arg.shape)
+
+        sys.setprofile(profile)
+        try:
+            run_experiment(ExperimentConfig(experts=8, rounds=rounds, seed=3))
+        finally:
+            sys.setprofile(None)
+        assert kernels._BLOCK == 8192 and yielded == [(b, 8) for b in heights]
+
+    def test_a_long_period_draws_one_block_at_a_time(self):
+        stream = loss_generator("adversarial-switching", 8, {"period": 2**70}, np.random.default_rng(0))
+        rows = max(1, kernels._BLOCK // 8)
+        block = rows * 8 * 8  # bytes
+        tracemalloc.start()
+        try:
+            for _ in range(rows):  # the blocks of 1, 2, ..., rows / 2, then the first of B rows
+                next(stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert block <= peak < 2 * block
+
+    def test_numpy_integer_experts_take_any_int_parameter(self):
+        params = {"sigma": 2**70 + 3, "start": -(2**65) - 1}
+        a = _rows(loss_generator("adversarial-cyclic", np.int64(3), params, np.random.default_rng(0)), 3, 40)
+        b = _rows(loss_generator("adversarial-cyclic", 3, params, np.random.default_rng(0)), 3, 40)
+        assert a.tobytes() == b.tobytes()
 
 
 class TestConfig:
