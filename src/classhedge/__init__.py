@@ -18,7 +18,6 @@ from .harness import (
     ExperimentConfig,
     RegretReport,
     emit_csv,
-    emit_probs_csv,
     loss_generator,
     make_kernel,
     run_experiment,
@@ -65,7 +64,6 @@ __all__ = [
     "class_budget",
     "cyclic_kernel",
     "emit_csv",
-    "emit_probs_csv",
     "ewa_reference",
     "exhaustive_best",
     "fixed_kernel",

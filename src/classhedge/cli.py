@@ -4,7 +4,7 @@ Subcommands:
   run     one experiment -> per-round CSV
   sweep   the same experiment across a seed grid, in parallel
   verify  desk-scale oracle cross-checks of the engine
-  bounds  recompute the bound report from an emitted CSV
+  bounds  recompute a run's bound report from its trace and check the CSV's
 
 Every config-file key can be overridden by the CLI flag of the same name;
 exit status is nonzero on any configuration or invariant failure.
@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .core import ConfigError, InvariantViolation, ProtocolError
-from . import core, harness, oracle
+from . import harness, oracle
 
 
 def _parse_value(text: str):
@@ -84,10 +84,7 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, help="64-bit seed")
     parser.add_argument("--out", help="output CSV path")
     parser.add_argument(
-        "--debug-probs",
-        action="store_true",
-        default=None,
-        help="also write <out>.probs.csv with per-round probabilities and losses",
+        "--trace", action="store_true", default=None, help="also write <out stem>.trace.npz: W, p and l"
     )
 
 
@@ -148,44 +145,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    if args.w_budget is not None and (args.kernel, args.kernel_param, args.experts) != (None, None, None):
-        raise ConfigError("--w-budget would ignore --kernel, --kernel-param and --experts; give one or the other")
-    if args.w_budget is not None:
-        w_budget = core.as_budget(args.w_budget)
-    elif None not in (args.kernel, args.experts):
-        kernel = harness.make_kernel(args.kernel, args.experts, _kv_pairs(args.kernel_param, "--kernel-param"))
-    else:
-        raise ConfigError("provide --w-budget, or --kernel with --experts")
-
-    needed = ("D", "V", "bound_var", "bound_range", "exp_regret")
-    columns = harness.read_csv_columns(args.csv, needed)
-    if args.w_budget is None:  # W_T at the run's own T, one CSV row per round
-        w_budget = kernel.budget_bound(len(columns["D"]))
-    if args.probs:
-        probs, losses = harness.read_probs_csv(args.probs)
-        if args.w_budget is None and probs.shape[1] != kernel.num_experts:
-            raise ConfigError(f"--experts is {args.experts}, but {args.probs} has {probs.shape[1]} p_ columns")
-        report = oracle.bound_report(w_budget, probs, losses)
-        print(
-            f"W={report.w_budget:.12g} D={report.D:.12g} V*={report.v_star:.12g} "
-            f"sum_d_sq={report.sum_d_sq:.12g}"
-        )
-        print(f"bound_var={report.bound_var:.12g} bound_range={report.bound_range:.12g}")
-        stored = float(columns["bound_var"][-1])
-        tol = 1e-6 * max(1.0, abs(stored))
-        if not math.isfinite(stored) or abs(stored - report.bound_var) > tol:
-            print(f"stored bound_var {stored:.12g} disagrees with recomputation", file=sys.stderr)
-            return 1
-    else:
-        d_top = float(columns["D"][-1])
-        v_star = float(columns["V"][-1])
-        print(f"W={w_budget:.12g} D={d_top:.12g} V*={v_star:.12g}")
-        print(
-            f"bound_var={core.bound_var(w_budget, d_top, v_star):.12g} (recomputed)  "
-            f"bound_range={float(columns['bound_range'][-1]):.12g} (stored)"
-        )
-    regret = float(columns["exp_regret"][-1])
-    print(f"final expected regret {regret:.12g}")
+    columns = harness.read_csv_columns(args.csv, ("bound_var", "exp_regret"))
+    report = oracle.bound_report(*harness.read_trace(args.csv, len(columns["bound_var"])))
+    print(
+        f"W={report.w_budget:.12g} D={report.D:.12g} V*={report.v_star:.12g} "
+        f"sum_d_sq={report.sum_d_sq:.12g}"
+    )
+    print(f"bound_var={report.bound_var:.12g} bound_range={report.bound_range:.12g}")
+    stored = float(columns["bound_var"][-1])
+    # an inf stored bound would make the tolerance inf; NaN fails the comparison
+    if not (math.isfinite(stored) and abs(stored - report.bound_var) <= 1e-6 * max(1.0, abs(stored))):
+        print(f"stored bound_var {stored:.12g} disagrees with recomputation", file=sys.stderr)
+        return 1
+    print(f"final expected regret {float(columns['exp_regret'][-1]):.12g}")
     return 0
 
 
@@ -211,13 +183,8 @@ def _parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.set_defaults(func=_cmd_verify)
 
-    p_bounds = sub.add_parser("bounds", help="recompute the bound report from a CSV")
-    p_bounds.add_argument("--csv", required=True, help="per-round CSV from `run`")
-    p_bounds.add_argument("--probs", help="telemetry CSV written with --debug-probs")
-    p_bounds.add_argument("--w-budget", type=float, help="class budget W to use")
-    p_bounds.add_argument("--kernel", choices=harness.KERNELS)
-    p_bounds.add_argument("--kernel-param", action="append", metavar="K=V")
-    p_bounds.add_argument("--experts", type=int)
+    p_bounds = sub.add_parser("bounds", help="recompute the bound report from a run trace")
+    p_bounds.add_argument("--csv", required=True, help="per-round CSV from `run --trace`, beside its trace")
     p_bounds.set_defaults(func=_cmd_bounds)
     return parser
 

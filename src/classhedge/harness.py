@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import os
 import warnings
+import zipfile
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field, replace
 from itertools import accumulate, chain, repeat
@@ -160,7 +161,7 @@ class ExperimentConfig:
     loss_params: dict = field(default_factory=dict)
     seed: int = 0
     out: str | os.PathLike | None = None
-    debug_probs: bool = False
+    trace: bool = False
 
     def validate(self) -> None:
         for name, minimum, maximum in (("experts", 1, None), ("rounds", 1, MAX_ROUNDS), ("seed", 0, None)):
@@ -171,8 +172,10 @@ class ExperimentConfig:
             as_gamma(self.gamma)
         if self.out is not None and not isinstance(self.out, (str, os.PathLike)):
             raise ConfigError(f"out must be a path, got {self.out!r}")
-        if not isinstance(self.debug_probs, bool):
-            raise ConfigError(f"debug_probs must be true or false, got {self.debug_probs!r}")
+        if not isinstance(self.trace, bool):
+            raise ConfigError(f"trace must be true or false, got {self.trace!r}")
+        if self.trace and not self.out:
+            raise ConfigError("trace is written beside the CSV, so it needs out")
         _checked(_KERNELS, self.kernel, self.experts, self.kernel_params)
         _checked(_GENERATORS, self.loss_gen, self.experts, self.loss_params)
 
@@ -240,9 +243,15 @@ def run_experiment(config: ExperimentConfig) -> RegretReport:
         probs[t], selections[t] = agg.run_round(losses[t], sample_rng)
         stats[t] = agg.last_round
 
+    # |mean| + range bounds a round's largest |loss|, so below half the largest double no path
+    # sum, in any order, overflows, nor a regret: a difference of two such sums
+    with np.errstate(over="ignore"):
+        past = np.cumsum(np.abs(stats["expected_loss"]) + stats["d"]) > np.finfo(float).max / 2
+    if past[-1]:
+        raise InvariantViolation(f"round {past.argmax() + 1}: summed |losses| pass half the largest double")
     best_cum = best_prefix_losses(kernel, losses)
     _, best_loss = best_competitor(kernel, losses)
-    if abs(best_cum[-1] - best_loss) > 1e-9 * max(1.0, abs(best_loss)):
+    if not abs(best_cum[-1] - best_loss) <= 1e-9 * max(1.0, abs(best_loss)):
         raise InvariantViolation(f"prefix DP ({best_cum[-1]!r}) and path DP ({best_loss!r}) disagree")
 
     realized = losses[np.arange(rounds), selections]
@@ -275,8 +284,9 @@ def run_experiment(config: ExperimentConfig) -> RegretReport:
     )
     if config.out:
         emit_csv(report, config.out)
-        if config.debug_probs:
-            emit_probs_csv(report, probs_csv_path(config.out))
+    if config.trace:  # an open file: np.savez appends no suffix to it
+        with open(_trace_path(config.out), "wb") as fh:
+            np.savez(fh, w_budget=w_budget, probs=probs, losses=losses)
     return report
 
 
@@ -303,21 +313,9 @@ def emit_csv(report: RegretReport, path) -> None:
     _write_csv(path, CSV_COLUMNS, np.column_stack(columns))
 
 
-def probs_csv_path(out_path) -> Path:
-    out_path = Path(out_path)
-    return out_path.with_name(out_path.stem + ".probs.csv")
-
-
-def _probs_columns(experts: int) -> list[str]:
-    return [f"{kind}_{m}" for kind in "pl" for m in range(experts)]
-
-
-def emit_probs_csv(report: RegretReport, path) -> None:
-    """Debug telemetry: played probabilities and raw losses per round."""
-    as_instance(report, RegretReport, "report")
-    header = ["t"] + _probs_columns(report.probs.shape[1])
-    table = np.column_stack([np.arange(1, report.rounds + 1), report.probs, report.losses])
-    _write_csv(path, header, table)
+def _trace_path(csv_path) -> Path:
+    """The run trace beside a per-round CSV: ``run.csv`` -> ``run.trace.npz``."""
+    return Path(csv_path).with_suffix(".trace.npz")
 
 
 def read_csv_columns(path, required=()) -> dict[str, np.ndarray]:
@@ -340,14 +338,23 @@ def read_csv_columns(path, required=()) -> dict[str, np.ndarray]:
     return {name: data[:, i] for i, name in enumerate(header)}
 
 
-def read_probs_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """The (T, M) probabilities and losses of an ``emit_probs_csv`` file, unchecked."""
-    with open(path) as fh:
-        experts = max(1, sum(name.startswith("p_") for name in fh.readline().strip().split(",")))
-    names = _probs_columns(experts)
-    columns = read_csv_columns(path, names)
-    table = np.column_stack([columns[name] for name in names])
-    return table[:, :experts], table[:, experts:]
+def read_trace(csv_path, rounds: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """The W, probabilities and losses of the trace beside the per-round CSV ``csv_path``,
+    one row for each of its ``rounds`` rounds; ``oracle.bound_report`` checks their values.
+    A file that is not such a trace is a ValueError naming it."""
+    path = _trace_path(csv_path)
+    try:
+        with open(path, "rb") as fh:  # np.load would leave a file it opened open if it is no zip
+            trace = np.load(fh)
+            if not isinstance(trace, np.lib.npyio.NpzFile):  # an .npy file loads as one array
+                raise ValueError("not an npz archive")
+            with trace:
+                w_budget, probs, losses = trace["w_budget"][()], trace["probs"], trace["losses"]
+    except (EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"{path} is not a run trace: {exc}") from exc
+    if probs.shape[:1] != (rounds,):
+        raise ValueError(f"{path} holds probabilities of shape {probs.shape}; {csv_path} has {rounds} rounds")
+    return w_budget, probs, losses
 
 
 # --- sweeps ---------------------------------------------------------------
@@ -385,7 +392,7 @@ def run_sweep(
     # a process pool starts all of its workers up front, busy or not
     workers = min(workers, len(seeds))
     out_dir = Path(out_dir)
-    tasks = [replace(base, seed=s, out=out_dir / f"seed_{s}.csv", debug_probs=False) for s in seeds]
+    tasks = [replace(base, seed=s, out=out_dir / f"seed_{s}.csv") for s in seeds]
     for task in tasks:  # refused here, before any file or worker is made
         task.validate()
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -8,12 +8,13 @@ aborts the offending run and fails its criterion.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from classhedge.aggregator import Aggregator
-from classhedge.harness import ExperimentConfig, _log_dev, _random_kernel, emit_csv, probs_csv_path, run_experiment
+from classhedge.harness import ExperimentConfig, _log_dev, _random_kernel, run_experiment
 from classhedge.kernels import best_competitor, cyclic_kernel, fixed_kernel, switching_kernel
 from classhedge.oracle import bound_report, ewa_reference, exhaustive_best, trajectory_reference
 
@@ -214,24 +215,19 @@ def test_criterion_7_variance_bound_dominance(moving_rate_sweep, assorted_runs):
 
 
 def test_criterion_8_byte_identical_reproduction(tmp_path):
-    """Identical config and seed reproduce byte-identical CSVs."""
+    """Identical config and seed reproduce byte-identical CSVs and traces."""
     config = ExperimentConfig(
         experts=5,
         rounds=500,
         kernel="cyclic",
         loss_gen="adversarial-cyclic",
         seed=99,
-        debug_probs=True,
+        trace=True,
     )
-    paths = []
-    for name in ("first", "second"):
-        out = tmp_path / f"{name}.csv"
-        report = run_experiment(config)
-        emit_csv(report, out)
-        from classhedge.harness import emit_probs_csv
-
-        emit_probs_csv(report, probs_csv_path(out))
-        paths.append(out)
-    assert paths[0].read_bytes() == paths[1].read_bytes()
-    assert probs_csv_path(paths[0]).read_bytes() == probs_csv_path(paths[1]).read_bytes()
-    print("\nPASS criterion 8: identical config and seed give byte-identical CSVs")
+    outs = [tmp_path / f"{name}.csv" for name in ("first", "second")]
+    for out in outs:
+        run_experiment(replace(config, out=out))
+    traces = [out.with_suffix(".trace.npz") for out in outs]
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert traces[0].read_bytes() == traces[1].read_bytes()
+    print("\nPASS criterion 8: identical config and seed give byte-identical CSVs and traces")

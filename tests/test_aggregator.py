@@ -698,3 +698,49 @@ class TestLongHorizon:
                 assert abs(p.sum() - 1.0) <= 1e-12 and p.min() >= 0.0
         assert agg.log_weights().max() == 0.0
         assert np.all(np.isfinite(agg.probabilities()))
+
+
+# Two ordinary rounds, then a near-constant one: its tiny variance minus the compensation carry
+# lowers the summed V in its last bits, so the raw rate rises two ulps, 0.9644911295759361 -> ...363.
+ULP_RISE_TABLE = [
+    [0.4705018705100644, 0.015225783606016452, 0.2654266306882711],
+    [0.9702105585314659, 0.09001920584746437, 0.017139587768385756],
+    [0.9994160977512032, 0.9994160977846962, 0.9994160977437858],
+]
+
+
+def _raw_rates(monkeypatch, rise=0.0):
+    """Record every rate ``learning_rate`` returns to the engine, raised by ``rise`` from round 3."""
+    import classhedge.aggregator
+
+    raw = []
+
+    def recording(D, V, gamma, t):
+        raw.append(core.learning_rate(D, V, gamma, t) + (rise if t >= 3 else 0.0))
+        return raw[-1]
+
+    monkeypatch.setattr(classhedge.aggregator, "learning_rate", recording)
+    return raw
+
+
+def test_a_rate_that_rises_in_its_last_bits_is_held_at_the_previous_rate(monkeypatch):
+    raw = _raw_rates(monkeypatch)
+    agg = Aggregator(fixed_kernel(3), 1.0)
+    etas = []
+    for row in ULP_RISE_TABLE:
+        agg.probabilities()
+        agg.observe(row)
+        etas.append(agg.last_round.eta)
+    assert raw[1] == etas[1] == 0.9644911295759361
+    assert raw[2] == 0.9644911295759363 == math.nextafter(math.nextafter(raw[1], 2.0), 2.0)
+    assert etas[2] == etas[1] and agg.last_round.ratio == 1.0
+
+
+def test_a_rate_that_rises_past_the_tolerance_stops_the_round(monkeypatch):
+    _raw_rates(monkeypatch, rise=1e-9)
+    agg = Aggregator(fixed_kernel(3), 1.0)
+    message = r"^round 3: learning rate increased \(0\.9644911295759361 -> 0\.96449113057\d*\)$"
+    drive(agg, ULP_RISE_TABLE[:2])
+    agg.probabilities()
+    with pytest.raises(InvariantViolation, match=message):
+        agg.observe(ULP_RISE_TABLE[2])

@@ -23,7 +23,6 @@ PUBLIC_API = [
     "class_budget",
     "cyclic_kernel",
     "emit_csv",
-    "emit_probs_csv",
     "ewa_reference",
     "exhaustive_best",
     "fixed_kernel",

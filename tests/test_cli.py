@@ -9,11 +9,12 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from classhedge.cli import _parser, load_config_file, main
 from classhedge.core import ConfigError
-from classhedge.harness import ExperimentConfig, probs_csv_path, read_csv_columns, run_experiment
+from classhedge.harness import ExperimentConfig, make_kernel, read_csv_columns, run_experiment
 
 
 def test_run_writes_csv(tmp_path, capsys):
@@ -28,13 +29,21 @@ def test_run_writes_csv(tmp_path, capsys):
     assert len(columns["t"]) == 50
 
 
-def test_run_debug_probs(tmp_path):
+def test_run_trace(tmp_path, capsys, monkeypatch):
     out = tmp_path / "run.csv"
     assert main([
         "run", "--experts", "2", "--rounds", "5", "--seed", "0",
-        "--out", str(out), "--debug-probs",
+        "--out", str(out), "--trace",
     ]) == 0
-    assert probs_csv_path(out).exists()
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["run.csv", "run.trace.npz"]
+    # without --out there is nowhere beside which to write it: refused before any work
+    (tmp_path / "cwd").mkdir()
+    monkeypatch.chdir(tmp_path / "cwd")
+    capsys.readouterr()
+    assert main(["run", "--experts", "2", "--rounds", "5", "--trace"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: trace is written beside the CSV, so it needs out\n" and captured.out == ""
+    assert list(Path.cwd().iterdir()) == []
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -123,6 +132,19 @@ def test_sweep_subcommand(tmp_path):
     assert list(columns["seed"]) == [0.0, 1.0, 2.0]
 
 
+def test_sweep_trace_writes_one_trace_per_seed(tmp_path, capsys):
+    out_dir = tmp_path / "sweep"
+    assert main([
+        "sweep", "--experts", "3", "--rounds", "20", "--seeds", "0:2",
+        "--out-dir", str(out_dir), "--jobs", "1", "--trace",
+    ]) == 0
+    names = ["seed_0.csv", "seed_0.trace.npz", "seed_1.csv", "seed_1.trace.npz", "summary.csv"]
+    assert sorted(path.name for path in out_dir.iterdir()) == names
+    capsys.readouterr()
+    assert main(["bounds", "--csv", str(out_dir / "seed_1.csv")]) == 0
+    assert "final expected regret" in capsys.readouterr().out
+
+
 def test_sweep_rejects_zero_jobs(tmp_path, capsys):
     assert main([
         "sweep", "--experts", "2", "--rounds", "5", "--seeds", "0:2",
@@ -137,27 +159,18 @@ def test_bounds_subcommand(tmp_path, capsys):
     main([
         "run", "--experts", "4", "--rounds", "60", "--kernel", "cyclic",
         "--loss-gen", "adversarial-cyclic", "--seed", "1",
-        "--out", str(out), "--debug-probs",
+        "--out", str(out), "--trace",
     ])
     capsys.readouterr()
-    code = main([
-        "bounds", "--csv", str(out), "--probs", str(probs_csv_path(out)),
-        "--kernel", "cyclic", "--experts", "4",
-    ])
-    assert code == 0
-    text = capsys.readouterr().out
-    assert "bound_var=" in text and "final expected regret" in text
-
-    code = main(["bounds", "--csv", str(out), "--w-budget", "3.5"])
-    assert code == 0
-
+    assert main(["bounds", "--csv", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split("=", 1)[0].split()[0] for line in lines] == ["W", "bound_var", "final"]
+    # the trace's W is the run's own: W_T of the cyclic class at T=60
+    assert lines[0].startswith(f"W={make_kernel('cyclic', 4).budget_bound(60):.12g} ")
     # with the run's own budget the recomputed bound is the stored one
-    capsys.readouterr()
-    w_budget = 1.0 + 2.0 * math.log(4)
-    assert main(["bounds", "--csv", str(out), "--w-budget", repr(w_budget)]) == 0
-    printed = capsys.readouterr().out.split("bound_var=", 1)[1].split()[0]
     stored = read_csv_columns(out)["bound_var"][-1]
-    assert printed == format(stored, ".12g")
+    assert lines[1].split()[0] == f"bound_var={stored:.12g}"
+    assert lines[2] == f"final expected regret {read_csv_columns(out)['exp_regret'][-1]:.12g}"
 
 
 def test_verify_subcommand(capsys):
@@ -249,7 +262,7 @@ def test_non_integer_config_value_exits_nonzero(tmp_path, capsys, line):
     assert "must be an integer" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line", ["out = 123", "out = true", "debug_probs = no", "gamma = fast"])
+@pytest.mark.parametrize("line", ["out = 123", "out = true", "trace = no", "gamma = fast"])
 def test_invalid_config_value_exits_nonzero_and_writes_nothing(tmp_path, capsys, monkeypatch, line):
     monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "exp.cfg"
@@ -272,150 +285,141 @@ def test_non_numeric_parameter_exits_with_its_config_error(tmp_path, capsys, fla
     assert not out.exists()
 
 
-def _run_with_probs(tmp_path):
+def _run_with_trace(tmp_path, kernel="fixed"):
     out = tmp_path / "run.csv"
     assert main([
-        "run", "--experts", "3", "--rounds", "10", "--seed", "2",
-        "--out", str(out), "--debug-probs",
+        "run", "--experts", "3", "--rounds", "10", "--seed", "2", "--kernel", kernel,
+        "--out", str(out), "--trace",
     ]) == 0
-    return out, probs_csv_path(out)
+    return out, tmp_path / "run.trace.npz"
+
+
+def _rewrite_trace(trace, **arrays):
+    with np.load(trace) as old:
+        kept = {key: old[key] for key in old.files if key not in arrays}
+    with open(trace, "wb") as fh:
+        np.savez(fh, **kept, **arrays)
+
+
+def _one_error_line(capsys, code, argv) -> str:
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "Traceback" not in captured.err, captured.err
+    assert "bound_var" not in captured.out
+    return lines[0]
 
 
 def test_bounds_rejects_csv_without_its_columns(tmp_path, capsys):
-    out, probs = _run_with_probs(tmp_path)
+    out, _ = _run_with_trace(tmp_path)
+    lines = out.read_text().splitlines()
+    out.write_text("\n".join(",".join(line.split(",")[:6]) for line in lines) + "\n")  # t .. real_regret
     capsys.readouterr()
-    assert main(["bounds", "--csv", str(probs), "--w-budget", "5"]) == 1
-    assert "error:" in capsys.readouterr().err
-    assert main(["bounds", "--csv", str(out), "--probs", str(out), "--w-budget", "5"]) == 1
-    assert "no column(s) p_0, l_0" in capsys.readouterr().err
+    assert _one_error_line(capsys, 1, ["bounds", "--csv", str(out)]) == f"error: {out} has no column(s) bound_var"
 
 
 def test_bounds_rejects_invalid_telemetry_rows(tmp_path, capsys):
-    out, probs = _run_with_probs(tmp_path)
-    lines = probs.read_text().splitlines()
+    out, trace = _run_with_trace(tmp_path)
+    with np.load(trace) as arrays:
+        probs, losses = arrays["probs"], arrays["losses"]
     capsys.readouterr()
-    # columns t, p_0..p_2, l_0..l_2; line 3 holds round 3
-    for column, value, message in ((1, "0.9", "sum to"), (4, "nan", "NaN or infinite")):
-        cells = lines[3].split(",")
-        cells[column] = value
-        probs.write_text("\n".join(lines[:3] + [",".join(cells)] + lines[4:]) + "\n")
-        assert main(["bounds", "--csv", str(out), "--probs", str(probs), "--w-budget", "5"]) == 1
-        err = capsys.readouterr().err
+    # row 2 holds round 3
+    for name, table, value, message in (("probs", probs, 0.9, "sum to"), ("losses", losses, np.nan, "NaN or infinite")):
+        bad = table.copy()
+        bad[2, 0] = value
+        _rewrite_trace(trace, **{name: bad})
+        err = _one_error_line(capsys, 1, ["bounds", "--csv", str(out)])
         assert "round 3" in err and message in err
+        _rewrite_trace(trace, probs=probs, losses=losses)
 
 
 def test_bounds_rejects_header_only_csv(tmp_path, capsys):
-    out, probs = _run_with_probs(tmp_path)
+    out, _ = _run_with_trace(tmp_path)
+    out.write_text(out.read_text().splitlines()[0] + "\n")
     capsys.readouterr()
-    for emptied in (out, probs):
-        full = emptied.read_text()
-        emptied.write_text(full.splitlines()[0] + "\n")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main(["bounds", "--csv", str(out), "--probs", str(probs), "--w-budget", "5"]) == 1
-        err = capsys.readouterr().err
-        assert f"error: {emptied} needs at least one row" in err
-        emptied.write_text(full)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        err = _one_error_line(capsys, 1, ["bounds", "--csv", str(out)])
+    assert err.startswith(f"error: {out} needs at least one row")
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_bounds_rejects_non_finite_stored_bound(tmp_path, capsys, value):
-    out, probs = _run_with_probs(tmp_path)
-    budget = ["--kernel", "fixed", "--experts", "3"]
-    assert main(["bounds", "--csv", str(out), "--probs", str(probs), *budget]) == 0
+    out, _ = _run_with_trace(tmp_path)
+    assert main(["bounds", "--csv", str(out)]) == 0
     lines = out.read_text().splitlines()
     cells = lines[-1].split(",")
     cells[6] = value  # bound_var
     out.write_text("\n".join(lines[:-1] + [",".join(cells)]) + "\n")
     capsys.readouterr()
-    assert main(["bounds", "--csv", str(out), "--probs", str(probs), *budget]) == 1
+    assert main(["bounds", "--csv", str(out)]) == 1
     assert "disagrees with recomputation" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["nan", "0.5", "-3"])
-def test_bounds_rejects_invalid_budget(tmp_path, capsys, value):
-    out, probs = _run_with_probs(tmp_path)
+def test_bounds_refuses_a_trace_of_another_round_count(tmp_path, capsys):
+    out, trace = _run_with_trace(tmp_path)
+    with np.load(trace) as arrays:
+        probs, losses = arrays["probs"], arrays["losses"]
     capsys.readouterr()
-    for extra in ([], ["--probs", str(probs)]):
-        assert main(["bounds", "--csv", str(out), *extra, "--w-budget", value]) == 1
-        captured = capsys.readouterr()
-        assert "class budget must be a finite real >= 1" in captured.err
-        assert "bound_var" not in captured.out
+    for rows in (9, 0):
+        _rewrite_trace(trace, probs=probs[:rows], losses=losses[:rows])
+        err = _one_error_line(capsys, 1, ["bounds", "--csv", str(out)])
+        assert err == f"error: {trace} holds probabilities of shape ({rows}, 3); {out} has 10 rounds"
 
 
-def test_bounds_kernel_gate_names_a_bad_integer(tmp_path, capsys):
-    budget = ["--kernel", "fixed", "--experts", "0"]
-    assert main(["bounds", "--csv", str(tmp_path / "run.csv"), *budget]) == 1
-    err = capsys.readouterr().err
-    assert "num_experts must be >= 1, got 0" in err and "provide --w-budget" not in err
+def _write_object_array(trace):
+    _rewrite_trace(trace, probs=np.full((10, 3), 1 / 3, dtype=object))
 
 
-def test_bounds_reads_the_rounds_off_the_csv(tmp_path, capsys):
-    out = tmp_path / "run.csv"
-    assert main([
-        "run", "--experts", "4", "--rounds", "60", "--kernel", "switching",
-        "--loss-gen", "adversarial-cyclic", "--seed", "1", "--out", str(out), "--debug-probs",
-    ]) == 0
-    stored = read_csv_columns(out)["bound_var"][-1]
-    budget = ["--kernel", "switching", "--experts", "4"]
-    for extra in ([], ["--probs", str(probs_csv_path(out))]):
-        capsys.readouterr()
-        assert main(["bounds", "--csv", str(out), *extra, *budget]) == 0
-        printed = capsys.readouterr().out.split("bound_var=", 1)[1].split()[0]
-        assert printed == format(stored, ".12g")
+def _write_npy(trace):
+    with open(trace, "wb") as fh:
+        np.save(fh, np.zeros(3))
 
 
-def test_bounds_refuses_experts_that_disagree_with_the_probs_csv(tmp_path, capsys):
-    out = tmp_path / "run.csv"
-    assert main([
-        "run", "--experts", "4", "--rounds", "60", "--kernel", "switching",
-        "--loss-gen", "adversarial-cyclic", "--seed", "1", "--out", str(out), "--debug-probs",
-    ]) == 0
+def _drop_losses(trace):
+    with np.load(trace) as arrays:
+        kept = {"w_budget": arrays["w_budget"], "probs": arrays["probs"]}
+    with open(trace, "wb") as fh:
+        np.savez(fh, **kept)
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (lambda trace: trace.unlink(), "No such file or directory"),
+    (lambda trace: trace.write_text("t,p_0\n1,1\n"), "is not a run trace: This file contains pickled"),
+    (lambda trace: trace.write_bytes(b""), "is not a run trace: No data left in file"),
+    (lambda trace: trace.write_bytes(trace.read_bytes()[:200]), "is not a run trace: File is not a zip file"),
+    (_write_npy, "is not a run trace: not an npz archive"),
+    (_drop_losses, "is not a run trace: 'losses is not a file in the archive'"),
+    (_write_object_array, "is not a run trace: Object arrays cannot be loaded when allow_pickle=False"),
+    (lambda trace: _rewrite_trace(trace, w_budget=np.float64(0.5)), "class budget must be a finite real >= 1"),
+    (lambda trace: _rewrite_trace(trace, w_budget=np.ones(2)), "class budget must be a finite real >= 1"),
+], ids=["missing", "text", "empty", "truncated-zip", "npy", "missing-key", "object-array", "budget", "budget-array"])
+def test_bounds_names_a_bad_trace_in_one_error_line(tmp_path, capsys, spoil, message):
+    out, trace = _run_with_trace(tmp_path)
+    spoil(trace)
     capsys.readouterr()
-    argv = ["bounds", "--csv", str(out), "--probs", str(probs_csv_path(out)), "--kernel", "switching"]
-    assert main([*argv, "--experts", "16"]) == 1
+    assert message in _one_error_line(capsys, 1, ["bounds", "--csv", str(out)])
+
+
+def test_bounds_finds_that_another_kernels_trace_disagrees(tmp_path, capsys):
+    # same seed and generator, so the same losses; the switching class has another W and other plays
+    out, trace = _run_with_trace(tmp_path, kernel="fixed")
+    (tmp_path / "switching").mkdir()
+    _, other_trace = _run_with_trace(tmp_path / "switching", kernel="switching")
+    other_trace.replace(trace)
+    capsys.readouterr()
+    assert main(["bounds", "--csv", str(out)]) == 1
     captured = capsys.readouterr()
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ")
-    assert "--experts is 16" in lines[0] and "has 4 p_ columns" in lines[0]
-    assert "Traceback" not in captured.err and "bound_var" not in captured.out
+    assert captured.err.startswith("stored bound_var ") and captured.err.endswith(" disagrees with recomputation\n")
+    assert "bound_var=" in captured.out
 
 
-@pytest.mark.parametrize("kernel_flags", [
-    ["--kernel", "switching", "--experts", "16"],
-    ["--kernel-param", "switch_weight=0.2"],
-    ["--kernel", "switching"],
-    ["--experts", "4"],
-], ids=["kernel-and-experts", "kernel-param", "kernel", "experts"])
-def test_bounds_refuses_a_budget_given_with_kernel_flags(tmp_path, capsys, kernel_flags):
-    out = tmp_path / "run.csv"
-    assert main([
-        "run", "--experts", "4", "--rounds", "60", "--kernel", "switching",
-        "--loss-gen", "adversarial-cyclic", "--seed", "1", "--out", str(out), "--debug-probs",
-    ]) == 0
-    for probs in ([], ["--probs", str(probs_csv_path(out))]):
-        capsys.readouterr()
-        assert main(["bounds", "--csv", str(out), *probs, "--w-budget", "5", *kernel_flags]) == 1
-        captured = capsys.readouterr()
-        assert captured.err == (
-            "error: --w-budget would ignore --kernel, --kernel-param and --experts; give one or the other\n"
-        )
-        assert "bound_var" not in captured.out
-
-
-@pytest.mark.parametrize("flags", [
-    [],
-    ["--kernel", "switching"],
-    ["--experts", "4"],
-    ["--kernel-param", "switch_weight=0.2"],
-], ids=["none", "kernel", "experts", "kernel-param"])
-def test_bounds_names_what_is_missing_without_a_budget(tmp_path, capsys, flags):
-    out = tmp_path / "run.csv"
-    assert main(["run", "--experts", "4", "--rounds", "20", "--out", str(out)]) == 0
-    capsys.readouterr()
-    assert main(["bounds", "--csv", str(out), *flags]) == 1
-    captured = capsys.readouterr()
-    assert captured.err == "error: provide --w-budget, or --kernel with --experts\n" and captured.out == ""
+@pytest.mark.parametrize("flag", ["--probs", "--w-budget", "--kernel", "--kernel-param", "--experts"])
+def test_bounds_takes_only_the_csv(capsys, flag):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bounds", "--csv", "run.csv", flag, "1"])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
 # pytest turns a RuntimeWarning into an error, so a numpy overflow warning fails these runs
@@ -436,3 +440,46 @@ def test_an_overflowing_generator_setting_prints_one_error_line(tmp_path, capsys
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+@pytest.mark.parametrize("loss_args, message", [
+    (["constant", "--loss-param", "value=1e308"], "round 1: summed |losses| pass half the largest double"),
+    (["iid-uniform", "--loss-param", "offset=1e307"], "round 9: summed |losses| pass half the largest double"),
+], ids=["constant", "iid-offset"])
+def test_loss_sums_past_the_double_range_stop_the_run_in_one_error_line(tmp_path, capsys, loss_args, message):
+    # every round is finite and degenerate; only the report's running sums would overflow
+    out = tmp_path / "run.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--experts", "3", "--rounds", "50", "--loss-gen", *loss_args, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--experts", "2", "--rounds", "5", "--kernel-param", "x"], "error: --kernel-param expects k=v, got 'x'"),
+    (["run", "--config", "{cfg}"], "error: unknown config keys ['bogus', 'debug_probs']"),
+    (["sweep", "--experts", "8", "--rounds", "300", "--kernel", "cyclic", "--loss-gen", "adversarial-cyclic",
+      "--gamma", "0.001", "--seeds", "0:3", "--out-dir", "{dir}", "--jobs", "1"],
+     "3 seed(s) exceeded the variance bound"),
+], ids=["kernel-param", "config-key", "sweep-over-bound"])
+def test_cli_refusals_print_one_line_and_exit_1(tmp_path, capsys, argv, message):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("experts = 2\nrounds = 5\nbogus = 1\ndebug_probs = true\n")
+    argv = [arg.format(cfg=cfg, dir=tmp_path / "sweep") for arg in argv]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == message + "\n"
+
+
+def test_readme_cli_block_uses_only_flags_its_subcommands_take():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    commands = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    lines = [line.split() for line in block.replace("\\\n", " ").splitlines()]
+    used = [words for words in lines if words[:1] == ["classhedge"]]
+    assert sorted({words[1] for words in used}) == sorted(commands)
+    for words in used:
+        options = commands[words[1]]._option_string_actions
+        for flag in (word for word in words[2:] if word.startswith("-")):
+            assert flag in options, f"README: `classhedge {words[1]}` has no option {flag}"

@@ -3,8 +3,10 @@
 import hashlib
 import itertools
 import math
+import re
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,12 +19,10 @@ from classhedge.harness import (
     ExperimentConfig,
     _write_csv,
     emit_csv,
-    emit_probs_csv,
     loss_generator,
     make_kernel,
-    probs_csv_path,
     read_csv_columns,
-    read_probs_csv,
+    read_trace,
     run_experiment,
     run_sweep,
     run_verification,
@@ -273,9 +273,12 @@ class TestConfig:
             ExperimentConfig(experts=2, rounds=0).validate()
         with pytest.raises(ConfigError):
             ExperimentConfig(experts=2, rounds=5, gamma=-1.0).validate()
-        for bad in ({"gamma": "fast"}, {"gamma": True}, {"out": 123}, {"debug_probs": "no"}):
+        for bad in ({"gamma": "fast"}, {"gamma": True}, {"out": 123}, {"trace": "no", "out": "run.csv"}):
             with pytest.raises(ConfigError):
                 ExperimentConfig(experts=2, rounds=5, **bad).validate()
+        for out in (None, ""):
+            with pytest.raises(ConfigError, match="^trace is written beside the CSV, so it needs out$"):
+                ExperimentConfig(experts=2, rounds=5, out=out, trace=True).validate()
         ExperimentConfig(experts=2, rounds=5).validate()
         ExperimentConfig(experts=2, rounds=5, gamma=2, out=Path("run.csv")).validate()
 
@@ -422,12 +425,11 @@ class TestSystemInvariance:
             config = ExperimentConfig(
                 experts=4, rounds=250, kernel="cyclic", loss_gen="iid-uniform",
                 loss_params={"offset": offset, "scale": scale}, seed=21,
-                out=str(out), debug_probs=True,
+                out=str(out), trace=True,
             )
             report = run_experiment(config)
-            telemetry = read_csv_columns(probs_csv_path(out))
-            probs = np.column_stack([telemetry[f"p_{m}"] for m in range(4)])
-            return probs, report
+            with np.load(out.with_suffix(".trace.npz")) as trace:
+                return trace["probs"], report
 
         base_probs, base = run(0.0, 1.0, "base")
         for offset, scale in ((7.0, 1.0), (-3.0, 100.0), (40.0, 1e-3)):
@@ -507,21 +509,11 @@ class TestCsv:
         )
         out = tmp_path / "run.csv"
         emit_csv(report, out)
-        emit_probs_csv(report, probs_csv_path(out))
         columns = read_csv_columns(out)
         assert tuple(columns) == CSV_COLUMNS
         np.testing.assert_array_equal(columns["t"], np.arange(1, 26))
         for name in CSV_COLUMNS[1:]:
             np.testing.assert_array_equal(columns[name], getattr(report, name))
-        telemetry = read_csv_columns(probs_csv_path(out))
-        assert list(telemetry) == ["t", "p_0", "p_1", "p_2", "l_0", "l_1", "l_2"]
-        np.testing.assert_array_equal(telemetry["t"], np.arange(1, 26))
-        for m in range(3):
-            np.testing.assert_array_equal(telemetry[f"p_{m}"], report.probs[:, m])
-            np.testing.assert_array_equal(telemetry[f"l_{m}"], report.losses[:, m])
-        probs, losses = read_probs_csv(probs_csv_path(out))
-        np.testing.assert_array_equal(probs, report.probs)
-        np.testing.assert_array_equal(losses, report.losses)
 
     @pytest.mark.parametrize(
         "config",
@@ -539,13 +531,8 @@ class TestCsv:
         report = run_experiment(config)
         out = tmp_path / "run.csv"
         emit_csv(report, out)
-        emit_probs_csv(report, probs_csv_path(out))
         table = np.column_stack([getattr(report, name) for name in CSV_COLUMNS[1:]])
         assert out.read_bytes() == _per_cell_csv(CSV_COLUMNS, table)
-        experts = config.experts
-        header = ["t"] + [f"p_{m}" for m in range(experts)] + [f"l_{m}" for m in range(experts)]
-        telemetry = np.hstack([report.probs, report.losses])
-        assert probs_csv_path(out).read_bytes() == _per_cell_csv(header, telemetry)
 
     def test_write_csv_matches_savetxt(self, tmp_path):
         # np.savetxt is the reference only here: the writer must give its bytes
@@ -561,7 +548,7 @@ class TestCsv:
         tables = [
             np.array([edge]),
             rng.choice(edge, (2000, 11)),  # three blocks of rows
-            rng.choice(edge, (70, 129)),  # a probabilities file of M=64: blocks of 63 rows
+            rng.choice(edge, (70, 129)),  # a wide table: blocks of 7 rows
             rng.standard_normal((3, 1)),
             np.empty((0, 11)),
         ]
@@ -591,23 +578,27 @@ class TestCsv:
         emit_csv(run_experiment(config), b)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_debug_probs_file(self, tmp_path):
-        out = tmp_path / "run.csv"
-        config = ExperimentConfig(
-            experts=2, rounds=5, seed=14, out=str(out), debug_probs=True
-        )
-        report = run_experiment(config)
-        telemetry = read_csv_columns(probs_csv_path(out))
-        np.testing.assert_allclose(telemetry["p_0"], report.probs[:, 0], rtol=1e-15)
-        np.testing.assert_allclose(telemetry["l_1"], report.losses[:, 1], rtol=1e-15)
+    @pytest.mark.parametrize("out", ["run.csv", "run", "a.b.csv"])
+    def test_trace_file(self, tmp_path, out):
+        out = tmp_path / out
+        report = run_experiment(ExperimentConfig(experts=2, rounds=5, seed=14, out=str(out), trace=True))
+        trace_path = tmp_path / (out.name.rsplit(".csv", 1)[0] + ".trace.npz")
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted([out.name, trace_path.name])
+        with np.load(trace_path) as trace:
+            assert sorted(trace.files) == ["losses", "probs", "w_budget"]
+            assert trace["w_budget"].shape == () and trace["w_budget"] == report.w_budget
+            assert trace["probs"].tobytes() == report.probs.tobytes()
+            assert trace["losses"].tobytes() == report.losses.tobytes()
+        w_budget, probs, losses = read_trace(out, 5)
+        assert w_budget == report.w_budget
+        np.testing.assert_array_equal(probs, report.probs)
+        np.testing.assert_array_equal(losses, report.losses)
 
     def test_unwritable_path_surfaces_location(self, tmp_path):
         report = run_experiment(ExperimentConfig(experts=2, rounds=1, seed=15))
         missing = tmp_path / "no" / "such" / "dir" / "x.csv"
         with pytest.raises(OSError, match="x.csv"):
             emit_csv(report, missing)
-        with pytest.raises(OSError, match="probs"):
-            emit_probs_csv(report, missing.with_name("y.probs.csv"))
 
 
 @pytest.fixture
@@ -733,3 +724,34 @@ class TestVerification:
         assert run_verification(seed=0, emit=lines.append)
         assert len(lines) == 5
         assert all(line.startswith("PASS") for line in lines)
+
+
+def test_prefix_and_path_dps_that_disagree_by_nan_stop_the_run(monkeypatch):
+    monkeypatch.setattr(harness, "best_competitor", lambda kernel, losses: ([], math.nan))
+    with pytest.raises(core.InvariantViolation, match=r"^prefix DP \(.*\) and path DP \(nan\) disagree$"):
+        run_experiment(ExperimentConfig(experts=2, rounds=5))
+
+
+def test_summed_losses_just_below_half_the_largest_double_still_report():
+    # 4 rounds of 2e307 sum to 8e307, below half the largest double (8.99e307); a fifth passes it
+    config = ExperimentConfig(experts=2, rounds=4, loss_gen="constant", loss_params={"value": 2e307})
+    report = run_experiment(config)
+    assert report.best_cumloss[-1] == 8e307 and report.exp_regret[-1] == 0.0
+    with pytest.raises(core.InvariantViolation, match=r"^round 5: summed \|losses\| pass half the largest double$"):
+        run_experiment(replace(config, rounds=5))
+
+
+def _read_a_non_numeric_cell(tmp_path):
+    (tmp_path / "x.csv").write_text("t,a\n1,x\n")
+    read_csv_columns(tmp_path / "x.csv")
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (_read_a_non_numeric_cell, ValueError, "x.csv: could not convert string 'x' to float64 at row 0, column 2."),
+    (lambda tmp: run_sweep(ExperimentConfig(experts=2, rounds=5), [], tmp / "sweep"),
+     ConfigError, "sweep needs at least one seed"),
+], ids=["csv-cell", "no-seeds"])
+def test_harness_refusals_name_the_fault(tmp_path, call, error, message):
+    with pytest.raises(error, match=re.escape(message) + "$"):
+        call(tmp_path)
+    assert not (tmp_path / "sweep").exists()

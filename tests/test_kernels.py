@@ -1151,3 +1151,23 @@ class TestDerivedBudget:
             expected[t], big_d[t], big_v[t] = diag.expected_loss, diag.D, diag.V
         regret = np.cumsum(expected) - best_prefix_losses(kernel, table)
         assert np.all(regret <= bound_var(w_budget, big_d, big_v))
+
+
+ONE_CLASS = {(0,): [((0,), 1.0)]}
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: TransitionKernel("k", 1, [()], {}), ConfigError, "class parameters must have at least one coordinate"),
+    (lambda: TransitionKernel("k", 1, [], {}), ConfigError, "kernel needs at least one class"),
+    (lambda: TransitionKernel.from_dense("k", 1, [], np.empty((0, 0))), ConfigError, "kernel needs at least one class"),
+    (lambda: TransitionKernel("k", 1, [(0,)], ONE_CLASS, init_weights={(1,): 1.0}),
+     ConfigError, "initial class (1,) is not in the class space"),
+    (lambda: TransitionKernel("k", 1, [(0,)], ONE_CLASS, init_weights={(0,): 0.5}),
+     ConfigError, "initial distribution must be nonnegative and sum to 1"),
+    (lambda: fixed_kernel(2).successor_items((5,)), KeyError, "(5,) is not a class of kernel 'fixed'"),
+    (lambda: class_budget(fixed_kernel(2), []), ValueError, "competitor path is empty"),
+], ids=["empty-class", "no-classes", "no-dense-classes", "init-unknown", "init-sum", "successor-unknown", "empty-path"])
+def test_kernel_refusals_name_the_fault(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert info.value.args == (message,)
