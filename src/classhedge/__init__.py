@@ -6,7 +6,7 @@ adaptive learning rate that makes the emitted probability sequence invariant
 to per-round translations and global positive scalings of the losses.
 """
 
-from .aggregator import Aggregator, RoundDiagnostics
+from .aggregator import Aggregator
 from .core import (
     ConfigError,
     InvariantViolation,
@@ -17,7 +17,6 @@ from .core import (
 from .harness import (
     ExperimentConfig,
     RegretReport,
-    emit_csv,
     loss_generator,
     make_kernel,
     run_experiment,
@@ -25,7 +24,6 @@ from .harness import (
     run_verification,
 )
 from .kernels import (
-    ClassParams,
     TransitionKernel,
     best_competitor,
     best_prefix_losses,
@@ -34,38 +32,24 @@ from .kernels import (
     fixed_kernel,
     switching_kernel,
 )
-from .oracle import (
-    BoundReport,
-    StrategyPath,
-    bound_report,
-    ewa_reference,
-    exhaustive_best,
-    trajectory_reference,
-)
+from .oracle import bound_report, trajectory_reference
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Aggregator",
-    "BoundReport",
-    "ClassParams",
     "ConfigError",
     "ExperimentConfig",
     "InvariantViolation",
     "OutOfClassError",
     "ProtocolError",
     "RegretReport",
-    "RoundDiagnostics",
-    "StrategyPath",
     "TransitionKernel",
     "best_competitor",
     "best_prefix_losses",
     "bound_report",
     "class_budget",
     "cyclic_kernel",
-    "emit_csv",
-    "ewa_reference",
-    "exhaustive_best",
     "fixed_kernel",
     "gamma_from_budget",
     "loss_generator",

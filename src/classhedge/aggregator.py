@@ -112,7 +112,7 @@ class Aggregator:
         """The round's probability vector, computed once and cached until ``observe``."""
         if self._cached_p is not None:
             return self._cached_p
-        log_wm = self.kernel.expert_log_weights(self._log_w)
+        log_wm = self.kernel._expert_log_weights(self._log_w)
         # each reduction on the round path is picked by position (x.item(x.argmax()))
         # or called as a ufunc method: the same bits without numpy's Python wrappers
         top = log_wm.item(log_wm.argmax())
@@ -169,8 +169,8 @@ class Aggregator:
             raise InvariantViolation(f"round {t}: -eta*phi reached {max_neg_eta_phi!r} > 1")
 
         kernel = self.kernel
-        scores = phi if kernel.one_per_expert else phi[kernel.expert_of]
-        new_lw = kernel.structure.mix(self._log_w - exponent * scores, ratio)
+        scores = phi if kernel._one_per_expert else phi[kernel._expert_of]
+        new_lw = kernel._structure.mix(self._log_w - exponent * scores, ratio)
         top = new_lw.item(new_lw.argmax())
         if not math.isfinite(top):
             raise InvariantViolation(f"round {t}: class weights collapsed")

@@ -204,12 +204,10 @@ class RegretReport:
     eta: np.ndarray
     D: np.ndarray
     V: np.ndarray
-    d: np.ndarray
     sum_d_sq: np.ndarray
     probs: np.ndarray
     losses: np.ndarray
     selections: np.ndarray
-    best_loss: float
 
     @property
     def rounds(self) -> int:
@@ -275,12 +273,10 @@ def run_experiment(config: ExperimentConfig) -> RegretReport:
         eta=stats["eta"],
         D=stats["D"],
         V=stats["V"],
-        d=stats["d"],
         sum_d_sq=sum_d_sq,
         probs=probs,
         losses=losses,
         selections=selections,
-        best_loss=best_loss,
     )
     if config.out:
         emit_csv(report, config.out)
@@ -488,9 +484,7 @@ def run_verification(seed: int = 0, emit=print) -> bool:
         if experts >= 2:
             kernels.append(switching_kernel(experts, 0.2))
         for kernel in kernels:
-            path, loss = best_competitor(kernel, table)
-            truth = oracle.exhaustive_best(kernel, table)
-            agree = agree and path == truth.classes and loss == truth.cum_loss
+            agree = agree and best_competitor(kernel, table) == oracle.exhaustive_best(kernel, table)
     check("competitor DP equals exhaustive enumeration", agree)
 
     report = run_experiment(

@@ -162,15 +162,16 @@ class TransitionKernel:
 
     The kernel holds the tables that the engine, the budgets and the DPs
     read.  ``classes`` are sorted lexicographically, which groups them by
-    expert (the first coordinate): ``expert_of`` is each class's expert,
-    ``present_experts`` the experts that have a class, ``expert_starts`` the
-    first class of each and ``class_seg`` each class's group.
-    ``init_weights`` is the first round's distribution, ``one_per_expert``
-    says that class c is expert c (the engine neither gathers nor groups),
-    and ``structure`` (``EdgeList``, ``Permutation`` or ``FixedShare``) holds
-    the transitions, answers for a class's row and the least weight, mixes
-    the engine's weights and runs both competitor DPs.  The class ``index``,
-    which no round reads, is built on first read.  No budget is declared:
+    expert (the first coordinate), and ``init_weights`` is the first round's
+    distribution; those two are public.  The rest only the library reads:
+    ``_expert_of`` is each class's expert, ``_present_experts`` the experts
+    that have a class, ``_expert_starts`` the first class of each and
+    ``_class_seg`` each class's group.  ``_one_per_expert`` says that class c
+    is expert c (the engine neither gathers nor groups), and ``_structure``
+    (``EdgeList``, ``Permutation`` or ``FixedShare``) holds the transitions,
+    answers for a class's row and the least weight, mixes the engine's
+    weights and runs both competitor DPs.  The class ``_index``, which no
+    round reads, is built on first read.  No budget is declared:
     ``budget_bound`` reads it off the tables, so every kernel, built-in or
     not, can choose gamma from it.  Kernels are immutable by convention (no
     array is made read-only) and safe to share across threads.
@@ -233,16 +234,16 @@ class TransitionKernel:
             expert_of = np.fromiter((cls[0] for cls in class_list), np.intp, k)
 
         opens = np.concatenate(([True], expert_of[1:] != expert_of[:-1]))  # where each expert's classes start
-        self.expert_starts = np.flatnonzero(opens)
-        self.present_experts = expert_of[self.expert_starts]
-        if len(self.present_experts) < num_experts:
+        self._expert_starts = np.flatnonzero(opens)
+        self._present_experts = expert_of[self._expert_starts]
+        if len(self._present_experts) < num_experts:
             warnings.warn(
                 f"kernel '{self.name}' has no class for experts "
-                f"{np.setdiff1d(np.arange(num_experts), self.present_experts).tolist()}; "
+                f"{np.setdiff1d(np.arange(num_experts), self._present_experts).tolist()}; "
                 "their selection probability will be structurally zero",
                 stacklevel=3,  # past _build and the constructor, to the caller's line
             )
-        self.class_seg = np.cumsum(opens) - 1
+        self._class_seg = np.cumsum(opens) - 1
 
         if init_weights is None:
             init = np.full(k, 1.0 / k)
@@ -258,10 +259,10 @@ class TransitionKernel:
                 raise ConfigError("initial distribution must be nonnegative and sum to 1")
 
         self.classes = tuple(class_list)
-        self.expert_of = expert_of
+        self._expert_of = expert_of
         self.init_weights = init
-        self.one_per_expert = k == len(self.present_experts) == num_experts
-        self.structure = structure
+        self._one_per_expert = k == len(self._present_experts) == num_experts
+        self._structure = structure
         return self
 
     @classmethod
@@ -298,29 +299,29 @@ class TransitionKernel:
         return len(self.classes)
 
     @cached_property
-    def index(self) -> dict[ClassParams, int]:
+    def _index(self) -> dict[ClassParams, int]:
         return {cls: i for i, cls in enumerate(self.classes)}
 
-    def expert_log_weights(self, log_w: np.ndarray) -> np.ndarray:
+    def _expert_log_weights(self, log_w: np.ndarray) -> np.ndarray:
         """Log of each expert's total class weight, -inf for an expert with no class.
 
         With one class per expert this is ``log_w`` itself, not a copy.
         """
-        if self.one_per_expert:
+        if self._one_per_expert:
             return log_w
-        grouped = _segment_logsumexp(log_w, self.expert_starts, self.class_seg)
+        grouped = _segment_logsumexp(log_w, self._expert_starts, self._class_seg)
         if len(grouped) == self.num_experts:
             return grouped
         out = np.full(self.num_experts, -np.inf)
-        out[self.present_experts] = grouped
+        out[self._present_experts] = grouped
         return out
 
     def successor_items(self, coords) -> tuple[tuple[ClassParams, float], ...]:
         """Sparse successor list of one class: ((next_class, weight), ...)."""
         cls = _as_class(coords)
-        if cls not in self.index:
+        if cls not in self._index:
             raise KeyError(f"{cls} is not a class of kernel '{self.name}'")
-        dsts, weights = self.structure.row(self.index[cls], self.num_classes)
+        dsts, weights = self._structure.row(self._index[cls], self.num_classes)
         return tuple((self.classes[d], w) for d, w in zip(dsts.tolist(), weights.tolist()))
 
     def budget_bound(self, rounds: int) -> float:
@@ -333,7 +334,7 @@ class TransitionKernel:
         """
         start = _start_charge(float(self.init_weights[self.init_weights > 0.0].min()), self.num_classes)
         steps = max(as_integer(rounds, "rounds", 0, MAX_ROUNDS) - 1, 0)
-        return 1.0 + start + steps * -math.log(self.structure.least_weight())
+        return 1.0 + start + steps * -math.log(self._structure.least_weight())
 
     def __repr__(self) -> str:
         return (
@@ -412,9 +413,9 @@ def class_budget(kernel: TransitionKernel, competitor: Sequence[ClassParams]) ->
     if not path:
         raise ValueError("competitor path is empty")
     first = path[0]
-    if first not in kernel.index:
+    if first not in kernel._index:
         raise OutOfClassError(f"{first} is not a class of kernel '{kernel.name}'")
-    a = kernel.index[first]
+    a = kernel._index[first]
     init_weight = float(kernel.init_weights[a])
     if init_weight <= 0.0:
         raise OutOfClassError(f"{first} has zero initial weight")
@@ -423,8 +424,8 @@ def class_budget(kernel: TransitionKernel, competitor: Sequence[ClassParams]) ->
     log_tau = 0.0
     for t, (prev, cls) in enumerate(zip(path, path[1:]), start=1):
         # each row lists its destinations in sorted order
-        dsts, weights = kernel.structure.row(a, kernel.num_classes)
-        b = kernel.index.get(cls, -1)
+        dsts, weights = kernel._structure.row(a, kernel.num_classes)
+        b = kernel._index.get(cls, -1)
         e = np.searchsorted(dsts, b)
         if e == len(dsts) or dsts[e] != b:
             raise OutOfClassError(f"transition {prev} -> {cls} at step {t} has zero weight")
@@ -515,14 +516,14 @@ class EdgeList:
         nnz = len(self.row_dst)
         back = np.empty((max(rounds - 1, 0), kernel.num_classes), dtype=np.intp)
         edge_pos = np.arange(nnz)
-        suffix = table[rounds - 1][kernel.expert_of]
+        suffix = table[rounds - 1][kernel._expert_of]
         for t in range(rounds - 2, -1, -1):
             cand = suffix[self.row_dst]
             seg_min = np.minimum.reduceat(cand, self.row_starts)
             # first minimal edge in each segment = lex-smallest successor
             marked = np.where(cand == seg_min[self.row_src], edge_pos, nnz)
             back[t] = self.row_dst[np.minimum.reduceat(marked, self.row_starts)]
-            suffix = table[t][kernel.expert_of] + seg_min
+            suffix = table[t][kernel._expert_of] + seg_min
         start, best_loss = _best_start(kernel, suffix)
         path = [start]
         for t in range(rounds - 1):
@@ -530,13 +531,13 @@ class EdgeList:
         return path, best_loss
 
     def prefix_dp(self, table: np.ndarray, kernel: TransitionKernel) -> np.ndarray:
-        dp = np.where(kernel.init_weights > 0.0, table[0][kernel.expert_of], np.inf)
+        dp = np.where(kernel.init_weights > 0.0, table[0][kernel._expert_of], np.inf)
         out = np.empty(len(table))
         out[0] = dp.min()
         for t in range(1, len(table)):
             carried = np.full(kernel.num_classes, np.inf)
             carried[self.dst_ids] = np.minimum.reduceat(dp[self.src], self.starts)
-            dp = carried + table[t][kernel.expert_of]
+            dp = carried + table[t][kernel._expert_of]
             out[t] = dp.min()
         return out
 
@@ -637,7 +638,7 @@ class Permutation:
         if self.orbit is None or len(self.orbit) < width:  # first call, or _BLOCK grew since
             self.orbit = _orbit_rows(self.succ)
         orbit = self.orbit[:width]
-        flat = kernel.expert_of[orbit]
+        flat = kernel._expert_of[orbit]
         flat += np.arange(0, width * kernel.num_experts, kernel.num_experts)[:, None]
         return orbit, flat, self.succ[orbit[-1]]
 
@@ -681,7 +682,7 @@ class Permutation:
 
 def _round_minima(table: np.ndarray, kernel: TransitionKernel) -> np.ndarray:
     """Each round's least loss over the classes' experts, in blocks unless every expert has one."""
-    cols = kernel.present_experts
+    cols = kernel._present_experts
     if len(cols) == table.shape[1]:
         return table.min(axis=1)
     width = max(1, _BLOCK // len(cols))
@@ -745,18 +746,18 @@ class FixedShare:
         width = max(1, _BLOCK // kernel.num_classes)
         for lo in range(0, rounds, width):
             later = best[lo + 1:lo + width + 1, None]
-            if kernel.one_per_expert:  # expert_of is the identity: no gather
+            if kernel._one_per_expert:  # _expert_of is the identity: no gather
                 suffix = np.add(table[lo:lo + width], later)
             else:
-                suffix = table[lo:lo + width, kernel.expert_of]
+                suffix = table[lo:lo + width, kernel._expert_of]
                 suffix += later
             suffix.argmin(axis=1, out=firsts[lo:lo + len(suffix)])
-        start, best_loss = _best_start(kernel, table[0][kernel.expert_of] + best[1])
+        start, best_loss = _best_start(kernel, table[0][kernel._expert_of] + best[1])
         return [start] + firsts[1:].tolist(), best_loss
 
     def prefix_dp(self, table: np.ndarray, kernel: TransitionKernel) -> np.ndarray:
         minima = _round_minima(table, kernel)
-        minima[0] = np.where(kernel.init_weights > 0.0, table[0][kernel.expert_of], np.inf).min()
+        minima[0] = np.where(kernel.init_weights > 0.0, table[0][kernel._expert_of], np.inf).min()
         return np.add.accumulate(minima)
 
 
@@ -776,7 +777,7 @@ def best_competitor(
     """
     kernel = as_instance(kernel, TransitionKernel, "kernel")
     table = as_loss_array(np.atleast_2d(losses), kernel.num_experts)[0]
-    path, best_loss = kernel.structure.path_dp(table, kernel)
+    path, best_loss = kernel._structure.path_dp(table, kernel)
     return tuple(kernel.classes[i] for i in path), best_loss
 
 
@@ -790,4 +791,4 @@ def best_prefix_losses(kernel: TransitionKernel, losses) -> np.ndarray:
     """
     kernel = as_instance(kernel, TransitionKernel, "kernel")
     table = as_loss_array(np.atleast_2d(losses), kernel.num_experts)[0]
-    return kernel.structure.prefix_dp(table, kernel)
+    return kernel._structure.prefix_dp(table, kernel)

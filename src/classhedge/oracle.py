@@ -40,15 +40,6 @@ _NARROW = 16
 
 
 @dataclass(frozen=True)
-class StrategyPath:
-    """A deterministic expert-selection sequence and its realized cost."""
-
-    selections: tuple[int, ...]
-    cum_loss: float
-    classes: tuple[ClassParams, ...]
-
-
-@dataclass(frozen=True)
 class BoundReport:
     """Second-order bound ingredients and the two bound values.
 
@@ -105,7 +96,8 @@ def trajectory_reference(kernel: TransitionKernel, losses, gamma: float) -> np.n
     """Expert-HMM forward recursion over any kernel, on a dense matrix.
 
     Fills a K x K log-transition matrix from ``successor_items`` (-inf where
-    there is no edge) and runs the engine's update through it: each
+    there is no edge), with its own class index and expert map read off
+    ``classes``, and runs the engine's update through it: each
     destination's log-sum-exp is taken from its own maximum over all K
     sources, with no edge lists and no closed form.  Returns a (T+1, K)
     array of max-normalized log class weights in kernel class order; row r
@@ -114,10 +106,12 @@ def trajectory_reference(kernel: TransitionKernel, losses, gamma: float) -> np.n
     gamma = as_gamma(gamma)
     kernel = as_instance(kernel, TransitionKernel, "kernel")
     table = as_loss_array(np.atleast_2d(losses), kernel.num_experts)[0]
+    index = {cls: i for i, cls in enumerate(kernel.classes)}
+    expert_of = np.array([cls[0] for cls in kernel.classes], dtype=np.intp)
     log_t = np.full((kernel.num_classes, kernel.num_classes), -np.inf)  # [destination, source]
     for src, cls in enumerate(kernel.classes):
         for dst, weight in kernel.successor_items(cls):
-            log_t[kernel.index[dst], src] = math.log(weight)
+            log_t[index[dst], src] = math.log(weight)
 
     rounds = table.shape[0]
     out = np.empty((rounds + 1, kernel.num_classes))
@@ -129,7 +123,7 @@ def trajectory_reference(kernel: TransitionKernel, losses, gamma: float) -> np.n
     prev = DEGENERATE_ETA
     d_max = v_sum = carry = 0.0
     for t in range(rounds):
-        by_expert = np.bincount(kernel.expert_of, np.exp(log_u - log_u.max()), kernel.num_experts)
+        by_expert = np.bincount(expert_of, np.exp(log_u - log_u.max()), kernel.num_experts)
         p = by_expert / by_expert.sum()
 
         row = table[t]
@@ -138,7 +132,7 @@ def trajectory_reference(kernel: TransitionKernel, losses, gamma: float) -> np.n
         eta_t = learning_rate(d_max, v_sum, gamma, t + 1)
         exponent, ratio = eta_ratio(eta_t, prev)
 
-        terms = ratio * (log_u - exponent * phi[kernel.expert_of]) + log_t
+        terms = ratio * (log_u - exponent * phi[expert_of]) + log_t
         top = terms.max(axis=1)
         # a destination whose every term is -inf stays -inf: shift it by 0, not by -inf
         top[np.isneginf(top)] = 0.0
@@ -152,17 +146,20 @@ def trajectory_reference(kernel: TransitionKernel, losses, gamma: float) -> np.n
 
 def exhaustive_best(
     kernel: TransitionKernel, losses, limit: int = 100_000
-) -> StrategyPath:
+) -> tuple[tuple[ClassParams, ...], float]:
     """Ground-truth best in-class path by enumerating every path.
 
-    Walks paths in lexicographic class order and keeps the first strict
-    minimum, which reproduces the DP's smallest-coordinates tie-break.
-    Refuses tables whose in-class path count exceeds ``limit``.
+    Returns (path, cumulative loss), as ``best_competitor`` does.  Walks
+    paths in lexicographic class order and keeps the first strict minimum,
+    or the first path if every cost is inf, which reproduces the DP's
+    smallest-coordinates tie-break.  Costs are sums of Python floats, which
+    pass the largest double to inf without a warning.  Refuses tables whose
+    in-class path count exceeds ``limit``.
     """
     kernel = as_instance(kernel, TransitionKernel, "kernel")
-    table = as_loss_array(np.atleast_2d(losses), kernel.num_experts)[0]
+    table = as_loss_array(np.atleast_2d(losses), kernel.num_experts)[0].tolist()
     limit = as_integer(limit, "limit", 1)
-    rounds = table.shape[0]
+    rounds = len(table)
     successors = {cls: kernel.successor_items(cls) for cls in kernel.classes}
     starts = [cls for i, cls in enumerate(kernel.classes) if kernel.init_weights[i] > 0.0]
     counts = dict.fromkeys(kernel.classes, 1)  # paths of each length so far, by first class
@@ -173,7 +170,7 @@ def exhaustive_best(
         raise ValueError(f"{total} in-class paths exceed the enumeration limit {limit}")
 
     best_cost = math.inf
-    best: list[ClassParams] | None = None
+    best: tuple[ClassParams, ...] | None = None
     path: list[ClassParams] = []
     # depth-first on an explicit stack, pushed in reverse so paths pop in lexicographic order
     stack = [(cls, 1) for cls in reversed(starts)]
@@ -187,16 +184,10 @@ def exhaustive_best(
         cost = 0.0
         for back in range(rounds - 1, -1, -1):
             cost = table[back][path[back][0]] + cost
-        if cost < best_cost:
+        if best is None or cost < best_cost:
             best_cost = cost
-            best = list(path)
-
-    assert best is not None
-    return StrategyPath(
-        selections=tuple(cls[0] for cls in best),
-        cum_loss=float(best_cost),
-        classes=tuple(best),
-    )
+            best = tuple(path)
+    return best, best_cost
 
 
 def _fsum_or_inf(values: np.ndarray) -> float:

@@ -316,9 +316,9 @@ class TestStructuredMixing:
         return log_z
 
     def check_fixed_share(self, kernel, rng):
-        structure = kernel.structure
+        structure = kernel._structure
         assert isinstance(structure, FixedShare)
-        twin = edge_list_twin(kernel).structure
+        twin = edge_list_twin(kernel)._structure
         for ratio in [1.0, 1e-6, *rng.uniform(1e-3, 1.0, 10)]:
             log_z = self.random_log_z(rng, kernel.num_classes)
             np.testing.assert_allclose(
@@ -340,14 +340,14 @@ class TestStructuredMixing:
         [fixed_kernel(1), fixed_kernel(5), cyclic_kernel(2), cyclic_kernel(4), ROTATE_WITH_INIT, NEAR_UNIT],
     )
     def test_permutation_matches_edge_list_exactly(self, kernel):
-        assert isinstance(kernel.structure, Permutation)
+        assert isinstance(kernel._structure, Permutation)
         # unit weights skip the add of the log weights; NEAR_UNIT's must keep it
-        assert kernel.structure.unit == bool((kernel.structure.w == 1.0).all()) == (kernel is not NEAR_UNIT)
-        twin = edge_list_twin(kernel).structure
+        assert kernel._structure.unit == bool((kernel._structure.w == 1.0).all()) == (kernel is not NEAR_UNIT)
+        twin = edge_list_twin(kernel)._structure
         rng = np.random.default_rng(kernel.num_classes)
         for ratio in [1.0, 1e-6, *rng.uniform(1e-3, 1.0, 10)]:
             log_z = self.random_log_z(rng, kernel.num_classes)
-            assert kernel.structure.mix(log_z, ratio).tobytes() == twin.mix(log_z, ratio).tobytes()
+            assert kernel._structure.mix(log_z, ratio).tobytes() == twin.mix(log_z, ratio).tobytes()
 
 
 def play(kernel, table, gamma=0.8):
@@ -385,15 +385,15 @@ class TestLeanRound:
     def test_mix_and_grouping_leave_their_inputs(self, kernel):
         k = kernel.num_classes
         rng = np.random.default_rng(k)
-        for structure in (kernel.structure, edge_list_twin(kernel).structure):
+        for structure in (kernel._structure, edge_list_twin(kernel)._structure):
             for ratio in (1.0, 0.3):
                 log_z = TestStructuredMixing.random_log_z(rng, k)
                 before = log_z.tobytes()
                 structure.mix(log_z, ratio)
                 assert log_z.tobytes() == before, type(structure).__name__
-        for log_w in (TestStructuredMixing.random_log_z(rng, k), np.where(kernel.expert_of == 0, -np.inf, 0.0)):
+        for log_w in (TestStructuredMixing.random_log_z(rng, k), np.where(kernel._expert_of == 0, -np.inf, 0.0)):
             before = log_w.tobytes()
-            kernel.expert_log_weights(log_w)
+            kernel._expert_log_weights(log_w)
             assert log_w.tobytes() == before
 
     @pytest.mark.parametrize("stream", ["signed-zeros", "ties", "subnormal"])
@@ -408,7 +408,7 @@ class TestLeanRound:
         probs, choices, diags, log_w = play(kernel, table)
         twin_probs, twin_choices, twin_diags, twin_log_w = play(edge_list_twin(kernel), table)
         assert choices == twin_choices
-        if isinstance(kernel.structure, Permutation):
+        if isinstance(kernel._structure, Permutation):
             assert probs.tobytes() == twin_probs.tobytes()
             assert diags.tobytes() == twin_diags.tobytes()
             np.testing.assert_array_equal(log_w, twin_log_w)  # a zero's sign may differ
@@ -424,7 +424,7 @@ class TestLeanRound:
             "fixed-prior", 4, [(m,) for m in range(4)], np.eye(4),
             init_weights={(0,): 1 / 3, (1,): 1 / 3, (2,): 1 / 3},
         )
-        assert kernel.structure.unit
+        assert kernel._structure.unit
         opening = [[0.0, 0.0, 0.0, 1.0], [0.0, 5e-324, 0.0, 0.0], [0.0, 0.0, 0.0, 1e3]]
         rest = np.random.default_rng(2).integers(0, 2, (30, 4)) * 10.0 ** np.repeat([-320, 0], 15)[:, None]
         table = np.vstack([opening, rest])
@@ -469,7 +469,7 @@ class TestAgainstStraightLoop:
     @pytest.mark.parametrize("seed", range(3))
     def test_lazy_walk_generic_path(self, seed):
         kernel = TransitionKernel.from_dense("lazy-walk", 3, [(0,), (1,), (2,)], LAZY_WALK)
-        assert isinstance(kernel.structure, EdgeList)
+        assert isinstance(kernel._structure, EdgeList)
         self.check(kernel, LAZY_WALK, seed)
 
 

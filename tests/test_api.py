@@ -1,30 +1,29 @@
 """The package's public surface: what ``import classhedge`` exports."""
 
+import dataclasses
+import importlib
 import inspect
+import re
+from pathlib import Path
+
+import pytest
 
 import classhedge
 
 PUBLIC_API = [
     "Aggregator",
-    "BoundReport",
-    "ClassParams",
     "ConfigError",
     "ExperimentConfig",
     "InvariantViolation",
     "OutOfClassError",
     "ProtocolError",
     "RegretReport",
-    "RoundDiagnostics",
-    "StrategyPath",
     "TransitionKernel",
     "best_competitor",
     "best_prefix_losses",
     "bound_report",
     "class_budget",
     "cyclic_kernel",
-    "emit_csv",
-    "ewa_reference",
-    "exhaustive_best",
     "fixed_kernel",
     "gamma_from_budget",
     "loss_generator",
@@ -51,25 +50,28 @@ BENCHMARK_NAMES = [
     "trajectory_reference",
 ]
 
-# TransitionKernel's public names: its constructors and readers, and the tables it holds.
+# TransitionKernel's public names: its constructors and readers, and the tables a user reads.
 KERNEL_API = [
     "budget_bound",
-    "class_seg",
     "classes",
-    "expert_log_weights",
-    "expert_of",
-    "expert_starts",
     "from_dense",
-    "index",
     "init_weights",
     "name",
     "num_classes",
     "num_experts",
-    "one_per_expert",
-    "present_experts",
-    "structure",
     "successor_items",
 ]
+
+# Names the top level no longer re-exports, and the module each stays in (None: deleted).
+DROPPED = {
+    "RoundDiagnostics": "aggregator",
+    "ClassParams": "kernels",
+    "BoundReport": "oracle",
+    "StrategyPath": None,
+    "ewa_reference": "oracle",
+    "exhaustive_best": "oracle",
+    "emit_csv": "harness",
+}
 
 
 def test_all_is_pinned():
@@ -92,6 +94,33 @@ def test_per_round_internals_stay_in_core():
         assert name not in classhedge.__all__
         assert not hasattr(classhedge, name), name
         assert callable(getattr(core, name))
+
+
+@pytest.mark.parametrize("name, module", DROPPED.items())
+def test_dropped_names_left_the_top_level(name, module):
+    assert name not in classhedge.__all__
+    assert not hasattr(classhedge, name), name
+    if module is None:
+        for owner in ("aggregator", "core", "harness", "kernels", "oracle"):
+            assert not hasattr(importlib.import_module(f"classhedge.{owner}"), name), owner
+    else:
+        assert getattr(importlib.import_module(f"classhedge.{module}"), name) is not None
+
+
+def test_readme_public_api_list_is_all():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Public API\n", 1)[1]
+    # the bullet list: from its first bullet to the first blank line
+    listed = section[section.index("\n- "):].split("\n\n", 1)[0]
+    assert sorted(re.findall(r"`([^`]+)`", listed)) == sorted(classhedge.__all__)
+
+
+def test_regret_report_fields_are_pinned():
+    assert [f.name for f in dataclasses.fields(classhedge.RegretReport)] == [
+        "config", "gamma", "w_budget", "expected_loss", "realized_loss", "best_cumloss", "exp_regret",
+        "real_regret", "bound_var", "bound_range", "eta", "D", "V", "sum_d_sq", "probs", "losses",
+        "selections",
+    ]
 
 
 def test_kernel_constructors_take_no_budget():

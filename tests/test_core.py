@@ -16,9 +16,6 @@ from classhedge import (
     bound_report,
     class_budget,
     cyclic_kernel,
-    emit_csv,
-    ewa_reference,
-    exhaustive_best,
     fixed_kernel,
     loss_generator,
     make_kernel,
@@ -27,7 +24,8 @@ from classhedge import (
     switching_kernel,
     trajectory_reference,
 )
-from classhedge.harness import ExperimentConfig
+from classhedge.harness import ExperimentConfig, emit_csv
+from classhedge.oracle import ewa_reference, exhaustive_best
 from classhedge.core import (
     DEGENERATE_ETA,
     TWO_E_MINUS_2,

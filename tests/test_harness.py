@@ -297,7 +297,7 @@ class TestConfig:
 
     def test_switch_weight_accepts_numpy_reals(self):
         assert isinstance(
-            make_kernel("switching", 3, {"switch_weight": np.float32(0.25)}).structure, FixedShare
+            make_kernel("switching", 3, {"switch_weight": np.float32(0.25)})._structure, FixedShare
         )
 
     @pytest.mark.parametrize("params", [[1], "switch_weight", 0.1])
@@ -369,7 +369,8 @@ class TestRunExperiment:
         report = run_experiment(
             ExperimentConfig(experts=3, rounds=60, kernel="switching", seed=8)
         )
-        expected = report.expected_loss.sum() - report.best_loss
+        _, best_loss = kernels.best_competitor(make_kernel("switching", 3), report.losses)
+        expected = report.expected_loss.sum() - best_loss
         assert report.exp_regret[-1] == pytest.approx(expected, rel=1e-9)
 
     def test_realized_loss_matches_selection(self):
@@ -385,15 +386,19 @@ class TestRunExperiment:
         ))
         agg = Aggregator(make_kernel(kernel, 5), report.gamma)
         rng = np.random.default_rng(np.random.SeedSequence(13).spawn(2)[1])
-        played = {name: [] for name in ("selections", "probs", "expected_loss", "eta", "D", "V", "d")}
+        played = {name: [] for name in ("selections", "probs", "expected_loss", "eta", "D", "V")}
+        ranges = []
         for losses in report.losses:
             p, choice = agg.run_round(losses, rng)
             diag = agg.last_round
-            for name, value in zip(played, (choice, p, diag.expected_loss, diag.eta, diag.D, diag.V, diag.d)):
+            for name, value in zip(played, (choice, p, diag.expected_loss, diag.eta, diag.D, diag.V)):
                 played[name].append(value)
+            ranges.append(diag.d)
         for name, values in played.items():
             want = np.array(values, dtype=getattr(report, name).dtype)
             assert getattr(report, name).tobytes() == want.tobytes(), name
+        ranges = np.array(ranges)
+        assert report.sum_d_sq.tobytes() == np.cumsum(ranges * ranges).tobytes()
         rounds = np.arange(report.rounds)
         assert report.realized_loss.tobytes() == report.losses[rounds, report.selections].tobytes()
 

@@ -1,11 +1,14 @@
 """Tests for the brute-force references and the bound evaluator."""
 
+import ast
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from classhedge import oracle
 from classhedge.aggregator import Aggregator
 from classhedge.core import ConfigError, InvariantViolation, bound_range, bound_var
 from classhedge.harness import _log_dev
@@ -166,36 +169,48 @@ class TestTrajectoryReference:
 class TestExhaustiveBest:
     def test_fixed_kernel_best_constant_expert(self):
         table = np.array([[0.9, 0.1], [0.8, 0.3], [0.1, 0.2]])
-        path = exhaustive_best(fixed_kernel(2), table)
-        assert path.selections == (1, 1, 1)
-        assert path.cum_loss == pytest.approx(0.6, rel=1e-12)
+        path, loss = exhaustive_best(fixed_kernel(2), table)
+        assert path == ((1,), (1,), (1,))
+        assert loss == pytest.approx(0.6, rel=1e-12)
 
     def test_agrees_with_dp_on_cyclic(self):
         table = np.random.default_rng(9).random((5, 3))
         kernel = cyclic_kernel(3)
-        truth = exhaustive_best(kernel, table)
-        path, loss = best_competitor(kernel, table)
-        assert truth.classes == path and truth.cum_loss == loss
+        assert exhaustive_best(kernel, table) == best_competitor(kernel, table)
 
     def test_agrees_with_dp_on_switching_all_paths(self):
         table = np.random.default_rng(10).random((4, 2))
         kernel = switching_kernel(2, 0.25)  # all 16 expert paths are in-class
-        truth = exhaustive_best(kernel, table)
-        path, loss = best_competitor(kernel, table)
-        assert truth.classes == path and truth.cum_loss == loss
+        assert exhaustive_best(kernel, table) == best_competitor(kernel, table)
 
     @pytest.mark.parametrize("experts", [1, 2])
     def test_long_table_with_few_paths(self, experts):
         # 1200 rounds but only `experts` paths: depth must not be bounded by the call stack
         table = np.random.default_rng(11).random((1200, experts))
-        truth = exhaustive_best(fixed_kernel(experts), table)
-        path, loss = best_competitor(fixed_kernel(experts), table)
-        assert truth.classes == path and truth.cum_loss == loss
-        assert exhaustive_best(fixed_kernel(experts), np.zeros((1200, experts))).selections == (0,) * 1200
+        assert exhaustive_best(fixed_kernel(experts), table) == best_competitor(fixed_kernel(experts), table)
+        assert exhaustive_best(fixed_kernel(experts), np.zeros((1200, experts)))[0] == ((0,),) * 1200
+
+    @pytest.mark.parametrize(
+        "kernel", [fixed_kernel(2), cyclic_kernel(2), switching_kernel(2, 0.5)], ids=["fixed", "cyclic", "switching"]
+    )
+    def test_every_path_past_the_double_range_keeps_the_first_path(self, kernel):
+        # every in-class path sums past the largest double; no RuntimeWarning may be raised
+        table = [[1e308, 1e308]] * 2
+        path, loss = exhaustive_best(kernel, table)
+        assert path == (kernel.classes[0],) * 2 and loss == math.inf
+        with np.errstate(over="ignore"):  # the DP warns when its sums overflow
+            assert best_competitor(kernel, table) == (path, loss)
 
     def test_refuses_past_limit(self):
         with pytest.raises(ValueError, match="16 in-class paths exceed"):
             exhaustive_best(switching_kernel(2, 0.5), np.zeros((4, 2)), limit=10)
+
+
+def test_oracles_read_no_private_name():
+    # the oracles see a kernel only through its public names, never the engine's own tables
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    private = [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr.startswith("_")]
+    assert private == []
 
 
 class TestBoundReport:
