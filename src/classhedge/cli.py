@@ -123,7 +123,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _parse_seeds(text: str) -> list[int]:
     if ":" in text:
         lo, hi = text.split(":", 1)
-        return list(range(int(lo), int(hi)))
+        try:
+            return list(range(int(lo), int(hi)))
+        except OverflowError as exc:  # more seeds than a list can hold
+            raise ConfigError(f"seed range {text} is too long") from exc
     return [int(part) for part in text.split(",") if part.strip()]
 
 
@@ -194,7 +197,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ConfigError, ProtocolError, InvariantViolation, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # one line, also for a message that quotes a table's multi-line repr
+        print("error:", " ".join(map(str.strip, str(exc).splitlines())), file=sys.stderr)
         return 1
 
 

@@ -4,8 +4,8 @@ Centering of raw losses into performance scores, the range/variance
 round statistics, the adaptive learning rate eta = gamma / sqrt(V + gamma^2 D^2),
 the closed-form gamma for a given competition-class budget, and the two
 second-order regret bounds; and the input gates, one per kind of value a
-caller passes (``as_loss_array``, ``as_simplex``, ``as_real``, ``as_integer``,
-``as_instance``).
+caller passes (``as_real_array`` under ``as_loss_array`` and ``as_simplex``,
+``as_real``, ``as_integer``, ``as_instance``, ``as_sequence``, ``as_path``).
 Every public entry point checks each such value with its gate, and only
 there; the math helpers trust their inputs.
 
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 
 import numpy as np
 
@@ -50,20 +51,26 @@ class InvariantViolation(RuntimeError):
     """A runtime invariant of the algorithm failed to hold."""
 
 
-def as_loss_array(values, num_experts: int | None = None) -> tuple[np.ndarray, float, float]:
-    """Validate one round's loss vector, or a (T, M) table of them: real (bool,
-    integer or float, as float64), nonempty, ``num_experts`` wide if given, and
-    finite, not clamped, which would corrupt the range statistic D.  Returns the
-    array with its first least and first greatest entry, which decide finiteness
-    (``argmin`` and ``argmax`` stop at the first NaN, an infinity is one of them).
-    A table's first bad row is named as its round, from 1."""
+def as_real_array(values, what: str) -> np.ndarray:
+    """A caller's vector or (T, M) table of ``what``, nonempty, as float64: bool, integer or
+    float entries; strings, objects and complex numbers are refused before any conversion."""
     arr = np.asarray(values)
     if arr.dtype is not _FLOAT64:  # native float64 is one dtype object: no test, no copy
         if arr.dtype.kind not in "biuf":
-            raise ValueError(f"losses must be real numbers, not {arr.dtype}")
+            raise ValueError(f"{what} must be real numbers, not {arr.dtype}")
         arr = arr.astype(float)
     if arr.ndim not in (1, 2) or arr.size == 0:
-        raise ValueError(f"losses must be a nonempty vector or table, not shape {arr.shape}")
+        raise ValueError(f"{what} must be a nonempty vector or table, not shape {arr.shape}")
+    return arr
+
+
+def as_loss_array(values, num_experts: int | None = None) -> tuple[np.ndarray, float, float]:
+    """Validate one round's loss vector, or a (T, M) table of them: real (``as_real_array``),
+    ``num_experts`` wide if given, and finite, not clamped, which would corrupt the range
+    statistic D.  Returns the array with its first least and first greatest entry, which decide
+    finiteness (``argmin`` and ``argmax`` stop at the first NaN, an infinity is one of them).
+    A table's first bad row is named as its round, from 1."""
+    arr = as_real_array(values, "losses")
     if num_experts is not None and arr.shape[-1] != num_experts:
         raise ValueError(f"losses have {arr.shape[-1]} columns, expected {num_experts}")
     # by position: cheaper than min() and max(), and a tie of -0.0 and 0.0 goes to the first
@@ -111,13 +118,29 @@ def as_instance(value, kind: type, what: str):
     return value
 
 
+def as_sequence(value, what: str, of: str) -> tuple:
+    """A caller's sequence as a tuple: iterable and not a string, else a ConfigError naming ``what``."""
+    try:
+        items = iter(value)  # a 0-d array has __iter__, and this raises TypeError
+    except TypeError:
+        items = None
+    if items is None or isinstance(value, (str, bytes)):
+        raise ConfigError(f"{what} must be a sequence of {of}, got {value!r}")
+    return tuple(items)
+
+
+def as_path(value, what: str):
+    """A caller's file path as given: a str or an os.PathLike, never an int, a descriptor to ``open``."""
+    if not isinstance(value, (str, os.PathLike)):
+        raise ConfigError(f"{what} must be a str or os.PathLike, got {value!r}")
+    return value
+
+
 def as_simplex(values) -> np.ndarray:
-    """Validate a probability vector, or a (T, M) table with one per row: entries
-    finite and >= -SIMPLEX_TOL, each vector summing to 1 within SIMPLEX_TOL.  A
+    """Validate a probability vector, or a (T, M) table with one per row (``as_real_array``):
+    entries finite and >= -SIMPLEX_TOL, each vector summing to 1 within SIMPLEX_TOL.  A
     table's first bad row is named as its round, counting from 1."""
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim not in (1, 2) or arr.shape[-1] == 0:
-        raise ValueError(f"probabilities must be a nonempty vector or table, not shape {arr.shape}")
+    arr = as_real_array(values, "probabilities")
     rows = arr.reshape(-1, arr.shape[-1])
     sums = np.einsum("ij->i", rows)
     # NaN fails every test; per-row minima, slow on narrow rows, only if some entry is negative

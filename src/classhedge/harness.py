@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 import warnings
 import zipfile
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass, field, replace
 from itertools import accumulate, chain, repeat
 from pathlib import Path
@@ -25,7 +25,7 @@ import numpy as np
 
 from .aggregator import Aggregator, RoundDiagnostics
 from .core import ConfigError, InvariantViolation, as_gamma, gamma_from_budget
-from .core import MAX_ROUNDS, as_instance, as_integer, as_real, bound_range, bound_var
+from .core import MAX_ROUNDS, as_instance, as_integer, as_path, as_real, as_sequence, bound_range, bound_var
 from .kernels import _BLOCK, SWITCH_WEIGHT_RULE, TransitionKernel, best_competitor, best_prefix_losses
 from .kernels import cyclic_kernel, fixed_kernel, switching_kernel
 from . import oracle
@@ -170,8 +170,8 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if self.gamma != "auto":
             as_gamma(self.gamma)
-        if self.out is not None and not isinstance(self.out, (str, os.PathLike)):
-            raise ConfigError(f"out must be a path, got {self.out!r}")
+        if self.out is not None:
+            as_path(self.out, "out")
         if not isinstance(self.trace, bool):
             raise ConfigError(f"trace must be true or false, got {self.trace!r}")
         if self.trace and not self.out:
@@ -306,7 +306,7 @@ def emit_csv(report: RegretReport, path) -> None:
     as_instance(report, RegretReport, "report")
     # every column after "t" is the report array of the same name
     columns = [np.arange(1, report.rounds + 1)] + [getattr(report, c) for c in CSV_COLUMNS[1:]]
-    _write_csv(path, CSV_COLUMNS, np.column_stack(columns))
+    _write_csv(as_path(path, "path"), CSV_COLUMNS, np.column_stack(columns))
 
 
 def _trace_path(csv_path) -> Path:
@@ -317,7 +317,7 @@ def _trace_path(csv_path) -> Path:
 def read_csv_columns(path, required=()) -> dict[str, np.ndarray]:
     """Parse a CSV written by this module back into named float columns; a
     ``required`` column the header lacks is a ConfigError."""
-    with open(path) as fh:
+    with open(as_path(path, "path")) as fh:
         header = fh.readline().strip().split(",")
         with warnings.catch_warnings():
             # a header-only file warns, then is rejected below as an empty table
@@ -338,7 +338,7 @@ def read_trace(csv_path, rounds: int) -> tuple[float, np.ndarray, np.ndarray]:
     """The W, probabilities and losses of the trace beside the per-round CSV ``csv_path``,
     one row for each of its ``rounds`` rounds; ``oracle.bound_report`` checks their values.
     A file that is not such a trace is a ValueError naming it."""
-    path = _trace_path(csv_path)
+    path = _trace_path(as_path(csv_path, "csv_path"))
     try:
         with open(path, "rb") as fh:  # np.load would leave a file it opened open if it is no zip
             trace = np.load(fh)
@@ -377,9 +377,7 @@ def run_sweep(
     there are never more than seeds; one worker runs the seeds in-process.
     """
     as_instance(base, ExperimentConfig, "base")
-    if not isinstance(seeds, Iterable):
-        raise ConfigError(f"seeds must be a sequence of integers, got {seeds!r}")
-    seeds = [as_integer(s, "seed") for s in seeds]
+    seeds = [as_integer(s, "seed") for s in as_sequence(seeds, "seeds", "integers")]
     if not seeds:
         raise ConfigError("sweep needs at least one seed")
     if len(set(seeds)) != len(seeds):
@@ -387,7 +385,7 @@ def run_sweep(
     workers = (os.cpu_count() or 1) if jobs is None else as_integer(jobs, "jobs", 1)
     # a process pool starts all of its workers up front, busy or not
     workers = min(workers, len(seeds))
-    out_dir = Path(out_dir)
+    out_dir = Path(as_path(out_dir, "out_dir"))
     tasks = [replace(base, seed=s, out=out_dir / f"seed_{s}.csv") for s in seeds]
     for task in tasks:  # refused here, before any file or worker is made
         task.validate()
@@ -440,6 +438,7 @@ def run_verification(seed: int = 0, emit=print) -> bool:
     Prints one PASS/FAIL line per check and returns overall success.
     """
     rng = np.random.default_rng(as_integer(seed, "seed", 0))
+    emit = as_instance(emit, Callable, "emit")
     ok = True
 
     def check(label: str, passed: bool) -> None:

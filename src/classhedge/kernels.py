@@ -25,6 +25,7 @@ from itertools import product
 import numpy as np
 
 from .core import MAX_ROUNDS, ConfigError, OutOfClassError, as_instance, as_integer, as_loss_array, as_real
+from .core import as_sequence
 
 ClassParams = tuple[int, ...]
 
@@ -51,9 +52,7 @@ def _segment_logsumexp(values: np.ndarray, starts: np.ndarray, seg: np.ndarray, 
 
 
 def _as_class(coords) -> ClassParams:
-    if not isinstance(coords, Iterable):
-        raise ConfigError(f"a class must be a tuple of integers, got {coords!r}")
-    cls = tuple(as_integer(c, "class coordinate") for c in coords)
+    cls = tuple(as_integer(c, "class coordinate") for c in as_sequence(coords, "a class", "integers"))
     if not cls:
         raise ConfigError("class parameters must have at least one coordinate")
     return cls
@@ -100,8 +99,8 @@ def _checked_edges(class_list, src, dst, weights):
     src = np.asarray(src, dtype=np.intp)
     dst = np.asarray(dst, dtype=np.intp)
     raw_w = np.asarray(weights)
-    if raw_w.dtype.kind not in "iuf":
-        raise ConfigError(f"transition weights must be real numbers, not {raw_w.dtype}")
+    if raw_w.dtype.kind not in "iuf" or raw_w.ndim != 1:  # a weight that is a sequence adds an axis
+        raise ConfigError(f"transition weights must be one real number each, got {raw_w.dtype} {raw_w.shape}")
     raw_w = raw_w.astype(float, copy=False)
     for ids in (src, dst):
         if ids.min(initial=0) < 0 or ids.max(initial=0) >= k:
@@ -197,7 +196,7 @@ class TransitionKernel:
         init_weights: Mapping[ClassParams, float] | None = None,
     ):
         num_experts = as_integer(num_experts, "num_experts", 1)
-        class_list = sorted({_as_class(c) for c in classes})
+        class_list = sorted({_as_class(c) for c in as_sequence(classes, "classes", "classes")})
         index = {cls: i for i, cls in enumerate(class_list)}
         src: list[int] = []
         dst: list[int] = []
@@ -280,7 +279,7 @@ class TransitionKernel:
         engine consumes.  No class may be listed twice.
         """
         num_experts = as_integer(num_experts, "num_experts", 1)
-        class_list = [_as_class(c) for c in classes]
+        class_list = [_as_class(c) for c in as_sequence(classes, "classes", "classes")]
         mat = np.asarray(matrix)
         if mat.shape != (len(class_list), len(class_list)):
             raise ConfigError(f"matrix shape {mat.shape} does not match {len(class_list)} classes")
@@ -378,8 +377,9 @@ def switching_kernel(num_experts: int, switch_weight: float) -> TransitionKernel
     """
     num_experts = as_integer(num_experts, "num_experts", 2)
     w = as_real(switch_weight, "switch_weight", **SWITCH_WEIGHT_RULE)
-    stay, off = 1.0 - w, w / (num_experts - 1)
+    # np.arange refuses an M past any array size (ValueError) before w / (M - 1) can overflow
     ids, classes = np.arange(num_experts), list(zip(range(num_experts)))
+    stay, off = 1.0 - w, w / (num_experts - 1)
     # row m is row 0 with entries 0 and m swapped, so row 0's checks stand for every row
     row = np.full(num_experts, off)
     row[0] = stay
@@ -407,9 +407,7 @@ def class_budget(kernel: TransitionKernel, competitor: Sequence[ClassParams]) ->
     one-round path has budget 1 whatever its start.
     """
     kernel = as_instance(kernel, TransitionKernel, "kernel")
-    if not isinstance(competitor, Iterable):
-        raise ConfigError(f"competitor must be a sequence of classes, got {competitor!r}")
-    path = [_as_class(c) for c in competitor]
+    path = [_as_class(c) for c in as_sequence(competitor, "competitor", "classes")]
     if not path:
         raise ValueError("competitor path is empty")
     first = path[0]

@@ -25,6 +25,7 @@ from .core import (
     as_instance,
     as_integer,
     as_loss_array,
+    as_real_array,
     as_simplex,
     bound_range,
     bound_var,
@@ -212,8 +213,8 @@ def bound_report(w_budget: float, probs, losses) -> BoundReport:
     (``sum_d_sq``, ``bound_range``) reads then.
     """
     w = as_budget(w_budget)
-    p = np.asarray(probs, dtype=float)
-    l = as_loss_array(losses, p.shape[-1] if p.ndim else None)[0]
+    p = as_real_array(probs, "probabilities")
+    l = as_loss_array(losses, p.shape[-1])[0]
     if p.shape != l.shape or p.ndim != 2:
         raise ValueError(f"probs {p.shape} and losses {l.shape} must be matching 2-D arrays")
     as_simplex(p)
