@@ -121,7 +121,8 @@ class Aggregator:
         p = log_wm - top
         np.exp(p, out=p)
         p /= np.add.reduce(p)
-        # exp >= 0, so only the sum can leave the simplex; NaN fails this test
+        # exp >= 0, so only the sum can leave the simplex; NaN fails this test.  The sum is
+        # pairwise: a running sum in index order drifts past the tolerance near M = 1e5
         if not abs(float(np.add.reduce(p)) - 1.0) <= _SIMPLEX_TOL:
             raise InvariantViolation("selection probabilities left the simplex")
         self._cached_p = p

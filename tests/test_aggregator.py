@@ -112,6 +112,14 @@ class TestProbabilities:
             assert abs(p.sum() - 1.0) <= 1e-12 and p.min() >= 0.0
             agg.observe(rng.standard_normal(3))
 
+    @pytest.mark.parametrize("num_experts", [10**5, 10**6])
+    def test_a_large_uniform_prior_declares_round_one(self, num_experts):
+        # p is fl(1/M) in every entry: its running sum in index order ends about M * 2**-54 from 1,
+        # past the simplex tolerance, while the pairwise sum the check reads stays within it
+        p = Aggregator(fixed_kernel(num_experts), 1.0).probabilities()
+        assert abs(float(np.add.reduce(p)) - 1.0) <= 1e-12
+        assert abs(float(np.add.accumulate(p)[-1]) - 1.0) > 1e-12
+
 
 class TestSample:
     def test_point_mass(self):
@@ -135,6 +143,20 @@ class TestSample:
         counts = np.bincount([agg.sample(rng) for _ in range(n)], minlength=4)
         sigma = math.sqrt(n * 0.25 * 0.75)
         np.testing.assert_array_less(np.abs(counts - n * 0.25), 3 * sigma)
+
+    def test_draws_of_one_round_use_the_same_running_sums(self):
+        agg = Aggregator(cyclic_kernel(3), 0.8)
+        rng = np.random.default_rng(6)
+        for losses in np.random.default_rng(7).standard_normal((5, 3)):
+            agg.run_round(losses, rng)
+        u = np.random.default_rng(9).random(2)
+        rng = np.random.default_rng(9)
+        first = agg.sample(rng)
+        declared = agg._cached_p
+        draws = [first, agg.sample(rng)]
+        assert agg._cached_p is declared  # the second draw reads the vector the first declared
+        cdf = np.add.accumulate(agg.probabilities())
+        assert draws == [min(int(cdf.searchsorted(x, side="right")), 2) for x in u]
 
 
 class TestProtocol:
@@ -511,6 +533,29 @@ class TestRunRound:
             agg.run_round(losses, rng)
         assert kept.tobytes() == bits
 
+    @pytest.mark.parametrize(
+        "kernel",
+        [fixed_kernel(3), cyclic_kernel(3), switching_kernel(3, 0.2), SHARE_WITH_GAP,
+         TransitionKernel.from_dense("lazy-walk", 3, [(0,), (1,), (2,)], LAZY_WALK)],
+        ids=lambda k: f"{k.name}-{k.num_classes}",
+    )
+    def test_equals_probabilities_sample_observe(self, kernel):
+        rng = np.random.default_rng(kernel.num_classes)
+        table = np.concatenate([rng.standard_normal((40, 3)), lean_round_streams(3, 20)["signed-zeros"]])
+        one, three = Aggregator(kernel, 0.8), Aggregator(kernel, 0.8)
+        rng_one, rng_three = np.random.default_rng(12), np.random.default_rng(12)
+        choices = set()
+        for losses in table:
+            p, choice = one.run_round(losses, rng_one)
+            q = three.probabilities()
+            assert choice == three.sample(rng_three)
+            three.observe(losses)
+            assert p.tobytes() == q.tobytes()
+            assert rng_one.bit_generator.state == rng_three.bit_generator.state
+            assert np.array(one.last_round).tobytes() == np.array(three.last_round).tobytes()
+            choices.add(choice)
+        assert len(choices) > 1
+
     def test_writing_into_probabilities_leaves_the_centering_mean(self):
         losses = np.array([0.3, -1.2, 2.5])
         means = []
@@ -744,3 +789,47 @@ def test_a_rate_that_rises_past_the_tolerance_stops_the_round(monkeypatch):
     agg.probabilities()
     with pytest.raises(InvariantViolation, match=message):
         agg.observe(ULP_RISE_TABLE[2])
+
+
+def _calls_per_round(kernel, warmup=10, rounds=50):
+    """C-level and Python-level calls of one ``run_round``, counted with ``sys.setprofile`` over
+    ``rounds`` rounds after ``warmup`` rounds; the count does not move with the host's speed."""
+    agg = Aggregator(kernel, 1.0)
+    rng = np.random.default_rng(0)
+    table = np.random.default_rng(1).random((warmup + rounds, kernel.num_experts))
+    for losses in table[:warmup]:
+        agg.run_round(losses, rng)
+    counts = {"c_call": 0, "call": 0}
+
+    def profile(frame, event, arg):
+        if event in counts and arg is not sys.setprofile:
+            counts[event] += 1
+
+    run_round = agg.run_round
+    sys.setprofile(profile)
+    try:
+        for losses in table[warmup:]:
+            run_round(losses, rng)
+    finally:
+        sys.setprofile(None)
+    return counts["c_call"] / rounds, counts["call"] / rounds
+
+
+CIRCULANT_8 = TransitionKernel.from_dense(
+    "circulant", 8, [(m,) for m in range(8)],
+    0.6 * np.eye(8) + 0.2 * np.roll(np.eye(8), 1, axis=1) + 0.2 * np.roll(np.eye(8), -1, axis=1),
+)
+
+
+@pytest.mark.parametrize("kernel, c_calls, py_calls", [
+    (fixed_kernel(8), 28, 13),
+    (cyclic_kernel(8), 33, 14),
+    (switching_kernel(8, 0.1), 34, 13),
+    (CIRCULANT_8, 35, 16),
+], ids=["fixed-8", "cyclic-8", "switching-8", "circulant-8"])
+def test_a_round_makes_at_most_its_pinned_calls(kernel, c_calls, py_calls):
+    # counted under CPython 3.11.7 and numpy 2.4.6; a change that adds a call to the round raises
+    # its pin here and says so, and an upgrade that moves a function between Python and C re-pins
+    assert isinstance(CIRCULANT_8._structure, EdgeList)
+    c_count, py_count = _calls_per_round(kernel)
+    assert c_count <= c_calls and py_count <= py_calls, (c_count, py_count)

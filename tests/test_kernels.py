@@ -242,6 +242,22 @@ class TestBestCompetitor:
         assert loss == 0.0
         assert path == ((0, 1), (1, 1), (0, 1), (1, 1))
 
+    @pytest.mark.parametrize(
+        "kernel",
+        [fixed_kernel(3), cyclic_kernel(3), switching_kernel(3, 0.2),
+         TransitionKernel.from_dense("lazy-walk", 2, [(0,), (1,)], [[0.75, 0.25], [0.5, 0.5]])],
+        ids=lambda k: f"{k.name}-{k.num_classes}",
+    )
+    def test_path_is_a_tuple_of_class_tuples(self, kernel):
+        width = kernels._BLOCK // kernel.num_classes
+        rng = np.random.default_rng(kernel.num_classes)
+        for rounds in (1, 2, width + 1):  # one round: itemgetter alone would return the class itself
+            table = rng.integers(0, 3, (rounds, kernel.num_experts)).astype(float)
+            path, loss = best_competitor(kernel, table)
+            assert type(path) is tuple and len(path) == rounds
+            assert all(type(cls) is tuple for cls in path)
+            assert (path, loss) == straight_loop_dp(kernel, table)[:2]
+
     def test_ties_break_lexicographically(self):
         table = np.zeros((3, 2))
         path, loss = best_competitor(cyclic_kernel(2), table)
@@ -1061,6 +1077,38 @@ class TestClosedFormDP:
         assert_same_bits([loss, loss], [loop_loss, twin_loss])
         assert_same_bits(prefix, loop_prefix)
         assert_same_bits(prefix, best_prefix_losses(twin, table))
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [fixed_kernel(5), fixed_kernel(8), cyclic_kernel(3), cyclic_kernel(4), cyclic_kernel(8), ROTATE_EVEN,
+         ROTATE_WITH_INIT, switching_kernel(3, 0.2), switching_kernel(8, 0.1), SHARE_WITH_GAP],
+        ids=lambda k: f"{k.name}-{k.num_classes}",
+    )
+    def test_row_minima_keep_the_bytes_of_min_over_each_row(self, kernel):
+        # both DPs of each structure give the bytes they gave when each block (or the
+        # table) took min(axis=1), at T = 1, B - 1, B, B + 1 and 2000, over ties, zeros
+        # of both signs and tables whose least class sum stays a zero for long stretches
+        width = max(1, kernels._BLOCK // kernel.num_classes)
+        rng = np.random.default_rng(kernel.num_classes)
+        for rounds in sorted({1, max(1, width - 1), width, width + 1, 2000}):
+            shape = (rounds, kernel.num_experts)
+            ties = rng.integers(-2, 3, shape).astype(float)
+            ties[rng.random(shape) < 0.3] = -0.0
+            ties[rng.random(shape) < 0.2] = 0.0
+            for table in (ties, rng.choice([-0.0, 0.0, 0.0, 1.0], shape)):
+                got = best_prefix_losses(kernel, table), *best_competitor(kernel, table)
+                with mock.patch.object(kernels, "_row_minima", lambda rows, out=None: rows.min(axis=1, out=out)):
+                    want = best_prefix_losses(kernel, table), *best_competitor(kernel, table)
+                assert got[0].tobytes() == want[0].tobytes(), rounds
+                assert got[1] == want[1] and np.float64(got[2]).tobytes() == np.float64(want[2]).tobytes()
+
+    def test_row_minima_equal_min_over_each_row_bit_for_bit(self):
+        rng = np.random.default_rng(0)
+        for width in [*range(1, 70), 127, 128, 129, 256, 512, 1000, 4096]:
+            rows = rng.choice([-2.0, -0.0, 0.0, 0.0, 1.0, np.inf], (max(2, 8192 // width), width))
+            assert kernels._row_minima(rows).tobytes() == rows.min(axis=1).tobytes(), width
+            out = np.empty(len(rows))
+            assert kernels._row_minima(rows, out) is out and out.tobytes() == rows.min(axis=1).tobytes()
 
     def test_large_permutation_with_one_round_per_block(self):
         kernel = cyclic_kernel(100)
