@@ -134,7 +134,12 @@ class Aggregator:
         The final bucket absorbs any rounding residue of the cumulative sums.
         """
         cdf = np.add.accumulate(self._declared())
-        idx = int(cdf.searchsorted(rng.random(), side="right"))
+        try:  # free unless it raises, where a gate would be a call every round
+            draw = rng.random()
+        except (AttributeError, TypeError):
+            as_instance(rng, np.random.Generator, "rng")  # an rng that is no Generator: ConfigError
+            raise
+        idx = int(cdf.searchsorted(draw, side="right"))
         return min(idx, self.num_experts - 1)
 
     def observe(self, losses) -> None:

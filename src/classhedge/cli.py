@@ -3,8 +3,8 @@
 Subcommands:
   run     one experiment -> per-round CSV
   sweep   the same experiment across a seed grid, in parallel
-  verify  desk-scale oracle cross-checks of the engine
-  bounds  recompute a run's bound report from its trace and check the CSV's
+  verify  desk-scale oracle cross-checks of the engine; with a run's CSV, its
+          bound claims checked against the trace beside it
 
 Every config-file key can be overridden by the CLI flag of the same name;
 exit status is nonzero on any configuration or invariant failure.
@@ -13,12 +13,11 @@ exit status is nonzero on any configuration or invariant failure.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
 from .core import ConfigError, InvariantViolation, ProtocolError
-from . import harness, oracle
+from . import harness
 
 
 def _parse_value(text: str):
@@ -144,24 +143,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    return 0 if harness.run_verification(seed=args.seed) else 1
-
-
-def _cmd_bounds(args: argparse.Namespace) -> int:
-    columns = harness.read_csv_columns(args.csv, ("bound_var", "exp_regret"))
-    report = oracle.bound_report(*harness.read_trace(args.csv, len(columns["bound_var"])))
-    print(
-        f"W={report.w_budget:.12g} D={report.D:.12g} V*={report.v_star:.12g} "
-        f"sum_d_sq={report.sum_d_sq:.12g}"
-    )
-    print(f"bound_var={report.bound_var:.12g} bound_range={report.bound_range:.12g}")
-    stored = float(columns["bound_var"][-1])
-    # an inf stored bound would make the tolerance inf; NaN fails the comparison
-    if not (math.isfinite(stored) and abs(stored - report.bound_var) <= 1e-6 * max(1.0, abs(stored))):
-        print(f"stored bound_var {stored:.12g} disagrees with recomputation", file=sys.stderr)
-        return 1
-    print(f"final expected regret {float(columns['exp_regret'][-1]):.12g}")
-    return 0
+    if args.run is None:
+        return 0 if harness.run_verification(seed=0 if args.seed is None else args.seed) else 1
+    if args.seed is not None:
+        raise ConfigError("verify takes --seed or a run file, not both: a seed draws the desk suite's cases")
+    columns = harness.read_csv_columns(args.run, ("bound_var", "exp_regret"))
+    trace = harness.read_trace(args.run, len(columns["bound_var"]))
+    return 0 if harness.check_run(*trace, columns["exp_regret"], columns["bound_var"], print, stored=True) else 1
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -182,13 +170,10 @@ def _parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--jobs", type=int, help="worker processes (default: min(seeds, cpu count))")
     p_sweep.set_defaults(func=_cmd_sweep)
 
-    p_verify = sub.add_parser("verify", help="desk-scale oracle cross-checks")
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify = sub.add_parser("verify", help="desk-scale oracle cross-checks, or a traced run's bound claims")
+    p_verify.add_argument("run", nargs="?", help="per-round CSV from `run --trace`, beside its trace")
+    p_verify.add_argument("--seed", type=int, help="the desk suite's seed (default 0); not with a run")
     p_verify.set_defaults(func=_cmd_verify)
-
-    p_bounds = sub.add_parser("bounds", help="recompute the bound report from a run trace")
-    p_bounds.add_argument("--csv", required=True, help="per-round CSV from `run --trace`, beside its trace")
-    p_bounds.set_defaults(func=_cmd_bounds)
     return parser
 
 

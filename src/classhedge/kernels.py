@@ -26,7 +26,7 @@ from operator import itemgetter
 import numpy as np
 
 from .core import MAX_ROUNDS, ConfigError, OutOfClassError, as_instance, as_integer, as_loss_array, as_real
-from .core import as_sequence
+from .core import as_sequence, fsum_or_inf
 
 ClassParams = tuple[int, ...]
 
@@ -86,10 +86,7 @@ def _check_row_sums(class_list, w, starts, counts) -> None:
     unsummed = np.flatnonzero(np.abs(totals - 1.0) > _ROW_TOL)
     if len(unsummed):
         i = unsummed[0]
-        try:
-            total = math.fsum(view[starts[i]:starts[i] + counts[i]])
-        except OverflowError:  # the exact sum is past the largest double
-            total = math.inf
+        total = fsum_or_inf(view[starts[i]:starts[i] + counts[i]])
         raise ConfigError(f"row for {class_list[i]} sums to {total!r}, not 1")
 
 

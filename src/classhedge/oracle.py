@@ -31,6 +31,7 @@ from .core import (
     bound_var,
     center_losses,
     eta_ratio,
+    fsum_or_inf,
     learning_rate,
     round_stats,
 )
@@ -191,14 +192,6 @@ def exhaustive_best(
     return best, best_cost
 
 
-def _fsum_or_inf(values: np.ndarray) -> float:
-    """``math.fsum`` of contiguous nonnegative values, inf where their sum is past the largest double."""
-    try:
-        return math.fsum(memoryview(values))  # fsum reads a memoryview twice as fast as a list
-    except OverflowError:
-        return math.inf
-
-
 def bound_report(w_budget: float, probs, losses) -> BoundReport:
     """Evaluate the second-order regret bounds from run telemetry.
 
@@ -258,8 +251,8 @@ def bound_report(w_budget: float, probs, losses) -> BoundReport:
         sq *= sq
         np.einsum("tm,tm->t", p[a:a + width], sq, out=variances[a:a + width])
 
-    v_star = _fsum_or_inf(variances)
-    sum_d_sq = _fsum_or_inf(ranges * ranges)
+    v_star = fsum_or_inf(variances)
+    sum_d_sq = fsum_or_inf(ranges * ranges)
     if v_star > sum_d_sq / 4.0 + 1e-9 * max(1.0, sum_d_sq):
         raise InvariantViolation(
             f"variance sum {v_star!r} exceeds a quarter of the squared ranges {sum_d_sq!r}"

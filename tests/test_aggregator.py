@@ -1,5 +1,6 @@
 """Tests for the class-weight engine: protocol, updates, and invariances."""
 
+import gc
 import math
 import sys
 from unittest import mock
@@ -806,12 +807,18 @@ def _calls_per_round(kernel, warmup=10, rounds=50):
             counts[event] += 1
 
     run_round = agg.run_round
+    # no collection in the window: one would run the gc.callbacks that hypothesis installs (a Python
+    # and a C call each phase), which are no calls of the round
+    enabled = gc.isenabled()
+    gc.disable()
     sys.setprofile(profile)
     try:
         for losses in table[warmup:]:
             run_round(losses, rng)
     finally:
         sys.setprofile(None)
+        if enabled:
+            gc.enable()
     return counts["c_call"] / rounds, counts["call"] / rounds
 
 
@@ -833,3 +840,18 @@ def test_a_round_makes_at_most_its_pinned_calls(kernel, c_calls, py_calls):
     assert isinstance(CIRCULANT_8._structure, EdgeList)
     c_count, py_count = _calls_per_round(kernel)
     assert c_count <= c_calls and py_count <= py_calls, (c_count, py_count)
+
+
+def test_a_collection_in_the_counted_rounds_adds_no_calls():
+    # a gc callback, as hypothesis installs one, runs at every collection; a threshold of 1 collects
+    # on nearly every allocation, so any collection in the window would add its calls to the count
+    clean = _calls_per_round(cyclic_kernel(8))
+    threshold = gc.get_threshold()
+    gc.callbacks.append(lambda phase, info: math.fsum(()))
+    gc.set_threshold(1)
+    try:
+        counted = _calls_per_round(cyclic_kernel(8))
+    finally:
+        gc.set_threshold(*threshold)
+        gc.callbacks.pop()
+    assert counted == clean

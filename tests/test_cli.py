@@ -141,7 +141,7 @@ def test_sweep_trace_writes_one_trace_per_seed(tmp_path, capsys):
     names = ["seed_0.csv", "seed_0.trace.npz", "seed_1.csv", "seed_1.trace.npz", "summary.csv"]
     assert sorted(path.name for path in out_dir.iterdir()) == names
     capsys.readouterr()
-    assert main(["bounds", "--csv", str(out_dir / "seed_1.csv")]) == 0
+    assert main(["verify", str(out_dir / "seed_1.csv")]) == 0
     assert "final expected regret" in capsys.readouterr().out
 
 
@@ -154,7 +154,7 @@ def test_sweep_rejects_zero_jobs(tmp_path, capsys):
     assert not (tmp_path / "sweep").exists()
 
 
-def test_bounds_subcommand(tmp_path, capsys):
+def test_verify_a_run_file(tmp_path, capsys):
     out = tmp_path / "run.csv"
     main([
         "run", "--experts", "4", "--rounds", "60", "--kernel", "cyclic",
@@ -162,15 +162,22 @@ def test_bounds_subcommand(tmp_path, capsys):
         "--out", str(out), "--trace",
     ])
     capsys.readouterr()
-    assert main(["bounds", "--csv", str(out)]) == 0
+    assert main(["verify", str(out)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split("=", 1)[0].split()[0] for line in lines] == ["W", "bound_var", "final"]
+    # the desk suite's two bound claims, then the stored bound against the trace's
+    assert lines[:2] == [
+        "PASS  variance statistic is at most a quarter of the squared ranges",
+        "PASS  expected regret stays below the variance bound",
+    ]
+    assert len(lines) == 3 and lines[2].startswith("PASS  final bound_var ")
+    columns = read_csv_columns(out)
+    stored = columns["bound_var"][-1]
     # the trace's W is the run's own: W_T of the cyclic class at T=60
-    assert lines[0].startswith(f"W={make_kernel('cyclic', 4).budget_bound(60):.12g} ")
+    assert f"(W={make_kernel('cyclic', 4).budget_bound(60):.12g} D=" in lines[2]
     # with the run's own budget the recomputed bound is the stored one
-    stored = read_csv_columns(out)["bound_var"][-1]
-    assert lines[1].split()[0] == f"bound_var={stored:.12g}"
-    assert lines[2] == f"final expected regret {read_csv_columns(out)['exp_regret'][-1]:.12g}"
+    assert f"final bound_var {stored:.12g} is the trace's" in lines[2]
+    assert f" bound_var={stored:.12g} bound_range=" in lines[2]
+    assert lines[2].endswith(f"; final expected regret {columns['exp_regret'][-1]:.12g})")
 
 
 def test_verify_subcommand(capsys):
@@ -306,19 +313,19 @@ def _one_error_line(capsys, code, argv) -> str:
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and "Traceback" not in captured.err, captured.err
-    assert "bound_var" not in captured.out
+    assert captured.out == ""
     return lines[0]
 
 
-def test_bounds_rejects_csv_without_its_columns(tmp_path, capsys):
+def test_verify_run_rejects_csv_without_its_columns(tmp_path, capsys):
     out, _ = _run_with_trace(tmp_path)
     lines = out.read_text().splitlines()
     out.write_text("\n".join(",".join(line.split(",")[:6]) for line in lines) + "\n")  # t .. real_regret
     capsys.readouterr()
-    assert _one_error_line(capsys, 1, ["bounds", "--csv", str(out)]) == f"error: {out} has no column(s) bound_var"
+    assert _one_error_line(capsys, 1, ["verify", str(out)]) == f"error: {out} has no column(s) bound_var"
 
 
-def test_bounds_rejects_invalid_telemetry_rows(tmp_path, capsys):
+def test_verify_run_rejects_invalid_telemetry_rows(tmp_path, capsys):
     out, trace = _run_with_trace(tmp_path)
     with np.load(trace) as arrays:
         probs, losses = arrays["probs"], arrays["losses"]
@@ -328,42 +335,44 @@ def test_bounds_rejects_invalid_telemetry_rows(tmp_path, capsys):
         bad = table.copy()
         bad[2, 0] = value
         _rewrite_trace(trace, **{name: bad})
-        err = _one_error_line(capsys, 1, ["bounds", "--csv", str(out)])
+        err = _one_error_line(capsys, 1, ["verify", str(out)])
         assert "round 3" in err and message in err
         _rewrite_trace(trace, probs=probs, losses=losses)
 
 
-def test_bounds_rejects_header_only_csv(tmp_path, capsys):
+def test_verify_run_rejects_header_only_csv(tmp_path, capsys):
     out, _ = _run_with_trace(tmp_path)
     out.write_text(out.read_text().splitlines()[0] + "\n")
     capsys.readouterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        err = _one_error_line(capsys, 1, ["bounds", "--csv", str(out)])
+        err = _one_error_line(capsys, 1, ["verify", str(out)])
     assert err.startswith(f"error: {out} needs at least one row")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-def test_bounds_rejects_non_finite_stored_bound(tmp_path, capsys, value):
+def test_verify_run_fails_a_non_finite_stored_bound(tmp_path, capsys, value):
     out, _ = _run_with_trace(tmp_path)
-    assert main(["bounds", "--csv", str(out)]) == 0
+    assert main(["verify", str(out)]) == 0
     lines = out.read_text().splitlines()
     cells = lines[-1].split(",")
     cells[6] = value  # bound_var
     out.write_text("\n".join(lines[:-1] + [",".join(cells)]) + "\n")
     capsys.readouterr()
-    assert main(["bounds", "--csv", str(out)]) == 1
-    assert "disagrees with recomputation" in capsys.readouterr().err
+    assert main(["verify", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines()[2].startswith(f"FAIL  final bound_var {float(value):.12g} is the trace's (W=")
 
 
-def test_bounds_refuses_a_trace_of_another_round_count(tmp_path, capsys):
+def test_verify_run_refuses_a_trace_of_another_round_count(tmp_path, capsys):
     out, trace = _run_with_trace(tmp_path)
     with np.load(trace) as arrays:
         probs, losses = arrays["probs"], arrays["losses"]
     capsys.readouterr()
     for rows in (9, 0):
         _rewrite_trace(trace, probs=probs[:rows], losses=losses[:rows])
-        err = _one_error_line(capsys, 1, ["bounds", "--csv", str(out)])
+        err = _one_error_line(capsys, 1, ["verify", str(out)])
         assert err == f"error: {trace} holds probabilities of shape ({rows}, 3); {out} has 10 rounds"
 
 
@@ -394,30 +403,58 @@ def _drop_losses(trace):
     (lambda trace: _rewrite_trace(trace, w_budget=np.float64(0.5)), "class budget must be a finite real >= 1"),
     (lambda trace: _rewrite_trace(trace, w_budget=np.ones(2)), "class budget must be a finite real >= 1"),
 ], ids=["missing", "text", "empty", "truncated-zip", "npy", "missing-key", "object-array", "budget", "budget-array"])
-def test_bounds_names_a_bad_trace_in_one_error_line(tmp_path, capsys, spoil, message):
+def test_verify_run_names_a_bad_trace_in_one_error_line(tmp_path, capsys, spoil, message):
     out, trace = _run_with_trace(tmp_path)
     spoil(trace)
     capsys.readouterr()
-    assert message in _one_error_line(capsys, 1, ["bounds", "--csv", str(out)])
+    assert message in _one_error_line(capsys, 1, ["verify", str(out)])
 
 
-def test_bounds_finds_that_another_kernels_trace_disagrees(tmp_path, capsys):
+def test_verify_run_finds_that_another_kernels_trace_disagrees(tmp_path, capsys):
     # same seed and generator, so the same losses; the switching class has another W and other plays
     out, trace = _run_with_trace(tmp_path, kernel="fixed")
     (tmp_path / "switching").mkdir()
     _, other_trace = _run_with_trace(tmp_path / "switching", kernel="switching")
     other_trace.replace(trace)
     capsys.readouterr()
-    assert main(["bounds", "--csv", str(out)]) == 1
+    assert main(["verify", str(out)]) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("stored bound_var ") and captured.err.endswith(" disagrees with recomputation\n")
+    assert captured.err == ""
+    assert [line[:4] for line in captured.out.splitlines()] == ["PASS", "PASS", "FAIL"]
     assert "bound_var=" in captured.out
 
 
-@pytest.mark.parametrize("flag", ["--probs", "--w-budget", "--kernel", "--kernel-param", "--experts"])
-def test_bounds_takes_only_the_csv(capsys, flag):
+def test_verify_run_fails_a_regret_past_its_bound_before_the_last_round(tmp_path, capsys):
+    # the last row is within its bound, so a check of the final row alone would pass
+    out, _ = _run_with_trace(tmp_path)
+    lines = out.read_text().splitlines()
+    cells = lines[5].split(",")  # round 5
+    cells[4] = repr(float(cells[6]) * 1.5 + 1.0)  # exp_regret above bound_var
+    out.write_text("\n".join(lines[:5] + [",".join(cells)] + lines[6:]) + "\n")
+    columns = read_csv_columns(out)
+    assert columns["exp_regret"][-1] <= columns["bound_var"][-1] and columns["exp_regret"][4] > columns["bound_var"][4]
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines()[:2] == [
+        "PASS  variance statistic is at most a quarter of the squared ranges",
+        "FAIL  expected regret stays below the variance bound",
+    ]
+    assert captured.out.splitlines()[2].startswith("PASS  final bound_var ")
+
+
+def test_verify_refuses_a_seed_with_a_run_file(tmp_path, capsys):
+    out, _ = _run_with_trace(tmp_path)
+    capsys.readouterr()
+    err = _one_error_line(capsys, 1, ["verify", "--seed", "0", str(out)])
+    assert err == "error: verify takes --seed or a run file, not both: a seed draws the desk suite's cases"
+
+
+@pytest.mark.parametrize("flag", ["--probs", "--w-budget", "--kernel", "--kernel-param", "--experts", "--csv"])
+def test_verify_run_takes_only_the_csv(capsys, flag):
     with pytest.raises(SystemExit) as exit_info:
-        main(["bounds", "--csv", "run.csv", flag, "1"])
+        main(["verify", "run.csv", flag, "1"])
     assert exit_info.value.code == 2
     assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
@@ -483,3 +520,8 @@ def test_readme_cli_block_uses_only_flags_its_subcommands_take():
         options = commands[words[1]]._option_string_actions
         for flag in (word for word in words[2:] if word.startswith("-")):
             assert flag in options, f"README: `classhedge {words[1]}` has no option {flag}"
+        # the real parser: a positional that no subcommand takes fails too
+        try:
+            _parser().parse_args(words[1:])
+        except SystemExit:
+            pytest.fail(f"README: `{' '.join(words)}` does not parse")

@@ -106,6 +106,8 @@ LIBRARY = {
     "Aggregator.observe": _observe,
     "Aggregator.observe.entry": lambda h: _observe([h, 0.0]),
     "Aggregator.run_round": lambda h: Aggregator(fixed_kernel(2), 1.0).run_round(h, np.random.default_rng(0)),
+    "Aggregator.sample.rng": lambda h: Aggregator(fixed_kernel(2), 1.0).sample(h),
+    "Aggregator.run_round.rng": lambda h: Aggregator(fixed_kernel(2), 1.0).run_round([0.0, 1.0], h),
     "TransitionKernel.name": lambda h: TransitionKernel(h, 1, [(0,)], ONE),
     "TransitionKernel.num_experts": lambda h: TransitionKernel("k", h, [(0,)], ONE),
     "TransitionKernel.classes": lambda h: TransitionKernel("k", 1, h, ONE),
@@ -199,7 +201,8 @@ CLI = {
                          (lambda flag: lambda t: [*SWEEP, f"{flag}={t}"])(flag))
        for flag in ("--seeds", "--out-dir", "--jobs", "--gamma")},
     "verify --seed": (INTS, lambda t: ["verify", f"--seed={t}"]),
-    "bounds --csv": (TEXTS, lambda t: ["bounds", f"--csv={t}"]),
+    # after "--", argparse reads a text such as "-inf" as the run file
+    "verify RUN": (TEXTS, lambda t: ["verify", "--", t]),
 }
 CONFIG_KEYS = [f.name for f in fields(ExperimentConfig)] + ["kernel_param.switch_weight", "loss_param.scale"]
 # a trace entry that no run writes: a string, an object, NaN, inf, a bool, a ragged or 3-D table, nothing
@@ -255,7 +258,7 @@ def test_only_documented_exceptions_escape(data, tmp_path, monkeypatch):
             trace[data.draw(st.sampled_from(sorted(trace)))] = data.draw(st.sampled_from(TRACE_ENTRIES))
             with open("t.trace.npz", "wb") as fh:
                 np.savez(fh, **trace)
-            argv = ["bounds", "--csv", "t.csv"]
+            argv = ["verify", "t.csv"]
         code, err = _cli(argv)
     assert code == 0 or (code == 1 and err.count("\n") == 1 and err.startswith("error: ")), (argv, code, err)
 
@@ -333,9 +336,12 @@ def test_an_int_path_opens_no_descriptor(read_or_write, fd, no_open):
     "call, message",
     [(lambda: switching_kernel(BIG, 0.1), "Maximum allowed size exceeded"),
      (lambda: run_verification(0, None), "emit must be of type Callable, got None"),
+     (lambda: Aggregator(fixed_kernel(2), 1.0).sample(None), "^rng must be of type Generator, got None$"),
+     (lambda: Aggregator(fixed_kernel(2), 1.0).run_round([0.0, 1.0], "1"), "^rng must be of type Generator, got '1'$"),
      (lambda: TransitionKernel("k", 1, [(0,)], {(0,): [((0,), [1.0])]}),
       r"^transition weights must be one real number each, got float64 \(1, 1\)$")],
-    ids=["switching-experts-past-double", "verification-emit-none", "weight-a-list"],
+    ids=["switching-experts-past-double", "verification-emit-none", "sample-rng-none", "run-round-rng-str",
+         "weight-a-list"],
 )
 def test_found_by_the_contract_test(call, message):
     with pytest.raises(ValueError, match=message):
@@ -356,7 +362,7 @@ def test_cli_error_quoting_a_table_is_one_line(tmp_path, monkeypatch):
         arrays = dict(trace)
     arrays["w_budget"] = np.zeros((2, 2))
     np.savez("t.trace.npz", **arrays)
-    code, err = _cli(["bounds", "--csv=t.csv"])
+    code, err = _cli(["verify", "t.csv"])
     assert (code, err) == (1, "error: class budget must be a finite real >= 1, got array([[0., 0.], [0., 0.]])\n")
 
 

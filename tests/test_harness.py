@@ -26,6 +26,7 @@ from classhedge.harness import (
     run_experiment,
     run_sweep,
     run_verification,
+    within_bound,
 )
 from classhedge.kernels import FixedShare
 
@@ -823,11 +824,37 @@ class TestSweep:
         assert pools_made == []
         assert not out_dir.exists()  # no directory, so no CSV
 
+    def test_a_regret_past_its_bound_before_the_last_round_is_not_within_bound(self, tmp_path, monkeypatch):
+        real = harness.run_experiment
+
+        def breached(config):
+            report = real(config)
+            if config.seed == 1:
+                mid = report.rounds // 2
+                report.exp_regret[mid] = report.bound_var[mid] + 1.0
+            return report
+
+        monkeypatch.setattr(harness, "run_experiment", breached)
+        base = ExperimentConfig(experts=3, rounds=60, kernel="cyclic", loss_gen="adversarial-cyclic")
+        columns = read_csv_columns(run_sweep(base, [0, 1], tmp_path / "sweep", jobs=1))
+        assert list(columns["within_bound"]) == [1.0, 0.0]
+        # seed 1's final row, the one its summary row reports, is within its bound
+        assert columns["exp_regret"][1] <= columns["bound_var"][1]
+
     def test_parallel_matches_serial(self, tmp_path):
         base = ExperimentConfig(experts=2, rounds=30, kernel="fixed", seed=0)
         serial = run_sweep(base, [4, 5], tmp_path / "serial", jobs=1)
         parallel = run_sweep(base, [4, 5], tmp_path / "parallel", jobs=2)
         assert serial.read_bytes() == parallel.read_bytes()
+
+
+def test_within_bound_is_every_round_with_no_slack():
+    bound = np.array([0.0, 1.0, 2.0])
+    assert within_bound(bound.copy(), bound)
+    assert within_bound(np.array([-1.0, 1.0, 2.0]), bound)
+    assert not within_bound(np.array([0.0, 1.0 + 2**-52, 2.0]), bound)
+    assert not within_bound(np.array([0.0, math.nan, 2.0]), bound)
+    assert not within_bound(np.array([0.0, 1.0, 2.0]), np.array([0.0, math.nan, 2.0]))
 
 
 class TestVerification:
