@@ -559,16 +559,17 @@ def _running_sum(rows: np.ndarray) -> None:
     ``np.add.accumulate`` costs about the same per step whatever it adds, so
     an even row width is accumulated as complex numbers of two classes each:
     a complex addition is the two IEEE additions of its parts, the same bits
-    at half the steps.  Blocks of at most 32 rows, each of 256 classes or
-    more, add row by row.
+    at half the steps.  Rows of 256 such numbers or more (512 classes paired,
+    257 unpaired) add row by row, one vectorised addition a row, which
+    measured faster than the accumulate there at any number of rows.
     """
-    if len(rows) <= 32:
-        for j in range(1, len(rows)):
-            np.add(rows[j - 1], rows[j], out=rows[j])
-        return
     if rows.shape[1] % 2 == 0:
         rows = rows.view(np.complex128)  # rows' last axis is contiguous: the view pairs neighbours
-    np.add.accumulate(rows, axis=0, out=rows)
+    if rows.shape[1] >= 256:
+        for j in range(1, len(rows)):
+            np.add(rows[j - 1], rows[j], out=rows[j])
+    else:
+        np.add.accumulate(rows, axis=0, out=rows)
 
 
 @dataclass(eq=False)
@@ -584,15 +585,19 @@ class Permutation:
     running sum of its expert's losses along its orbit.  The rounds are cut
     into blocks of B rounds by k classes, B*k about ``_BLOCK`` (at least one
     round); ``orbit[j, c]`` = succ^j(c) is built once, by the first DP call,
-    and each block's losses are one ``take`` from the flattened loss table,
-    summed by ``_running_sum`` (strictly sequential, the loop's bits; two
-    classes per addition when k is even).  The
-    prefix DP first adds to a block's first row the carry of the row whose
-    block ended one round before, then takes each round's least over the
-    classes with ``_row_minima``, one ``reduceat`` a block.  The
-    path DP runs the reversed blocks, last block first, carrying the later
-    block's first row at succ^B, and reads the path off ``orbit``: no
-    back-pointers.
+    and each block's losses are one ``take`` from the flattened loss table.
+    The prefix DP first adds to a block's first row the carry of the row
+    whose block ended one round before, sums it down its rows with
+    ``_running_sum`` (strictly sequential, the loop's bits; two classes per
+    addition when k is even), then takes each round's least over the
+    classes with ``_row_minima``, one ``reduceat`` a block.  The path DP
+    runs the blocks last first, carrying the later block's first row at
+    succ^B, and needs only each block's column sums: one ``np.add.reduce``
+    of the reversed rows, which numpy adds a row at a time across the
+    classes, the loop's order.  It starts from -0.0, the exact identity, as
+    the default +0.0 would turn a column of -0.0 into +0.0; one class keeps
+    ``_running_sum``, as numpy sums a lone column pairwise.  The path is
+    read off ``orbit``: no back-pointers.
     """
 
     succ: np.ndarray
@@ -649,10 +654,14 @@ class Permutation:
             # row j, column c: the loss of the class j steps on from c at round lo
             block = table[lo:lo + width].ravel().take(flat[:rounds - lo])
             block[-1] += carry
-            _running_sum(block[::-1])
+            if kernel.num_classes == 1:  # numpy sums a one-wide column pairwise
+                _running_sum(block[::-1])
+                first = block[0]
+            else:  # one row at a time, across the classes; +0.0 would unsign a -0.0 column
+                first = np.add.reduce(block[::-1], axis=0, initial=-0.0)
             # the class after a row's last round is succ^B of its first
-            carry = block[0].take(jump)
-        start, best_loss = _best_start(kernel, block[0])
+            carry = first.take(jump)
+        start, best_loss = _best_start(kernel, first)
         heads = [start]  # the path's class at the first round of each block
         for _ in range((rounds - 1) // width):
             heads.append(int(jump[heads[-1]]))
@@ -774,10 +783,11 @@ def best_competitor(
     are broken toward the lexicographically smallest class sequence.
     Returns (path, cumulative loss).  The kernel's transition structure runs
     the backward recursion suffix_t(c) = x_t(c) + min over successors b of
-    suffix_t+1(b), where x_t(c) is the loss of c's expert at round t; every
-    structure gives the edge-list DP's path and bits, save the sign of a zero
-    loss, which numpy's ``min`` does not fix.  One ``itemgetter`` reads the
-    path's classes.
+    suffix_t+1(b), where x_t(c) is the loss of c's expert at round t; on a
+    permutation, a block of rounds is one column sum per class (see
+    ``Permutation``).  Every structure gives the edge-list DP's path and
+    bits, save the sign of a zero loss, which numpy's ``min`` does not fix.
+    One ``itemgetter`` reads the path's classes.
     """
     kernel = as_instance(kernel, TransitionKernel, "kernel")
     table = as_loss_array(np.atleast_2d(losses), kernel.num_experts)[0]

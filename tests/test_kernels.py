@@ -1055,28 +1055,79 @@ class TestClosedFormDP:
         assert_same_bits(prefix, best_prefix_losses(twin, table))
 
     @pytest.mark.parametrize(
-        "kernel", [cyclic_kernel(4), cyclic_kernel(3), ROTATE_EVEN],
-        ids=["paired-16", "float-9", "paired-4-starts"],
+        "kernel", [cyclic_kernel(4), cyclic_kernel(3), ROTATE_EVEN, fixed_kernel(512), fixed_kernel(257)],
+        ids=["paired-16", "float-9", "paired-4-starts", "rows-512", "rows-257"],
     )
     def test_running_sums_of_both_widths_keep_the_loops_bits(self, kernel):
-        # T = 2B + 1: two blocks of B rounds accumulated down their rows (an even
-        # class count two classes per complex addition, an odd one as floats) and
-        # a one-round block; ties, zeros of both signs and 1e+-150 jumps
+        # T = 2B + 1: two blocks of B rounds summed down their rows (an even class
+        # count two classes per complex addition, an odd one as floats; rows of 256
+        # such numbers or more one row at a time) and a one-round block; T = 30: one
+        # short block, of narrow rows where the width allows; ties, zeros of both
+        # signs and 1e+-150 jumps
         width = kernels._BLOCK // kernel.num_classes
         rng = np.random.default_rng(width)
-        table = rng.integers(-2, 3, (2 * width + 1, kernel.num_experts)).astype(float)
-        table[rng.random(table.shape) < 0.2] = -0.0
-        table[rng.random(table.shape) < 0.1] = 0.0
-        table *= rng.choice([1e-150, 1.0, 1e150], (len(table), 1))
-        path, loss = best_competitor(kernel, table)
-        prefix = best_prefix_losses(kernel, table)
-        loop_path, loop_loss, loop_prefix = straight_loop_dp(kernel, table)
-        twin = edge_list_twin(kernel)
-        twin_path, twin_loss = best_competitor(twin, table)
-        assert path == loop_path == twin_path
-        assert_same_bits([loss, loss], [loop_loss, twin_loss])
-        assert_same_bits(prefix, loop_prefix)
-        assert_same_bits(prefix, best_prefix_losses(twin, table))
+        for rounds in (2 * width + 1, 30):
+            table = rng.integers(-2, 3, (rounds, kernel.num_experts)).astype(float)
+            table[rng.random(table.shape) < 0.2] = -0.0
+            table[rng.random(table.shape) < 0.1] = 0.0
+            table *= rng.choice([1e-150, 1.0, 1e150], (len(table), 1))
+            path, loss = best_competitor(kernel, table)
+            prefix = best_prefix_losses(kernel, table)
+            loop_path, loop_loss, loop_prefix = straight_loop_dp(kernel, table)
+            twin = edge_list_twin(kernel)
+            twin_path, twin_loss = best_competitor(twin, table)
+            assert path == loop_path == twin_path
+            assert_same_bits([loss, loss], [loop_loss, twin_loss])
+            assert_same_bits(prefix, loop_prefix)
+            assert_same_bits(prefix, best_prefix_losses(twin, table))
+
+    def test_column_reduce_adds_the_rows_strictly_in_order(self):
+        # the path DP's np.add.reduce(rows[::-1], axis=0, initial=-0.0) gives each
+        # column fl(...fl(fl(-0.0 + last) + next)... + first), byte for byte: numpy
+        # adds one row at a time across the columns, not pairwise down a column
+        rng = np.random.default_rng(3)
+        for k in (2, 3, 8, 64, 513, 8192):
+            width = max(1, kernels._BLOCK // k)
+            for count in sorted({1, 2, max(1, width - 1), width}):
+                rows = rng.integers(-2, 3, (count, k)).astype(float)
+                rows[rng.random(rows.shape) < 0.2] = -0.0
+                rows[rng.random(rows.shape) < 0.1] = 0.0
+                rows += rng.standard_normal((count, k)) * (rng.random((count, k)) < 0.3)
+                rows *= rng.choice([1e-150, 1.0, 1e150], (count, 1))
+                want = np.full(k, -0.0)
+                for row in rows[::-1]:
+                    want = want + row
+                got = np.add.reduce(rows[::-1], axis=0, initial=-0.0)
+                assert got.tobytes() == want.tobytes(), (k, count)
+
+    @pytest.mark.parametrize(
+        "kernel", [fixed_kernel(1), fixed_kernel(3), cyclic_kernel(2), cyclic_kernel(3)],
+        ids=lambda k: f"{k.name}-{k.num_classes}",
+    )
+    def test_all_negative_zero_losses_keep_the_sign(self, kernel):
+        # the straight loop's loss is -0.0; a reduce from +0.0 would return +0.0,
+        # which assert_same_bits forgives, so compare bytes
+        width = kernels._BLOCK // kernel.num_classes
+        for rounds in (1, 2, 3, width + 1):
+            table = np.full((rounds, kernel.num_experts), -0.0)
+            path, loss = best_competitor(kernel, table)
+            loop_path, loop_loss, loop_prefix = straight_loop_dp(kernel, table)
+            assert path == loop_path and math.copysign(1.0, loop_loss) == -1.0
+            assert np.float64(loss).tobytes() == np.float64(loop_loss).tobytes(), rounds
+            assert best_prefix_losses(kernel, table).tobytes() == np.array(loop_prefix).tobytes()
+
+    @pytest.mark.parametrize("kernel", [fixed_kernel(1), cyclic_kernel(1)], ids=["fixed-1", "cyclic-1"])
+    def test_one_class_sums_its_column_in_order(self, kernel):
+        # 1, 1e16, -1e16 repeating, at T where numpy's pairwise sum of a one-wide
+        # column differs from the strictly sequential one the loop takes
+        for rounds in (16, 24, 100, kernels._BLOCK + 1):
+            table = np.resize([1.0, 1e16, -1e16], (rounds, 1))
+            pairwise = float(np.add.reduce(table[::-1], axis=0, initial=-0.0)[0])
+            path, loss = best_competitor(kernel, table)
+            loop_path, loop_loss, loop_prefix = straight_loop_dp(kernel, table)
+            assert loss != pairwise, rounds
+            assert (path, loss) == (loop_path, loop_loss)
+            assert best_prefix_losses(kernel, table).tolist() == loop_prefix
 
     @pytest.mark.parametrize(
         "kernel",
